@@ -7,6 +7,8 @@
 # misaligned loads in the wire codecs), plus the static-analysis lane
 # (clang thread-safety + clang-tidy) when clang is installed.
 # Exits nonzero on the first failure.
+# The concurrent suites also run in a stress lane (20 repeats under
+# parallel load, stopping at the first failure).
 # Usage: scripts/check.sh [--quick] [--static] [build-dir]
 #   --quick:  build and run only the fast perf-guard suite (the alloc-budget
 #             regression test) — seconds, not minutes; the inner loop for
@@ -80,6 +82,13 @@ fi
 cmake -B "$build_dir" -S "$repo_root"
 cmake --build "$build_dir" -j "$jobs"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
+
+# Stress lane: the concurrency-heavy suites, all at once, 20 times over (or
+# until the first failure). A race that fires one run in ten shows up here
+# as a red lane instead of a "flaky" test.
+ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
+  --repeat until-fail:20 \
+  -R 'replica|dst|property|failover|session|net|cluster|ordered_index|tpcc|checkpoint'
 "$repo_root/scripts/bench.sh" --quick "$build_dir"
 
 run_static_lane

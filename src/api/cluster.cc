@@ -105,15 +105,18 @@ const replica::ReplicaBase& BackupNode::reader() const { return *base_; }
 // ONE sequencer per cluster: the collector orders and segments the commit
 // stream once, and every consumer takes its own subscriber channel off it —
 // in-process backups directly, the ship server (when one runs) through its
-// drainer — the fan-out never copies value bytes. Member order is the
-// destruction contract: lanes (socket sources Cancel their connections)
-// before the server (Stop joins the drainer) before the collector the
-// drainer reads.
+// drainer — the fan-out never copies value bytes. Each lane's consumer
+// releases what it has applied, so the collector frees shipped segments
+// (and the server its frames) instead of keeping the whole log. Member
+// order is the destruction contract: lanes (socket sources Cancel their
+// connections) before the server (Stop joins the drainer) before the
+// drainer's source and the collector it reads.
 struct Cluster::Shipping {
   explicit Shipping(std::size_t segment_records)
       : collector(segment_records) {}
 
   log::OnlineLogCollector collector;
+  std::unique_ptr<log::ChannelSegmentSource> server_source;
   std::unique_ptr<net::ShipServer> server;  // null: in-process only
 
   struct Lane {
@@ -235,7 +238,9 @@ void Cluster::Start() {
     const Status ss = shipping_->server->Start();
     assert(ss.ok() && "ship server failed to listen");
     (void)ss;
-    shipping_->server->ServeChannel(claim_channel());
+    shipping_->server_source =
+        shipping_->collector.MakeSource(claim_channel());
+    shipping_->server->ServeChannel(shipping_->server_source.get());
   }
 
   // The fleet: one node per spec, schema mirrored (table ids match by
@@ -261,8 +266,7 @@ void Cluster::Start() {
           std::make_unique<net::SocketSegmentSource>(std::move(so));
       lane.source = lane.socket_source.get();
     } else {
-      lane.channel_source =
-          std::make_unique<log::ChannelSegmentSource>(claim_channel());
+      lane.channel_source = shipping_->collector.MakeSource(claim_channel());
       lane.source = lane.channel_source.get();
     }
     if (specs[i].ship_delay.count() > 0) {

@@ -25,6 +25,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <string_view>
 #include <vector>
 
@@ -163,10 +164,52 @@ class ArenaRope {
   std::size_t total_ = 0;
 };
 
-// Process-wide arena backing the log shipping pipeline (segment value ropes,
-// replay worker batches). Intentionally leaked: segments can be owned by
-// statics whose destruction order vs. a function-local arena is undefined.
+// Process-wide arena backing the log shipping pipeline (segment value ropes
+// and record arrays, replay worker batches). Intentionally leaked: segments
+// can be owned by statics whose destruction order vs. a function-local
+// arena is undefined.
 SlabArena& ShippingArena();
+
+// std::allocator stand-in over ShippingArena() for containers whose blocks
+// churn with segment lifetime. Freed blocks recycle through the arena's
+// slabs instead of the system heap, which would hand large freed blocks back
+// to the kernel (a madvise and a TLB shootdown across every thread of the
+// process) only to fault them in again for the next segment. Blocks larger
+// than SlabArena::kMaxAlloc use operator new.
+template <typename T>
+struct ShippingAllocator {
+  using value_type = T;
+
+  ShippingAllocator() = default;
+  template <typename U>
+  ShippingAllocator(const ShippingAllocator<U>&) {}  // NOLINT: rebinding
+
+  static bool InArena(std::size_t bytes) {
+    return bytes != 0 && bytes <= SlabArena::kMaxAlloc;
+  }
+
+  T* allocate(std::size_t n) {
+    const std::size_t bytes = n * sizeof(T);
+    if (!InArena(bytes)) return static_cast<T*>(::operator new(bytes));
+    void* p = ShippingArena().Allocate(bytes);
+    if (p == nullptr) throw std::bad_alloc();
+    return static_cast<T*>(p);
+  }
+
+  void deallocate(T* p, std::size_t n) {
+    const std::size_t bytes = n * sizeof(T);
+    if (InArena(bytes)) {
+      SlabArena::Release(p, bytes);
+    } else {
+      ::operator delete(p);
+    }
+  }
+
+  template <typename U>
+  bool operator==(const ShippingAllocator<U>&) const {
+    return true;
+  }
+};
 
 }  // namespace c5
 

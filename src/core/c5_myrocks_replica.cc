@@ -165,7 +165,8 @@ void C5MyRocksReplica::SchedulerLoop(log::SegmentSource* source) {
   FlatMap<Timestamp> last_write_ts(options_.scheduler_map_capacity);
   std::vector<TxnUnit> batch;  // one segment's transactions, reused
 
-  while (log::LogSegment* seg = source->Next()) {
+  while (log::LogSegment* seg =
+             NextSegment(source, [this] { return ApplyFloor(); })) {
     std::size_t txn_start = 0;
     auto& records = seg->records();
     batch.clear();
@@ -376,16 +377,23 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
   workers_running_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
+Timestamp C5MyRocksReplica::ApplyFloor() const {
+  // The watermark is read FIRST: every transaction at or below it was
+  // dispatched before it was published, so an empty MinUnapplied read
+  // afterwards proves all of them applied. (Read second, a segment
+  // dispatched in between would be published before it is applied.)
+  const Timestamp wm = watermark_.load(std::memory_order_acquire);
+  const Timestamp min_unapplied = dispatch_.MinUnapplied();
+  return min_unapplied == kMaxTimestamp ? wm : min_unapplied - 1;
+}
+
 void C5MyRocksReplica::SnapshotterLoop() {
   int iter = 0;
   while (true) {
     // Choose n: everything strictly below MinUnapplied is applied. Blocking
     // writers above n during the (simulated) snapshot keeps the boundary
     // stable while RocksDB captures current state.
-    const Timestamp min_unapplied = dispatch_.MinUnapplied();
-    const Timestamp wm = watermark_.load(std::memory_order_acquire);
-    const Timestamp n =
-        min_unapplied == kMaxTimestamp ? wm : min_unapplied - 1;
+    const Timestamp n = ApplyFloor();
 
     if (n > VisibleTimestamp()) {
       barrier_ts_.store(n, std::memory_order_release);

@@ -127,6 +127,12 @@ class C5MyRocksReplica : public replica::ReplicaBase {
   void WorkerLoop(int idx);
   void SnapshotterLoop();
 
+  // The snapshot boundary n: MinUnapplied() - 1, or the watermark when
+  // nothing is unapplied. Everything at or below it is applied and no
+  // worker holds a record at or below it; the scheduler releases the
+  // segments it covers (ReplicaBase::NextSegment).
+  Timestamp ApplyFloor() const;
+
   Options options_;
   replica::LagTracker* lag_;
 

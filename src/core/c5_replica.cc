@@ -68,7 +68,8 @@ void C5Replica::SchedulerLoop(log::SegmentSource* source) {
   const std::size_t nw = workers_.size();
   std::vector<Batch*> out(nw, nullptr);
 
-  while (log::LogSegment* seg = source->Next()) {
+  while (log::LogSegment* seg =
+             NextSegment(source, [this] { return ApplyFloor(); })) {
     for (log::LogRecord& rec : seg->records()) {
       const std::uint64_t name = RowName(rec.table, rec.row);
       Timestamp& last = last_write_ts[name];
@@ -301,17 +302,21 @@ void C5Replica::WorkerLoop(int idx) {
   workers_running_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
+Timestamp C5Replica::ApplyFloor() const {
+  Timestamp n = watermark_.load(std::memory_order_acquire);
+  for (const auto& w : workers_) {
+    const Timestamp cp = w->c_prime.load(std::memory_order_acquire);
+    if (cp < n) n = cp;
+  }
+  return n;
+}
+
 void C5Replica::SnapshotterLoop() {
   int iter = 0;
   while (true) {
-    // n = min over workers of c', clamped by the scheduler's watermark
-    // (§7.2: "periodically calculates a new n as the minimum across all c'
-    // and then advances c to n").
-    Timestamp n = watermark_.load(std::memory_order_acquire);
-    for (const auto& w : workers_) {
-      const Timestamp cp = w->c_prime.load(std::memory_order_acquire);
-      if (cp < n) n = cp;
-    }
+    // §7.2: "periodically calculates a new n as the minimum across all c'
+    // and then advances c to n".
+    const Timestamp n = ApplyFloor();
     if (n > VisibleTimestamp()) {
       PublishVisible(n);
       stats_.snapshots_taken.fetch_add(1, std::memory_order_relaxed);

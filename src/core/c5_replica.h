@@ -153,6 +153,12 @@ class C5Replica : public replica::ReplicaBase {
   void WorkerLoop(int idx);
   void SnapshotterLoop();
 
+  // n = min(watermark, min over workers of c'): everything at or below it
+  // is applied, and no worker holds or can still be handed a record at or
+  // below it. The snapshotter publishes it; the scheduler releases the
+  // segments it covers (ReplicaBase::NextSegment).
+  Timestamp ApplyFloor() const;
+
   Batch* AcquireBatch();
   void ReleaseBatch(Batch* batch);
 

@@ -72,7 +72,12 @@ bool OrderedIndex::UpdateNode(Node* n, RowId row, Timestamp ts, Mode mode) {
 
 bool OrderedIndex::UpsertCommon(Key key, RowId row, Timestamp ts, Mode mode) {
   assert(key <= kMaxUsableKey);
+  // Every slot starts at head_: the search fills prev[] only up to the max
+  // height IT read, and a concurrent insert may raise the max height before
+  // this one links. Levels the search never descended through must then
+  // splice after head_ (the full-height sentinel), never after garbage.
   Node* prev[kMaxHeight];
+  for (Node*& p : prev) p = head_;
   Node* found = FindGreaterOrEqual(key, prev);
   if (found != nullptr && found->key == key) {
     return UpdateNode(found, row, ts, mode);
@@ -88,11 +93,6 @@ bool OrderedIndex::UpsertCommon(Key key, RowId row, Timestamp ts, Mode mode) {
     // cur_max reloaded by the failed CAS; a concurrent raise past `height`
     // is fine — head_ is full-height, so taller searches just see nullptr.
   }
-  for (int level = cur_max < height ? cur_max : height; level < height;
-       ++level) {
-    prev[level] = head_;  // levels the splice search never descended through
-  }
-
   Node* n = NewNode(key, height);
   n->row.store(row, std::memory_order_relaxed);
   n->ts.store(ts, std::memory_order_relaxed);

@@ -1,6 +1,7 @@
 #include "log/log_collector.h"
 
 #include <algorithm>
+#include <cassert>
 #include <functional>
 #include <thread>
 
@@ -143,6 +144,57 @@ SpscQueue<LogSegment*>* OnlineLogCollector::AddSubscriber() {
   return subscribers_.back()->channel.get();
 }
 
+std::unique_ptr<ChannelSegmentSource> OnlineLogCollector::MakeSource(
+    SpscQueue<LogSegment*>* channel) {
+  Subscriber* lane = nullptr;
+  {
+    MutexLock lock(mu_);
+    for (auto& sub : subscribers_) {
+      if (sub->channel.get() == channel) lane = sub.get();
+    }
+  }
+  assert(lane != nullptr && "channel is not a lane of this collector");
+  return std::make_unique<ChannelSegmentSource>(
+      channel, [lane](std::uint64_t end_seq) { lane->Release(end_seq); });
+}
+
+std::uint64_t OnlineLogCollector::RetainedSegments() const {
+  MutexLock lock(mu_);
+  std::uint64_t n = 0;
+  for (const auto& sub : subscribers_) n += sub->Retained();
+  return n;
+}
+
+void OnlineLogCollector::Subscriber::Store(std::unique_ptr<LogSegment> seg) {
+  SpinLockGuard lock(store_lock);
+  store.push_back(std::move(seg));
+}
+
+void OnlineLogCollector::Subscriber::Release(std::uint64_t end_seq) {
+  {
+    SpinLockGuard lock(store_lock);
+    std::size_t i = head;
+    while (i < store.size() &&
+           store[i]->base_seq() + store[i]->size() <= end_seq) {
+      graveyard.push_back(std::move(store[i]));
+      ++i;
+    }
+    head = i;
+    // Compact once the dead prefix dominates: amortized O(1) per segment.
+    if (head * 2 >= store.size()) {
+      store.erase(store.begin(),
+                  store.begin() + static_cast<std::ptrdiff_t>(head));
+      head = 0;
+    }
+  }
+  graveyard.clear();  // frees records and (last-lane) value bytes, unlocked
+}
+
+std::size_t OnlineLogCollector::Subscriber::Retained() const {
+  SpinLockGuard lock(store_lock);
+  return store.size() - head;
+}
+
 OnlineLogCollector::PendingTxn* OnlineLogCollector::AcquirePending() {
   if (!pending_free_.empty()) {
     PendingTxn* buf = pending_free_.back();
@@ -162,11 +214,11 @@ void OnlineLogCollector::ShipLocked() {
   for (std::size_t i = 1; i < subscribers_.size(); ++i) {
     auto view = std::make_unique<LogSegment>(*open_, kShareValues);
     LogSegment* raw = view.get();
-    subscribers_[i]->store.push_back(std::move(view));
+    subscribers_[i]->Store(std::move(view));
     subscribers_[i]->channel->Push(raw);
   }
   LogSegment* raw = open_.get();
-  subscribers_[0]->store.push_back(std::move(open_));
+  subscribers_[0]->Store(std::move(open_));
   subscribers_[0]->channel->Push(raw);
 }
 

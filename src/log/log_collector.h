@@ -15,6 +15,7 @@
 #include "common/thread_annotations.h"
 #include "common/spsc_queue.h"
 #include "log/log_segment.h"
+#include "log/segment_source.h"
 
 namespace c5::log {
 
@@ -172,6 +173,13 @@ class PerThreadLogCollector : public LogCollector {
 // itself and later subscribers receive shared-payload views (private record
 // array + prev_ts, refcounted value bytes) — no per-backup payload copies.
 //
+// Retention: each lane stores the segments it shipped until its consumer
+// releases them (SegmentSource::Release through MakeSource's source), then
+// frees them; value bytes shared across lanes go with the last lane's
+// release (SegmentValueStore refcount). Trimming takes only the lane's own
+// store lock, never the sequencer mutex. A lane consumed through a plain
+// ChannelSegmentSource never releases, so it keeps every segment.
+//
 // Allocation discipline: pending transactions are staged in pooled buffers
 // (record vector + value-byte buffer, both capacity-recycling), and value
 // bytes land in arena-rope-backed segment stores, so steady-state LogCommit
@@ -206,9 +214,17 @@ class OnlineLogCollector : public LogCollector {
   // is fixed once shipping starts). Returns the new lane's channel.
   SpscQueue<LogSegment*>* AddSubscriber();
 
+  // A source over lane `channel` (channel() or an AddSubscriber() result)
+  // whose Release frees the lane's stored segments. One consumer per lane.
+  std::unique_ptr<ChannelSegmentSource> MakeSource(
+      SpscQueue<LogSegment*>* channel);
+
   std::uint64_t ShippedSegments() const {
     return shipped_.load(std::memory_order_relaxed);
   }
+
+  // Segments stored across all lanes (shipped, not yet released).
+  std::uint64_t RetainedSegments() const;
 
  private:
   // Pooled staging for one committed transaction awaiting release: owns its
@@ -223,13 +239,28 @@ class OnlineLogCollector : public LogCollector {
       return a->ts > b->ts;
     }
   };
+  // One shipping lane: its channel and the store that owns what it shipped
+  // until the consumer releases it.
   struct Subscriber {
     explicit Subscriber(std::size_t capacity)
         : channel(std::make_unique<SpscQueue<LogSegment*>>(capacity)) {}
+
+    // Under the sequencer mutex (ShipLocked).
+    void Store(std::unique_ptr<LogSegment> seg);
+    // Consumer thread only: frees stored segments in ship order up to the
+    // first whose end exceeds end_seq.
+    void Release(std::uint64_t end_seq);
+    std::size_t Retained() const;
+
     std::unique_ptr<SpscQueue<LogSegment*>> channel;
-    // Keeps every shipped segment alive: replicas hold raw pointers into
-    // delivered segments for their lifetime.
-    std::vector<std::unique_ptr<LogSegment>> store;
+    mutable SpinLock store_lock{LockRank::kQueue};
+    // Live segments are store[head, size): a vector with a moving head, so
+    // steady-state store + release recycles capacity instead of allocating.
+    std::vector<std::unique_ptr<LogSegment>> store C5_GUARDED_BY(store_lock);
+    std::size_t head C5_GUARDED_BY(store_lock) = 0;
+    // Released segments are destroyed here, outside store_lock (consumer
+    // thread only; capacity reused).
+    std::vector<std::unique_ptr<LogSegment>> graveyard;
   };
 
   void ShipLocked() C5_REQUIRES(mu_);

@@ -79,10 +79,14 @@ class LogSegment {
   std::size_t size() const { return records_.size(); }
   bool empty() const { return records_.empty(); }
 
+  // The record array lives in the shipping arena like the value bytes: a
+  // released segment's array recycles for the next one.
+  using RecordArray = std::vector<LogRecord, ShippingAllocator<LogRecord>>;
+
   LogRecord& record(std::size_t i) { return records_[i]; }
   const LogRecord& record(std::size_t i) const { return records_[i]; }
-  std::vector<LogRecord>& records() { return records_; }
-  const std::vector<LogRecord>& records() const { return records_; }
+  RecordArray& records() { return records_; }
+  const RecordArray& records() const { return records_; }
 
   void Reserve(std::size_t n) { records_.reserve(n); }
 
@@ -113,7 +117,7 @@ class LogSegment {
 
  private:
   const std::uint64_t base_seq_;
-  std::vector<LogRecord> records_;
+  RecordArray records_;
   SegmentValueStore* values_;
   std::atomic<bool> preprocessed_{false};
 };

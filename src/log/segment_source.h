@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <thread>
 
@@ -16,10 +17,22 @@ namespace c5::log {
 // Uniform input for replica protocols: a stream of log segments in log order.
 // Next() blocks until a segment is available and returns nullptr at
 // end-of-log. Only the backup's scheduler thread calls Next().
+//
+// Segment lifetime is release-driven. A delivered segment stays valid until
+// the consumer calls Release(end_seq) with end_seq >= the segment's end
+// (base_seq + size): the call means "I hold no pointer into any record
+// below end_seq". The source may then free those segments and pass the
+// release upstream (an OnlineLogCollector lane, a ShipServer ack). A source
+// frees delivered segments in delivery order and stops at the first
+// non-empty one whose end exceeds end_seq. Release is called only on the
+// thread that calls Next(). The default keeps every segment for the
+// source's lifetime, which is what offline logs and the protocols that
+// never release (the lazy and baseline ones) rely on.
 class SegmentSource {
  public:
   virtual ~SegmentSource() = default;
   virtual LogSegment* Next() = 0;
+  virtual void Release(std::uint64_t end_seq) { (void)end_seq; }
 };
 
 // Replays a prebuilt (coalesced) log: the offline methodology the paper uses
@@ -77,6 +90,8 @@ class DelayedSegmentSource : public SegmentSource {
     return seg;
   }
 
+  void Release(std::uint64_t end_seq) override { inner_->Release(end_seq); }
+
  private:
   SegmentSource* inner_;
   DelayFn delay_fn_;
@@ -110,19 +125,30 @@ class GatedSegmentSource : public SegmentSource {
   std::size_t pos_ = 0;
 };
 
-// Streams segments from an online primary through an SPSC channel.
+// Streams segments from an online primary through an SPSC channel. The
+// segments belong to whoever feeds the channel; `release` (optional) passes
+// Release upstream to it — OnlineLogCollector::MakeSource wires its lane's
+// store here. Without it the feeder keeps every segment.
 class ChannelSegmentSource : public SegmentSource {
  public:
-  explicit ChannelSegmentSource(SpscQueue<LogSegment*>* channel)
-      : channel_(channel) {}
+  using ReleaseFn = std::function<void(std::uint64_t)>;
+
+  explicit ChannelSegmentSource(SpscQueue<LogSegment*>* channel,
+                                ReleaseFn release = nullptr)
+      : channel_(channel), release_(std::move(release)) {}
 
   LogSegment* Next() override {
     auto seg = channel_->Pop();
     return seg.has_value() ? *seg : nullptr;
   }
 
+  void Release(std::uint64_t end_seq) override {
+    if (release_) release_(end_seq);
+  }
+
  private:
   SpscQueue<LogSegment*>* channel_;
+  ReleaseFn release_;
 };
 
 }  // namespace c5::log

@@ -14,6 +14,12 @@ void PutInt(std::string* out, T v) {
   out->append(buf, sizeof(T));
 }
 
+// Bytes every encoded record carries before its value: table, op,
+// last_in_txn, row, key, commit_ts, value_len.
+constexpr std::size_t kRecordPrefixBytes =
+    sizeof(std::uint32_t) + 2 * sizeof(std::uint8_t) +
+    3 * sizeof(std::uint64_t) + sizeof(std::uint32_t);
+
 template <typename T>
 bool GetInt(std::string_view* in, T* v) {
   if (in->size() < sizeof(T)) return false;
@@ -65,6 +71,12 @@ Status DecodeSegment(std::string_view bytes, std::size_t* consumed,
   }
   if (payload_len > kMaxPayloadBytes) {
     return Status::InvalidArgument("implausible payload length");
+  }
+  // record_count sits outside the CRC: bound it by what the payload can
+  // hold before anything is sized from it, so a flipped header bit is a
+  // rejected frame and never an allocation of billions of records.
+  if (record_count > payload_len / kRecordPrefixBytes) {
+    return Status::InvalidArgument("record count exceeds payload length");
   }
   if (in.size() < payload_len) {
     return Status::InvalidArgument("truncated segment payload (torn tail)");

@@ -42,8 +42,8 @@ bool DecodeRequest(std::string_view bytes, Request* out, bool* malformed) {
     return false;
   }
   const auto type = GetInt<std::uint8_t>(bytes, 4);
-  if (type != static_cast<std::uint8_t>(RequestType::kSubscribe) &&
-      type != static_cast<std::uint8_t>(RequestType::kNak)) {
+  if (type < static_cast<std::uint8_t>(RequestType::kSubscribe) ||
+      type > static_cast<std::uint8_t>(RequestType::kAck)) {
     *malformed = true;
     return false;
   }

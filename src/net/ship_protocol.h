@@ -8,14 +8,18 @@
 //   client -> server (requests; fixed 13 bytes, pipelined — the client
 //   never waits for a response before sending the next):
 //     u32 magic  'C5RQ'
-//     u8  type   kSubscribe | kNak
+//     u8  type   kSubscribe | kNak | kAck
 //     u64 arg    kSubscribe: first record seq wanted (resume point)
 //                kNak:       receiver's expected seq; retransmit from there
+//                kAck:       the receiver will never ask for a record below
+//                            this seq again (its replica released them)
 //
 //   server -> client (interleaved with segment frames; 16 bytes):
-//     u32 magic  'C5RM' (resync) | 'C5EN' (end-of-log)
+//     u32 magic  'C5RM' (resync) | 'C5EN' (end-of-log) |
+//                'C5BH' (behind retention)
 //     u64 seq    resync: the seq retransmission restarts at
 //                end:    the final seq (total records shipped)
+//                behind: the oldest seq the server still retains
 //     u32 crc    CRC32C over the 8 seq bytes — a receiver scanning a
 //                corrupted stream byte-by-byte for the resync marker must
 //                not sync on payload bytes that merely look like a magic
@@ -33,6 +37,14 @@
 // treats every subscription as a fresh cursor into its retained archive.
 // Subscribing past the retained tail is answered from the closest retained
 // frame at or below the requested seq (idempotent apply absorbs overlap).
+//
+// Retention protocol: a receiver acks the seq below which its replica has
+// released every record (at most one coalesced kAck per Next()). The
+// server frees every frame wholly below the minimum ack of its connected,
+// subscribed clients — a subscription counts as an ack of its start seq —
+// and frees nothing while no such client exists. A subscribe or NAK below
+// the freed floor is answered with a behind-retention frame, never with a
+// silent gap; the receiver then fails with error() set.
 
 #ifndef C5_NET_SHIP_PROTOCOL_H_
 #define C5_NET_SHIP_PROTOCOL_H_
@@ -48,10 +60,12 @@ namespace c5::net {
 inline constexpr std::uint32_t kRequestMagic = 0x51523543u;  // "C5RQ"
 inline constexpr std::uint32_t kResyncMagic = 0x4D523543u;   // "C5RM"
 inline constexpr std::uint32_t kEndMagic = 0x4E453543u;      // "C5EN"
+inline constexpr std::uint32_t kBehindMagic = 0x48423543u;   // "C5BH"
 
 enum class RequestType : std::uint8_t {
   kSubscribe = 1,
   kNak = 2,
+  kAck = 3,
 };
 
 inline constexpr std::size_t kRequestBytes =

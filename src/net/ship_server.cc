@@ -25,13 +25,13 @@ Status ShipServer::Start() {
 
 void ShipServer::PublishSegment(const log::LogSegment& segment) {
   if (segment.empty()) return;
-  Frame f;
-  log::EncodeSegment(segment, &f.bytes);
-  f.base = segment.base_seq();
-  f.count = segment.size();
+  auto bytes = std::make_shared<std::string>();
+  log::EncodeSegment(segment, bytes.get());
   {
     MutexLock lock(mu_);
-    archive_.push_back(std::move(f));
+    retained_bytes_ += bytes->size();
+    archive_.push_back(Frame{std::move(bytes), segment.base_seq(),
+                             segment.size()});
     end_seq_ = segment.base_seq() + segment.size();
   }
   cv_.NotifyAll();
@@ -51,12 +51,13 @@ void ShipServer::FinishLog() {
   cv_.NotifyAll();
 }
 
-void ShipServer::ServeChannel(SpscQueue<log::LogSegment*>* chan) {
-  drain_thread_ = std::thread([this, chan] {
-    for (;;) {
-      auto seg = chan->Pop();
-      if (!seg.has_value() || *seg == nullptr) break;
-      PublishSegment(**seg);
+void ShipServer::ServeChannel(log::SegmentSource* source) {
+  drain_thread_ = std::thread([this, source] {
+    while (log::LogSegment* seg = source->Next()) {
+      PublishSegment(*seg);
+      // The frame holds its own encoded bytes: the lane may free the
+      // segment at once.
+      source->Release(seg->base_seq() + seg->size());
     }
     FinishLog();
   });
@@ -72,7 +73,22 @@ std::vector<ClientShipStats> ShipServer::ClientStatsSnapshot() const {
 
 std::uint64_t ShipServer::frames_published() const {
   MutexLock lock(mu_);
+  return frame_end();
+}
+
+std::uint64_t ShipServer::retained_frames() const {
+  MutexLock lock(mu_);
   return archive_.size();
+}
+
+std::uint64_t ShipServer::retained_bytes() const {
+  MutexLock lock(mu_);
+  return retained_bytes_;
+}
+
+std::uint64_t ShipServer::retained_from_seq() const {
+  MutexLock lock(mu_);
+  return trimmed_seq_;
 }
 
 std::uint64_t ShipServer::end_seq() const {
@@ -124,7 +140,7 @@ void ShipServer::AcceptLoop() {
   }
 }
 
-std::size_t ShipServer::FrameIndexFor(std::uint64_t seq) const {
+std::uint64_t ShipServer::FrameIndexFor(std::uint64_t seq) const {
   // Frames are appended in base order; find the last frame with base <= seq
   // (requests past the archive land one-past-the-end: wait for more).
   std::size_t lo = 0, hi = archive_.size();
@@ -137,14 +153,59 @@ std::size_t ShipServer::FrameIndexFor(std::uint64_t seq) const {
     }
   }
   // lo = first frame with base > seq.
-  if (lo == 0) return 0;
+  if (lo == 0) return first_frame_;
   const Frame& f = archive_[lo - 1];
-  return (seq >= f.base + f.count) ? lo : lo - 1;
+  return first_frame_ + ((seq >= f.base + f.count) ? lo : lo - 1);
+}
+
+void ShipServer::HandleRequest(Client* c, const Request& req) {
+  if (req.type == RequestType::kAck) {
+    c->stats.acked_seq = std::max(c->stats.acked_seq, req.arg);
+    return;
+  }
+  c->stats.subscribed_from = req.arg;
+  c->end_sent = false;
+  if (req.arg < trimmed_seq_) {
+    // The records asked for are gone: say so instead of skipping them.
+    c->behind = true;
+    c->subscribed = false;
+    return;
+  }
+  c->cursor = FrameIndexFor(req.arg);
+  if (req.type == RequestType::kSubscribe) {
+    c->subscribed = true;
+    // Subscribing from a seq acks everything below it.
+    c->stats.acked_seq = req.arg;
+  } else {
+    ++c->stats.naks_received;
+    c->rewound = true;  // emit a resync marker before retransmitting
+  }
+}
+
+void ShipServer::TrimLocked(std::vector<Frame>* dead) {
+  std::uint64_t floor = 0;
+  bool any = false;
+  for (const auto& c : clients_) {
+    if (!c->subscribed || c->closing) continue;
+    floor = any ? std::min(floor, c->stats.acked_seq) : c->stats.acked_seq;
+    any = true;
+  }
+  if (!any) return;  // nobody to ask for a resume point: keep everything
+  while (!archive_.empty() &&
+         archive_.front().base + archive_.front().count <= floor) {
+    Frame& f = archive_.front();
+    trimmed_seq_ = f.base + f.count;
+    retained_bytes_ -= f.bytes->size();
+    dead->push_back(std::move(f));
+    archive_.pop_front();
+    ++first_frame_;
+  }
 }
 
 void ShipServer::ClientRxLoop(Client* c) {
   std::string buf;
   char chunk[4096];
+  std::vector<Frame> dead;
   for (;;) {
     std::size_t n = 0;
     const Status s = c->conn.ReadSome(chunk, sizeof(chunk), &n);
@@ -152,27 +213,23 @@ void ShipServer::ClientRxLoop(Client* c) {
     buf.append(chunk, n);
     std::size_t off = 0;
     bool broken = false;
-    for (;;) {
-      Request req;
-      bool malformed = false;
-      if (!DecodeRequest(std::string_view(buf).substr(off), &req,
-                         &malformed)) {
-        broken = malformed;  // torn request: wait for the rest
-        break;
-      }
-      off += kRequestBytes;
+    {
       MutexLock lock(mu_);
-      c->stats.subscribed_from = req.arg;
-      c->cursor = FrameIndexFor(req.arg);
-      if (req.type == RequestType::kSubscribe) {
-        c->subscribed = true;
-      } else {
-        ++c->stats.naks_received;
-        c->rewound = true;  // emit a resync marker before retransmitting
+      for (;;) {
+        Request req;
+        bool malformed = false;
+        if (!DecodeRequest(std::string_view(buf).substr(off), &req,
+                           &malformed)) {
+          broken = malformed;  // torn request: wait for the rest
+          break;
+        }
+        off += kRequestBytes;
+        HandleRequest(c, req);
       }
-      c->end_sent = false;
-      cv_.NotifyAll();
+      TrimLocked(&dead);
     }
+    cv_.NotifyAll();
+    dead.clear();  // frees trimmed frames outside mu_
     buf.erase(0, off);
     if (broken) break;  // a malformed request means a broken peer: drop it
   }
@@ -188,30 +245,41 @@ void ShipServer::ClientRxLoop(Client* c) {
 void ShipServer::ClientTxLoop(Client* c) {
   std::uint64_t frames_sent_on_conn = 0;
   for (;;) {
-    std::string to_send;
+    // Either a control frame encoded here or a shared archive frame; both
+    // are written outside mu_.
+    std::string control;
+    std::shared_ptr<const std::string> frame;
     bool is_retransmit = false;
     std::uint64_t segment_count = 0;
     {
       MutexLock lock(mu_);
       // Explicit loop (not a predicate lambda): the thread-safety analysis
       // must see the guarded reads performed while mu_ is held.
-      while (!(c->closing || stopping_ ||
+      while (!(c->closing || stopping_ || c->behind ||
                (c->subscribed &&
-                (c->rewound || c->cursor < archive_.size() ||
+                (c->rewound || c->cursor < frame_end() ||
                  (finished_ && !c->end_sent))))) {
         cv_.Wait(lock);
       }
       if (c->closing || stopping_) break;
-      if (c->rewound) {
+      if (c->behind || c->cursor < first_frame_) {
+        // Asked (or rewound) below the freed floor: the stream cannot
+        // continue from there. Answer once, then idle until a new request.
+        EncodeControl(kBehindMagic, trimmed_seq_, &control);
+        c->behind = false;
+        c->subscribed = false;
+        ++c->stats.behind_sent;
+      } else if (c->rewound) {
         // NAK recovery: mark the stream position, then retransmit.
-        const std::uint64_t seq = c->cursor < archive_.size()
-                                      ? archive_[c->cursor].base
-                                      : end_seq_;
-        EncodeControl(kResyncMagic, seq, &to_send);
+        const std::uint64_t seq =
+            c->cursor < frame_end()
+                ? archive_[c->cursor - first_frame_].base
+                : end_seq_;
+        EncodeControl(kResyncMagic, seq, &control);
         c->rewound = false;
         ++c->stats.resyncs_sent;
-      } else if (c->cursor < archive_.size()) {
-        to_send = archive_[c->cursor].bytes;
+      } else if (c->cursor < frame_end()) {
+        frame = archive_[c->cursor - first_frame_].bytes;
         segment_count = 1;
         // A frame below this stream's high-water mark is a retransmission
         // (a NAK — or a re-subscribe after reconnect — rewound the cursor).
@@ -220,13 +288,14 @@ void ShipServer::ClientTxLoop(Client* c) {
         ++c->cursor;
       } else {
         // Archive drained and finished: tell the client the log ended.
-        EncodeControl(kEndMagic, end_seq_, &to_send);
+        EncodeControl(kEndMagic, end_seq_, &control);
         c->end_sent = true;
       }
       c->stats.segments_sent += segment_count;
       if (is_retransmit) c->stats.retransmit_segments += segment_count;
-      c->stats.bytes_sent += to_send.size();
+      c->stats.bytes_sent += frame ? frame->size() : control.size();
     }
+    std::string_view to_send = frame ? std::string_view(*frame) : control;
 
     // Fault hooks (armed once per server; see Options).
     if (segment_count > 0) {
@@ -236,8 +305,11 @@ void ShipServer::ClientTxLoop(Client* c) {
               static_cast<std::uint64_t>(options_.corrupt_frame) + 1 &&
           corrupt_armed_.exchange(false, std::memory_order_relaxed) &&
           to_send.size() > log::kSegmentHeaderBytes) {
-        to_send[log::kSegmentHeaderBytes] =
-            static_cast<char>(to_send[log::kSegmentHeaderBytes] ^ 0x5A);
+        // The archived frame is shared and immutable: corrupt a copy.
+        control.assign(to_send);
+        control[log::kSegmentHeaderBytes] =
+            static_cast<char>(control[log::kSegmentHeaderBytes] ^ 0x5A);
+        to_send = control;
       }
     }
     if (options_.send_delay.count() > 0 && segment_count > 0) {

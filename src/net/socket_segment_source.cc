@@ -1,6 +1,7 @@
 #include "net/socket_segment_source.h"
 
 #include <algorithm>
+#include <cstring>
 #include <thread>
 
 #include "net/ship_protocol.h"
@@ -21,13 +22,14 @@ void SocketSegmentSource::Cancel() {
 }
 
 log::LogSegment* SocketSegmentSource::Next() {
+  if (connected_ && !SendAckIfDue()) Disconnect();
   for (;;) {
     if (!ready_.empty()) {
       log::LogSegment* seg = ready_.front();
       ready_.pop_front();
       return seg;
     }
-    if (cancelled_.load(std::memory_order_acquire)) return nullptr;
+    if (cancelled_.load(std::memory_order_acquire) || behind_) return nullptr;
     if (finished_ &&
         expected_.load(std::memory_order_relaxed) >= final_seq_) {
       return nullptr;  // clean end-of-log
@@ -107,15 +109,49 @@ void SocketSegmentSource::Disconnect() {
   scanning_ = false;
 }
 
+void SocketSegmentSource::Release(std::uint64_t end_seq) {
+  released_seq_ = std::max(released_seq_, end_seq);
+  while (!owned_.empty() &&
+         owned_.front()->base_seq() + owned_.front()->size() <= end_seq) {
+    owned_.pop_front();
+  }
+}
+
+bool SocketSegmentSource::SkipToMarker() {
+  // The server answers a NAK with a resync marker, or with a
+  // behind-retention frame when it no longer holds the records asked for.
+  const std::string_view b = reasm_.Buffered();
+  std::size_t at = std::string_view::npos;
+  for (const std::uint32_t magic : {kResyncMagic, kBehindMagic}) {
+    char needle[sizeof(magic)];
+    std::memcpy(needle, &magic, sizeof(magic));
+    at = std::min(at, b.find(std::string_view(needle, sizeof(needle))));
+  }
+  if (at != std::string_view::npos) {
+    reasm_.Consume(at);
+    return true;
+  }
+  // Keep the last 3 bytes: they may be a marker prefix torn across reads.
+  reasm_.Consume(b.size() - std::min<std::size_t>(b.size(), 3));
+  return false;
+}
+
 void SocketSegmentSource::ProcessBuffered() {
+  const auto fail_behind = [this](std::uint64_t retained_from) {
+    behind_ = true;
+    error_ = "behind retention: the server keeps records from seq " +
+             std::to_string(retained_from) + ", this source needs seq " +
+             std::to_string(expected_.load(std::memory_order_relaxed));
+  };
   for (;;) {
     if (scanning_) {
-      // Post-NAK: everything before the server's resync marker is garbage.
-      if (!reasm_.SkipToMagic(kResyncMagic)) return;  // need more bytes
+      // Post-NAK: everything before the server's answer is garbage.
+      if (!SkipToMarker()) return;  // need more bytes
       const std::string_view b = reasm_.Buffered();
       if (b.size() < kControlBytes) return;  // marker torn: need more
+      const std::uint32_t magic = PeekMagic(b);
       std::uint64_t seq = 0;
-      if (!DecodeControl(b, kResyncMagic, &seq)) {
+      if (!DecodeControl(b, magic, &seq)) {
         // Payload bytes that merely look like the magic: the CRC refutes
         // them. Step one byte and keep scanning.
         reasm_.Consume(1);
@@ -123,6 +159,10 @@ void SocketSegmentSource::ProcessBuffered() {
       }
       reasm_.Consume(kControlBytes);
       scanning_ = false;
+      if (magic == kBehindMagic) {
+        fail_behind(seq);
+        return;
+      }
       stats_.resyncs_seen.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
@@ -149,7 +189,8 @@ void SocketSegmentSource::ProcessBuffered() {
       continue;
     }
 
-    if (magic == kResyncMagic || magic == kEndMagic) {
+    if (magic == kResyncMagic || magic == kEndMagic ||
+        magic == kBehindMagic) {
       if (b.size() < kControlBytes) return;  // torn: need more
       std::uint64_t seq = 0;
       if (!DecodeControl(b, magic, &seq)) {
@@ -164,6 +205,10 @@ void SocketSegmentSource::ProcessBuffered() {
         continue;
       }
       reasm_.Consume(kControlBytes);
+      if (magic == kBehindMagic) {
+        fail_behind(seq);
+        return;
+      }
       if (magic == kEndMagic) {
         finished_ = true;
         final_seq_ = seq;
@@ -241,12 +286,26 @@ void SocketSegmentSource::Deliver(std::unique_ptr<log::LogSegment> seg) {
   stats_.segments_delivered.fetch_add(1, std::memory_order_relaxed);
 }
 
+bool SocketSegmentSource::SendRequest(RequestType type, std::uint64_t arg) {
+  std::string req;  // kRequestBytes fit the small-string buffer
+  EncodeRequest({type, arg}, &req);
+  return conn_.WriteAll(req.data(), req.size()).ok();
+}
+
 bool SocketSegmentSource::SendNak() {
-  std::string req;
-  EncodeRequest(
-      {RequestType::kNak, expected_.load(std::memory_order_relaxed)}, &req);
-  if (!conn_.WriteAll(req.data(), req.size()).ok()) return false;
+  if (!SendRequest(RequestType::kNak,
+                   expected_.load(std::memory_order_relaxed))) {
+    return false;
+  }
   stats_.naks_sent.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+bool SocketSegmentSource::SendAckIfDue() {
+  if (released_seq_ <= acked_seq_) return true;
+  if (!SendRequest(RequestType::kAck, released_seq_)) return false;
+  acked_seq_ = released_seq_;
+  stats_.acks_sent.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

@@ -25,9 +25,12 @@
 // any thread while the replay runs (the crash-recovery test polls
 // segments_delivered to time its SIGKILL mid-stream).
 //
-// Ownership: delivered segments are owned by the source and stay alive for
-// its lifetime — replicas hold raw pointers into them, same contract as
-// Log / the DST channel.
+// Ownership: delivered segments are owned by the source until the replica
+// releases them (log::SegmentSource::Release); each release is acked to the
+// server at the start of the next Next() call (one coalesced kAck), so the
+// server can free its frames too. A server that already freed the records
+// a subscribe or NAK asks for answers behind-retention: Next() returns
+// nullptr and error() says so.
 
 #ifndef C5_NET_SOCKET_SEGMENT_SOURCE_H_
 #define C5_NET_SOCKET_SEGMENT_SOURCE_H_
@@ -41,12 +44,12 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
 #include "log/segment_source.h"
 #include "log/wire.h"
+#include "net/ship_protocol.h"
 #include "net/socket.h"
 
 namespace c5::net {
@@ -86,6 +89,7 @@ class SocketSegmentSource : public log::SegmentSource {
     std::atomic<std::uint64_t> stale_skipped{0};
     std::atomic<std::uint64_t> decode_rejects{0};
     std::atomic<std::uint64_t> bytes_received{0};
+    std::atomic<std::uint64_t> acks_sent{0};
   };
 
   explicit SocketSegmentSource(Options options);
@@ -95,8 +99,16 @@ class SocketSegmentSource : public log::SegmentSource {
   SocketSegmentSource& operator=(const SocketSegmentSource&) = delete;
 
   // Blocks for the next in-order segment; nullptr at end-of-log, on
-  // Cancel(), or once max_connect_attempts is exhausted.
+  // Cancel(), once max_connect_attempts is exhausted, or when the server no
+  // longer retains the records this source needs.
   log::LogSegment* Next() override;
+
+  // Frees the delivered segments wholly below end_seq; the next Next()
+  // acks end_seq to the server.
+  void Release(std::uint64_t end_seq) override;
+
+  // Delivered segments not yet released.
+  std::size_t retained_segments() const { return owned_.size(); }
 
   // Wakes a blocked Next() and makes it (and every later call) return
   // nullptr. Callable from any thread; idempotent.
@@ -119,6 +131,10 @@ class SocketSegmentSource : public log::SegmentSource {
   void HandleSegment(std::unique_ptr<log::LogSegment> seg);
   void Deliver(std::unique_ptr<log::LogSegment> seg);
   bool SendNak();                // false: connection is broken
+  bool SendAckIfDue();           // false: connection is broken
+  bool SendRequest(RequestType type, std::uint64_t arg);
+  // Post-NAK scan: drops bytes up to a resync or behind-retention marker.
+  bool SkipToMarker();
   bool BackoffSleep(std::chrono::milliseconds d);  // false: cancelled
 
   const Options options_;
@@ -141,10 +157,14 @@ class SocketSegmentSource : public log::SegmentSource {
   std::atomic<std::uint64_t> expected_{0};
   std::map<std::uint64_t, std::unique_ptr<log::LogSegment>> reorder_;
   std::deque<log::LogSegment*> ready_;
-  std::vector<std::unique_ptr<log::LogSegment>> owned_;
+  // Delivered, unreleased segments in delivery (= seq) order.
+  std::deque<std::unique_ptr<log::LogSegment>> owned_;
+  std::uint64_t released_seq_ = 0;  // highest Release() argument
+  std::uint64_t acked_seq_ = 0;     // highest seq acked to the server
 
   bool finished_ = false;        // END control received
   std::uint64_t final_seq_ = 0;  // valid once finished_
+  bool behind_ = false;          // server answered behind-retention
 };
 
 }  // namespace c5::net

@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <string>
 
 #include "common/histogram.h"
@@ -49,6 +50,8 @@ struct ReplicaStats {
   std::atomic<std::uint64_t> deferred_writes{0};  // C5: prev-ts misses
   std::atomic<std::uint64_t> snapshots_taken{0};
   std::atomic<std::uint64_t> read_only_txns{0};
+  // Delivered segments handed back to the source (ReplicaBase::NextSegment).
+  std::atomic<std::uint64_t> released_segments{0};
 };
 
 // A cloned concurrency control protocol: consumes the primary's log and
@@ -259,6 +262,52 @@ class ReplicaBase : public Replica {
     (void)ts;
   }
 
+  // Scheduler-thread replacement for source->Next() that drives the
+  // release contract (log/segment_source.h): before each Next(), hands back
+  // the delivered prefix whose records the protocol no longer references.
+  // `apply_floor()` returns the protocol's apply floor — a timestamp at or
+  // below which no worker holds (or can still be handed) a record pointer.
+  // It is the snapshotter's n, NOT VisibleTimestamp(): after a restart the
+  // recovery window publishes the resume point at once, while workers still
+  // read redelivered segments below it.
+  //
+  // Each delivered segment is keyed by its max timestamp, raised to one past
+  // the previous key when it does not exceed it. A redelivered or
+  // out-of-order segment therefore waits until the floor passes a later
+  // segment's timestamps, which the scheduler publishes only after handing
+  // the earlier segment's work to the workers.
+  template <typename ApplyFloorFn>
+  log::LogSegment* NextSegment(log::SegmentSource* source,
+                               ApplyFloorFn&& apply_floor) {
+    if (!in_use_.empty()) {
+      const Timestamp floor = apply_floor();
+      std::uint64_t end = 0;
+      std::uint64_t released = 0;
+      while (!in_use_.empty() && in_use_.front().key <= floor) {
+        end = std::max(end, in_use_.front().end_seq);
+        in_use_.pop_front();
+        ++released;
+      }
+      if (released > 0) {
+        // A segment still in use keeps its records below end_seq pinned.
+        if (!in_use_.empty()) end = std::min(end, in_use_.front().base_seq);
+        if (end > released_end_) {
+          source->Release(end);
+          released_end_ = end;
+        }
+        stats_.released_segments.fetch_add(released,
+                                           std::memory_order_relaxed);
+      }
+    }
+    log::LogSegment* seg = source->Next();
+    if (seg != nullptr && !seg->empty()) {
+      last_key_ = std::max(seg->MaxTimestamp(), last_key_ + 1);
+      in_use_.push_back(
+          InUse{seg->base_seq(), seg->base_seq() + seg->size(), last_key_});
+    }
+    return seg;
+  }
+
   void PublishVisible(Timestamp ts) {
     // Recovery window: snapshots strictly inside (resume, floor) would
     // expose the dead incarnation's non-prefix run-ahead states; hold the
@@ -281,6 +330,17 @@ class ReplicaBase : public Replica {
   std::atomic<Timestamp> recovery_resume_{0};
 
  private:
+  // NextSegment's delivered-but-unreleased segments, in delivery order
+  // (scheduler thread only).
+  struct InUse {
+    std::uint64_t base_seq;
+    std::uint64_t end_seq;
+    Timestamp key;
+  };
+  std::deque<InUse> in_use_;
+  Timestamp last_key_ = 0;
+  std::uint64_t released_end_ = 0;
+
   mutable Mutex apply_latency_mu_{LockRank::kStats};
   Histogram apply_latency_ C5_GUARDED_BY(apply_latency_mu_);
   std::string instance_id_;

@@ -1,11 +1,27 @@
 #include "sim/dst_channel.h"
 
 #include <algorithm>
+#include <chrono>
 #include <map>
+#include <thread>
 #include <utility>
 
 #include "common/rng.h"
 #include "log/wire.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define C5_DST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define C5_DST_ASAN 1
+#endif
+#endif
+#ifndef C5_DST_ASAN
+#define C5_DST_ASAN 0
+#endif
+#if C5_DST_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace c5::sim {
 
@@ -26,7 +42,62 @@ enum class FaultKind : int {
   kDelay = 4,
 };
 
+// Poisons / unpoisons a segment's record array under ASan; no-ops
+// otherwise.
+void SetRecordsPoisoned(const log::LogSegment& seg, bool poisoned) {
+#if C5_DST_ASAN
+  const void* data = seg.records().data();
+  const std::size_t bytes = seg.size() * sizeof(log::LogRecord);
+  if (bytes == 0) return;
+  if (poisoned) {
+    ASAN_POISON_MEMORY_REGION(data, bytes);
+  } else {
+    ASAN_UNPOISON_MEMORY_REGION(data, bytes);
+  }
+#else
+  (void)seg;
+  (void)poisoned;
+#endif
+}
+
 }  // namespace
+
+DstChannel::Source::Source(const std::vector<log::LogSegment*>* delivered,
+                           std::size_t begin, std::size_t end)
+    : delivered_(delivered),
+      begin_(begin),
+      pos_(begin),
+      end_(end),
+      released_(begin) {
+  for (std::size_t i = begin; i < end; ++i) {
+    SetRecordsPoisoned(*(*delivered)[i], false);
+  }
+}
+
+log::LogSegment* DstChannel::Source::Next() {
+  if (pos_ >= end_) return nullptr;
+  if ((pos_ - begin_) % 4 == 3) {
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }
+  return (*delivered_)[pos_++];
+}
+
+void DstChannel::Source::Release(std::uint64_t end_seq) {
+  // The contract's freeing rule: delivery order, stopping at the first
+  // non-empty segment that ends above end_seq.
+  while (released_ < pos_) {
+    const log::LogSegment& seg = *(*delivered_)[released_];
+    if (!seg.empty() && seg.base_seq() + seg.size() > end_seq) break;
+    SetRecordsPoisoned(seg, true);
+    ++released_;
+  }
+}
+
+DstChannel::~DstChannel() {
+  for (const log::LogSegment* seg : delivered_) {
+    SetRecordsPoisoned(*seg, false);
+  }
+}
 
 DstChannel::DstChannel(const log::Log* log, std::size_t first_seg,
                        std::size_t end_seg, const DstPlan& plan,

@@ -57,6 +57,8 @@ class DstChannel {
              const DstPlan& plan, std::uint64_t salt,
              int drop_txn_segment = -1);
 
+  ~DstChannel();
+
   DstChannel(const DstChannel&) = delete;
   DstChannel& operator=(const DstChannel&) = delete;
 
@@ -80,20 +82,34 @@ class DstChannel {
   // sequence is the crash injector: the feed dies after `end` deliveries
   // and Next() reports end-of-log, exactly what a replica sees when its
   // primary (or its shipping channel) fails mid-replay.
+  //
+  // Release enforces the SegmentSource contract under ASan: it poisons the
+  // record arrays of the released segments, so any later read of a
+  // released record — a release the protocol made too early — is a
+  // use-after-poison report. Building a source unpoisons its range (a later
+  // incarnation legitimately re-reads segments an earlier one released).
+  // Without ASan, Release only counts.
+  //
+  // Next() paces delivery like a network feed (a short sleep every few
+  // segments), so the scheduler comes back for more after its workers have
+  // moved the apply floor — the interleaving in which releases happen.
   class Source : public log::SegmentSource {
    public:
     Source(const std::vector<log::LogSegment*>* delivered, std::size_t begin,
-           std::size_t end)
-        : delivered_(delivered), pos_(begin), end_(end) {}
+           std::size_t end);
 
-    log::LogSegment* Next() override {
-      return pos_ < end_ ? (*delivered_)[pos_++] : nullptr;
-    }
+    log::LogSegment* Next() override;
+    void Release(std::uint64_t end_seq) override;
+
+    // Segments released so far.
+    std::size_t released() const { return released_ - begin_; }
 
    private:
     const std::vector<log::LogSegment*>* delivered_;
+    const std::size_t begin_;
     std::size_t pos_;
     const std::size_t end_;
+    std::size_t released_;  // delivered()[begin_, released_) are released
   };
 
   Source MakeSource() const {

@@ -368,6 +368,13 @@ Timestamp RunIncarnation(c5::BackupNode& node, const DstPlan& plan,
   const Timestamp visible = node.VisibleTimestamp();
   node.Stop();
   sampler.StopAndJoin();
+  const std::uint64_t released =
+      node.reader().stats().released_segments.load(std::memory_order_relaxed);
+  if (node.options().protocol == ProtocolKind::kC5) {
+    report->c5_releases += released;
+  } else if (node.options().protocol == ProtocolKind::kC5MyRocks) {
+    report->c5_myrocks_releases += released;
+  }
   if (!sampler.monotonic()) {
     report->violations.push_back(who + ": reader snapshot regressed " +
                                  phase);
@@ -520,6 +527,12 @@ void RunConvergenceReplica(const DstPlan& plan, ProtocolKind kind,
       }
       final_visible = checkpoint;
     } else {
+      // At-least-once redelivery may reach back past the checkpoint: resume
+      // up to 3 segments early (seeded), so the new incarnation re-reads
+      // segments wholly below the resume point its recovery window
+      // publishes at once — the schedule in which releasing by
+      // VisibleTimestamp() would free records its workers still read.
+      resume_seg -= std::min<std::size_t>(resume_seg, (plan.seed ^ salt) % 4);
       resume_channel = std::make_unique<DstChannel>(
           &primary.log, resume_seg, num_segs, plan, salt ^ 0xC2A54ull,
           hooks.drop_txn_segment);

@@ -133,6 +133,11 @@ struct DstReport {
   std::uint64_t migrations_started = 0;
   std::uint64_t migrations_completed = 0;
   std::uint64_t migrations_aborted = 0;
+  // Delivered segments the C5 and C5-MyRocks schedulers released back to
+  // their DST sources (which poison released records under ASan). dst_test
+  // asserts both are nonzero over the sweep.
+  std::uint64_t c5_releases = 0;
+  std::uint64_t c5_myrocks_releases = 0;
   std::vector<std::string> violations;
 
   bool ok() const { return violations.empty(); }

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <thread>
 #include <vector>
 
+#include "core/protocol_factory.h"
 #include "log/log_collector.h"
 #include "log/log_segment.h"
 #include "log/segment_source.h"
+#include "storage/database.h"
 #include "tests/test_util.h"
 
 namespace c5::log {
@@ -171,6 +175,80 @@ TEST(OnlineCollectorTest, ConcurrentProducersSerializeCleanly) {
   consumer.join();
   EXPECT_EQ(records, 4u * 500u * 2u);
 }
+
+TEST(OnlineCollectorTest, LaneReleaseFreesStoredSegments) {
+  OnlineLogCollector collector(/*segment_records=*/4, /*channel_capacity=*/64);
+  SpscQueue<LogSegment*>* second = collector.AddSubscriber();
+  auto lane0 = collector.MakeSource(&collector.channel());
+  auto lane1 = collector.MakeSource(second);
+  for (Timestamp ts = 1; ts <= 12; ++ts) collector.LogCommit(MakeTxn(ts, {ts}));
+  collector.Finish();
+  ASSERT_EQ(collector.ShippedSegments(), 3u);
+  EXPECT_EQ(collector.RetainedSegments(), 6u);  // 3 segments x 2 lanes
+
+  // Lane 1 holds views over lane 0's value bytes: releasing it first must
+  // leave lane 0's records (and the shared bytes) intact.
+  std::vector<LogSegment*> got0, got1;
+  while (LogSegment* seg = lane0->Next()) got0.push_back(seg);
+  while (LogSegment* seg = lane1->Next()) got1.push_back(seg);
+  ASSERT_EQ(got0.size(), 3u);
+  ASSERT_EQ(got1.size(), 3u);
+  lane1->Release(8);  // the first two segments end at 4 and 8
+  EXPECT_EQ(collector.RetainedSegments(), 4u);
+  lane1->Release(7);  // stale: nothing more
+  EXPECT_EQ(collector.RetainedSegments(), 4u);
+  EXPECT_EQ(got0[0]->record(0).value, "v1");
+  EXPECT_EQ(got0[2]->record(3).value, "v12");
+  lane0->Release(12);
+  lane1->Release(12);
+  EXPECT_EQ(collector.RetainedSegments(), 0u);
+}
+
+// A long in-process run: a C5 or C5-MyRocks backup that releases through
+// its lane keeps the collector's store at the in-flight window, not at the
+// length of the log.
+class CollectorRetentionTest
+    : public ::testing::TestWithParam<core::ProtocolKind> {};
+
+TEST_P(CollectorRetentionTest, RetainedSegmentsStayBounded) {
+  constexpr Timestamp kTxns = 12000;
+  constexpr RowId kRows = 512;
+  OnlineLogCollector collector(/*segment_records=*/16);
+  storage::Database db;
+  db.CreateTable("t", kRows);
+  auto source = collector.MakeSource(&collector.channel());
+  auto replica = core::MakeReplica(GetParam(), &db, {.num_workers = 2});
+  replica->Start(source.get());
+
+  std::uint64_t max_retained = 0;
+  for (Timestamp ts = 1; ts <= kTxns; ++ts) {
+    collector.LogCommit(MakeTxn(ts, {ts % kRows, (ts * 7 + 3) % kRows}));
+    if (ts % 400 == 0) {
+      // Pace the primary to the backup: retention is measured against a
+      // backup that keeps up, so any growth is a leak, not a backlog.
+      while (replica->stats().applied_txns.load() + 64 < ts) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      max_retained = std::max(max_retained, collector.RetainedSegments());
+    }
+  }
+  collector.Finish();
+  replica->WaitUntilCaughtUp();
+  replica->Stop();
+
+  EXPECT_GT(collector.ShippedSegments(), 1000u);
+  EXPECT_GT(replica->stats().released_segments.load(), 1000u);
+  EXPECT_LT(max_retained, 200u)
+      << "the collector kept shipped segments the backup had released";
+  EXPECT_EQ(replica->VisibleTimestamp(), kTxns);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, CollectorRetentionTest,
+    ::testing::Values(core::ProtocolKind::kC5, core::ProtocolKind::kC5MyRocks),
+    [](const ::testing::TestParamInfo<core::ProtocolKind>& info) {
+      return info.param == core::ProtocolKind::kC5 ? "C5" : "C5MyRocks";
+    });
 
 TEST(LogTest, ResetReplayStateClearsAllSegments) {
   PerThreadLogCollector collector(4);

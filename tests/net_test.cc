@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "api/cluster.h"
 #include "core/protocol_factory.h"
@@ -222,6 +224,138 @@ TEST(NetTest, ClusterViaSocketBackupMatchesInProcessBackup) {
   cluster.Shutdown();
 }
 
+// Polls `pred` until it holds or ~5 s pass (server threads act on acks
+// asynchronously).
+template <typename Pred>
+bool Eventually(Pred pred) {
+  for (int i = 0; i < 5000; ++i) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return pred();
+}
+
+// Content fingerprint of a segment's records, for comparing a delivered
+// segment with the one published.
+std::uint64_t Fingerprint(const log::LogSegment& seg) {
+  std::uint64_t h = 0;
+  for (const log::LogRecord& r : seg.records()) {
+    h = h * 31 + r.commit_ts * 7 + r.key + r.value.size();
+  }
+  return h;
+}
+
+TEST(NetTest, AckedStreamRetainsOnlyTheInFlightWindow) {
+  auto spec = TestSpec(test::TestSeed(23));
+  spec.txns_per_client = 600;
+  spec.segment_capacity = 8;
+  log::Log log = workload::BuildSeededLog(spec);
+  ASSERT_GT(log.NumSegments(), 300u);
+
+  net::ShipServer server;
+  ASSERT_TRUE(server.Start().ok());
+  net::SocketSegmentSource::Options so;
+  so.port = server.port();
+  net::SocketSegmentSource source(std::move(so));
+
+  // A live stream: publish one segment, consume it, release it. Each
+  // Next() acks the previous release, so the server frees as it goes:
+  // after Next() returned segment i, only frame i is still unacked.
+  for (std::size_t i = 0; i < log.NumSegments(); ++i) {
+    server.PublishSegment(*log.segment(i));
+    log::LogSegment* seg = source.Next();
+    ASSERT_NE(seg, nullptr) << source.error();
+    EXPECT_EQ(seg->base_seq(), log.segment(i)->base_seq());
+    source.Release(seg->base_seq() + seg->size());
+    EXPECT_LE(source.retained_segments(), 1u);
+    if (i % 50 == 49) {
+      ASSERT_TRUE(Eventually([&] { return server.retained_frames() <= 1; }))
+          << server.retained_frames() << " frames retained after " << i + 1
+          << ": retention grows with the stream, not the in-flight window";
+    }
+  }
+  server.FinishLog();
+  EXPECT_EQ(source.Next(), nullptr);  // sends the last ack, reads END
+  EXPECT_TRUE(source.error().empty()) << source.error();
+  EXPECT_TRUE(Eventually([&] { return server.retained_frames() == 0; }))
+      << server.retained_frames() << " frames still retained after the "
+      << "last ack";
+  EXPECT_EQ(server.retained_from_seq(), server.end_seq());
+  EXPECT_EQ(server.retained_bytes(), 0u);
+  EXPECT_EQ(server.frames_published(), log.NumSegments());
+  EXPECT_GT(source.stats().acks_sent.load(), 0u);
+  server.Stop();
+}
+
+TEST(NetTest, LateSubscriberBelowRetentionFloorGetsBehindError) {
+  auto spec = TestSpec(test::TestSeed(29));
+  log::Log log = workload::BuildSeededLog(spec);
+  ASSERT_GT(log.NumSegments(), 4u);
+
+  net::ShipServer server;
+  ASSERT_TRUE(server.Start().ok());
+  server.PublishLog(log);
+  server.FinishLog();
+
+  // Subscriber A drains and releases everything; its acks free the archive.
+  net::SocketSegmentSource::Options so;
+  so.port = server.port();
+  net::SocketSegmentSource a(so);
+  while (log::LogSegment* seg = a.Next()) {
+    a.Release(seg->base_seq() + seg->size());
+  }
+  ASSERT_TRUE(a.error().empty()) << a.error();
+  ASSERT_TRUE(Eventually([&] { return server.retained_from_seq() > 0; }));
+
+  // Subscriber B asks for seq 0, which is gone: a clear error, no gap.
+  net::SocketSegmentSource b(so);
+  EXPECT_EQ(b.Next(), nullptr);
+  EXPECT_NE(b.error().find("behind retention"), std::string::npos)
+      << b.error();
+  EXPECT_EQ(b.stats().segments_delivered.load(), 0u);
+  std::uint64_t behind = 0;
+  for (const auto& c : server.ClientStatsSnapshot()) behind += c.behind_sent;
+  EXPECT_EQ(behind, 1u);
+  server.Stop();
+}
+
+TEST(NetTest, NakInsideRetainedWindowStillRecovers) {
+  auto spec = TestSpec(test::TestSeed(31));
+  log::Log log = workload::BuildSeededLog(spec);
+  ASSERT_GT(log.NumSegments(), 8u);
+
+  net::ShipServer::Options options;
+  options.corrupt_frame = 6;  // after a few acks have moved the floor
+  net::ShipServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  server.PublishLog(log);
+  server.FinishLog();
+
+  net::SocketSegmentSource::Options so;
+  so.port = server.port();
+  net::SocketSegmentSource source(std::move(so));
+  // Every record arrives exactly once in seq order, content intact, while
+  // releases (and so acks) run ahead of the retransmission.
+  std::size_t next = 0;
+  while (log::LogSegment* seg = source.Next()) {
+    ASSERT_LT(next, log.NumSegments());
+    EXPECT_EQ(seg->base_seq(), log.segment(next)->base_seq());
+    EXPECT_EQ(Fingerprint(*seg), Fingerprint(*log.segment(next)));
+    source.Release(seg->base_seq() + seg->size());
+    ++next;
+  }
+  EXPECT_TRUE(source.error().empty()) << source.error();
+  EXPECT_EQ(next, log.NumSegments());
+  EXPECT_GE(source.stats().naks_sent.load(), 1u);
+  EXPECT_GE(source.stats().resyncs_seen.load(), 1u);
+  EXPECT_GT(source.stats().acks_sent.load(), 0u);
+  std::uint64_t behind = 0;
+  for (const auto& c : server.ClientStatsSnapshot()) behind += c.behind_sent;
+  EXPECT_EQ(behind, 0u);
+  EXPECT_TRUE(Eventually([&] { return server.retained_frames() == 0; }));
+  server.Stop();
+}
+
 TEST(NetTest, ShipProtocolCodecRoundTrips) {
   std::string bytes;
   net::EncodeRequest({net::RequestType::kNak, 0xDEADBEEFull}, &bytes);
@@ -240,6 +374,24 @@ TEST(NetTest, ShipProtocolCodecRoundTrips) {
   bad[0] = 'X';
   EXPECT_FALSE(net::DecodeRequest(bad, &req, &malformed));
   EXPECT_TRUE(malformed);
+
+  // The retention vocabulary: kAck requests and behind-retention frames.
+  bytes.clear();
+  net::EncodeRequest({net::RequestType::kAck, 777}, &bytes);
+  ASSERT_TRUE(net::DecodeRequest(bytes, &req, &malformed));
+  EXPECT_EQ(req.type, net::RequestType::kAck);
+  EXPECT_EQ(req.arg, 777u);
+  bad = bytes;
+  bad[4] = 4;  // one past the last request type
+  EXPECT_FALSE(net::DecodeRequest(bad, &req, &malformed));
+  EXPECT_TRUE(malformed);
+  std::string behind;
+  net::EncodeControl(net::kBehindMagic, 99, &behind);
+  ASSERT_EQ(behind.size(), net::kControlBytes);
+  std::uint64_t from = 0;
+  ASSERT_TRUE(net::DecodeControl(behind, net::kBehindMagic, &from));
+  EXPECT_EQ(from, 99u);
+  EXPECT_FALSE(net::DecodeControl(behind, net::kResyncMagic, &from));
 
   std::string control;
   net::EncodeControl(net::kEndMagic, 424242, &control);

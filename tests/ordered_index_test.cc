@@ -245,6 +245,100 @@ TEST(OrderedIndexTest, RacingSameKeyInsertsResolveToOneWinner) {
   }
 }
 
+// Tower height of `key`, mirroring OrderedIndex::HeightForKey (2 bits of a
+// SplitMix64-style hash per level; the 20-level cap is never reached here).
+// The test needs keys of chosen heights to make the max-height race likely.
+int TowerHeight(Key key) {
+  std::uint64_t h = key + 0x9E3779B97F4A7C15ull;
+  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
+  h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
+  h ^= h >> 31;
+  int height = 1;
+  while ((h & 3) == 0) {
+    ++height;
+    h >>= 2;
+  }
+  return height;
+}
+
+// Fills a stretch of the caller's stack with a wild-pointer pattern, so an
+// uninitialized local in the NEXT call at this depth reads garbage instead
+// of whatever the previous call happened to leave there.
+[[gnu::noinline]] void ScribbleStack() {
+  volatile unsigned char junk[8192];
+  for (std::size_t i = 0; i < sizeof(junk); ++i) junk[i] = 0xA5;
+}
+
+// Regression: writers racing to raise the tower height. An insert whose
+// search read max height h, while a peer raised it to h' before this insert
+// raised it further, used to leave prev[h .. h') uninitialized and link
+// through stack garbage (a crash, or a node spliced after a wild
+// predecessor). Each round starts from a fresh index whose only nodes are
+// height 1, then every thread climbs through heights 2..kLevels. Each
+// step's keys sort below every earlier step's keys (and above the
+// preload), so every climbing search walks the whole level-0 list: the
+// window between reading the max height and raising it stays wide.
+TEST(OrderedIndexTest, ConcurrentTowerHeightRaisesLinkEveryLevel) {
+  constexpr int kThreads = 4;
+  constexpr int kLevels = 7;
+  constexpr int kRounds = 150;
+  constexpr std::size_t kFlat = 2000;
+  constexpr std::size_t kPerStep = std::size_t{kThreads} * kRounds;
+  // First `n` keys of height `h` at or above `base`.
+  const auto keys_of_height = [](int h, Key base, std::size_t n) {
+    std::vector<Key> out;
+    for (Key k = base; out.size() < n; ++k) {
+      if (TowerHeight(k) == h) out.push_back(k);
+    }
+    return out;
+  };
+  const std::vector<Key> flat = keys_of_height(1, 0, kFlat);
+  std::vector<std::vector<Key>> steps;  // steps[s]: height s + 2
+  for (int h = 2; h <= kLevels; ++h) {
+    steps.push_back(
+        keys_of_height(h, static_cast<Key>(kLevels + 2 - h) << 40, kPerStep));
+  }
+  const std::size_t total = kFlat + std::size_t{kThreads} * steps.size();
+  for (int round = 0; round < kRounds; ++round) {
+    OrderedIndex idx;
+    for (const Key key : flat) idx.Insert(key, static_cast<RowId>(key));
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1, std::memory_order_acq_rel);
+        while (ready.load(std::memory_order_acquire) < kThreads) {
+        }
+        for (const std::vector<Key>& step : steps) {
+          const Key key = step[round * kThreads + t];
+          ScribbleStack();
+          idx.Insert(key, static_cast<RowId>(key));
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    ASSERT_EQ(idx.Size(), total);
+    std::size_t seen = 0;
+    Key prev = 0;
+    for (auto c = idx.Seek(0, ~Key{0}); c.Valid(); c.Next()) {
+      if (seen > 0) {
+        ASSERT_GT(c.key(), prev) << "round " << round;
+      }
+      prev = c.key();
+      ++seen;
+    }
+    ASSERT_EQ(seen, total) << "round " << round;
+    for (const std::vector<Key>& step : steps) {
+      for (int t = 0; t < kThreads; ++t) {
+        const Key key = step[round * kThreads + t];
+        ASSERT_EQ(idx.Lookup(key).value_or(kInvalidRowId),
+                  static_cast<RowId>(key))
+            << "round " << round << " key " << key;
+      }
+    }
+  }
+}
+
 // Reserve is a warm-up, never a rehash: it must not disturb existing
 // bindings or concurrent readers (a skiplist never relocates nodes, so a
 // mid-bench Reserve is always safe — unlike a hash table's rehash stall).

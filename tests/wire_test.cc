@@ -203,6 +203,9 @@ TEST(WireTest, ValidCrcHostileStructureIsRejected) {
   // record_count larger than the records present: decoder must hit the
   // payload end, not read past it.
   reject(frame(0, 1000, rec), "record_count overruns payload");
+  // record_count near 2^32: rejected by the header bound before the
+  // decoder sizes anything from it (no bad_alloc escapes a receive loop).
+  reject(frame(0, 0xFFFFFFFFu, rec), "huge record_count accepted");
   // record_count smaller: trailing bytes must be rejected, not ignored.
   reject(frame(0, 0, rec), "trailing bytes accepted");
   // value_len pointing far past the payload (valid CRC over the lie).
