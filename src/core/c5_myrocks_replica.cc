@@ -165,8 +165,7 @@ void C5MyRocksReplica::SchedulerLoop(log::SegmentSource* source) {
   FlatMap<Timestamp> last_write_ts(options_.scheduler_map_capacity);
   std::vector<TxnUnit> batch;  // one segment's transactions, reused
 
-  while (log::LogSegment* seg =
-             NextSegment(source, [this] { return ApplyFloor(); })) {
+  while (log::LogSegment* seg = NextSegment(source)) {
     std::size_t txn_start = 0;
     auto& records = seg->records();
     batch.clear();
@@ -394,6 +393,7 @@ void C5MyRocksReplica::SnapshotterLoop() {
     // writers above n during the (simulated) snapshot keeps the boundary
     // stable while RocksDB captures current state.
     const Timestamp n = ApplyFloor();
+    PublishApplyFloor(n);
 
     if (n > VisibleTimestamp()) {
       barrier_ts_.store(n, std::memory_order_release);

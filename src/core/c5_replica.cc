@@ -68,8 +68,7 @@ void C5Replica::SchedulerLoop(log::SegmentSource* source) {
   const std::size_t nw = workers_.size();
   std::vector<Batch*> out(nw, nullptr);
 
-  while (log::LogSegment* seg =
-             NextSegment(source, [this] { return ApplyFloor(); })) {
+  while (log::LogSegment* seg = NextSegment(source)) {
     for (log::LogRecord& rec : seg->records()) {
       const std::uint64_t name = RowName(rec.table, rec.row);
       Timestamp& last = last_write_ts[name];
@@ -317,6 +316,7 @@ void C5Replica::SnapshotterLoop() {
     // §7.2: "periodically calculates a new n as the minimum across all c'
     // and then advances c to n".
     const Timestamp n = ApplyFloor();
+    PublishApplyFloor(n);
     if (n > VisibleTimestamp()) {
       PublishVisible(n);
       stats_.snapshots_taken.fetch_add(1, std::memory_order_relaxed);

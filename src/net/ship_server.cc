@@ -213,6 +213,7 @@ void ShipServer::ClientRxLoop(Client* c) {
     buf.append(chunk, n);
     std::size_t off = 0;
     bool broken = false;
+    bool wake_sender = false;  // acks alone give the tx thread nothing to do
     {
       MutexLock lock(mu_);
       for (;;) {
@@ -225,10 +226,11 @@ void ShipServer::ClientRxLoop(Client* c) {
         }
         off += kRequestBytes;
         HandleRequest(c, req);
+        wake_sender |= req.type != RequestType::kAck;
       }
       TrimLocked(&dead);
     }
-    cv_.NotifyAll();
+    if (wake_sender) cv_.NotifyAll();
     dead.clear();  // frees trimmed frames outside mu_
     buf.erase(0, off);
     if (broken) break;  // a malformed request means a broken peer: drop it

@@ -262,25 +262,31 @@ class ReplicaBase : public Replica {
     (void)ts;
   }
 
+  // The protocol's apply floor: a timestamp at or below which every write
+  // is applied and no worker holds, or can still be handed, a record
+  // pointer. Snapshotters publish it (it is their n, computed anyway) every
+  // pass, whether or not it moves the visible snapshot; NextSegment reads
+  // it. It is NOT VisibleTimestamp(): after a restart the recovery window
+  // publishes the resume point at once, while workers still read
+  // redelivered segments below it.
+  void PublishApplyFloor(Timestamp n) {
+    apply_floor_.store(n, std::memory_order_release);
+  }
+
   // Scheduler-thread replacement for source->Next() that drives the
   // release contract (log/segment_source.h): before each Next(), hands back
-  // the delivered prefix whose records the protocol no longer references.
-  // `apply_floor()` returns the protocol's apply floor — a timestamp at or
-  // below which no worker holds (or can still be handed) a record pointer.
-  // It is the snapshotter's n, NOT VisibleTimestamp(): after a restart the
-  // recovery window publishes the resume point at once, while workers still
-  // read redelivered segments below it.
+  // the delivered prefix at or below the apply floor.
   //
   // Each delivered segment is keyed by its max timestamp, raised to one past
   // the previous key when it does not exceed it. A redelivered or
   // out-of-order segment therefore waits until the floor passes a later
   // segment's timestamps, which the scheduler publishes only after handing
-  // the earlier segment's work to the workers.
-  template <typename ApplyFloorFn>
-  log::LogSegment* NextSegment(log::SegmentSource* source,
-                               ApplyFloorFn&& apply_floor) {
+  // the earlier segment's work to the workers. The floor never exceeds the
+  // scheduler's watermark, so a floor computed before a segment arrived
+  // stays below that segment's key.
+  log::LogSegment* NextSegment(log::SegmentSource* source) {
     if (!in_use_.empty()) {
-      const Timestamp floor = apply_floor();
+      const Timestamp floor = apply_floor_.load(std::memory_order_acquire);
       std::uint64_t end = 0;
       std::uint64_t released = 0;
       while (!in_use_.empty() && in_use_.front().key <= floor) {
@@ -340,6 +346,7 @@ class ReplicaBase : public Replica {
   std::deque<InUse> in_use_;
   Timestamp last_key_ = 0;
   std::uint64_t released_end_ = 0;
+  std::atomic<Timestamp> apply_floor_{0};
 
   mutable Mutex apply_latency_mu_{LockRank::kStats};
   Histogram apply_latency_ C5_GUARDED_BY(apply_latency_mu_);

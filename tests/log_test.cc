@@ -225,8 +225,9 @@ TEST_P(CollectorRetentionTest, RetainedSegmentsStayBounded) {
     collector.LogCommit(MakeTxn(ts, {ts % kRows, (ts * 7 + 3) % kRows}));
     if (ts % 400 == 0) {
       // Pace the primary to the backup: retention is measured against a
-      // backup that keeps up, so any growth is a leak, not a backlog.
-      while (replica->stats().applied_txns.load() + 64 < ts) {
+      // backup that keeps up (its snapshotter publishes the apply floor
+      // with each snapshot), so any growth is a leak, not a backlog.
+      while (replica->VisibleTimestamp() + 64 < ts) {
         std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
       max_retained = std::max(max_retained, collector.RetainedSegments());
