@@ -169,12 +169,15 @@ void FrameReassembler::Consume(std::size_t n) {
   CompactIfWorthIt();
 }
 
-bool FrameReassembler::SkipToMagic(std::uint32_t magic) {
-  char needle[sizeof(magic)];
-  std::memcpy(needle, &magic, sizeof(magic));
+bool FrameReassembler::SkipToMagic(
+    std::initializer_list<std::uint32_t> magics) {
   const std::string_view front = Buffered();
-  const std::size_t at =
-      front.find(std::string_view(needle, sizeof(needle)));
+  std::size_t at = std::string_view::npos;
+  for (const std::uint32_t magic : magics) {
+    char needle[sizeof(magic)];
+    std::memcpy(needle, &magic, sizeof(magic));
+    at = std::min(at, front.find(std::string_view(needle, sizeof(needle))));
+  }
   if (at != std::string_view::npos) {
     pos_ += at;
     CompactIfWorthIt();

@@ -2,6 +2,7 @@
 #define C5_LOG_WIRE_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -120,11 +121,12 @@ class FrameReassembler {
   // consumed a foreign frame or skipped garbage.
   void Consume(std::size_t n);
 
-  // Resync after corruption: discards bytes until `magic` (little-endian)
-  // starts the buffer. Returns true when found (the magic is kept); false
-  // when the buffer was exhausted — at most 3 tail bytes are retained so a
-  // magic torn across reads is still found by the next Append+SkipToMagic.
-  bool SkipToMagic(std::uint32_t magic);
+  // Resync after corruption: discards bytes until one of `magics`
+  // (little-endian) starts the buffer. Returns true when found (the magic
+  // is kept); false when the buffer was exhausted — at most 3 tail bytes
+  // are retained so a magic torn across reads is still found by the next
+  // Append+SkipToMagic.
+  bool SkipToMagic(std::initializer_list<std::uint32_t> magics);
 
   std::size_t buffered_bytes() const { return buf_.size() - pos_; }
 

@@ -1,7 +1,6 @@
 #include "net/socket_segment_source.h"
 
 #include <algorithm>
-#include <cstring>
 #include <thread>
 
 #include "net/ship_protocol.h"
@@ -117,25 +116,6 @@ void SocketSegmentSource::Release(std::uint64_t end_seq) {
   }
 }
 
-bool SocketSegmentSource::SkipToMarker() {
-  // The server answers a NAK with a resync marker, or with a
-  // behind-retention frame when it no longer holds the records asked for.
-  const std::string_view b = reasm_.Buffered();
-  std::size_t at = std::string_view::npos;
-  for (const std::uint32_t magic : {kResyncMagic, kBehindMagic}) {
-    char needle[sizeof(magic)];
-    std::memcpy(needle, &magic, sizeof(magic));
-    at = std::min(at, b.find(std::string_view(needle, sizeof(needle))));
-  }
-  if (at != std::string_view::npos) {
-    reasm_.Consume(at);
-    return true;
-  }
-  // Keep the last 3 bytes: they may be a marker prefix torn across reads.
-  reasm_.Consume(b.size() - std::min<std::size_t>(b.size(), 3));
-  return false;
-}
-
 void SocketSegmentSource::ProcessBuffered() {
   const auto fail_behind = [this](std::uint64_t retained_from) {
     behind_ = true;
@@ -145,8 +125,12 @@ void SocketSegmentSource::ProcessBuffered() {
   };
   for (;;) {
     if (scanning_) {
-      // Post-NAK: everything before the server's answer is garbage.
-      if (!SkipToMarker()) return;  // need more bytes
+      // Post-NAK: everything before the server's answer — a resync
+      // marker, or behind-retention when it no longer holds the records
+      // asked for — is garbage.
+      if (!reasm_.SkipToMagic({kResyncMagic, kBehindMagic})) {
+        return;  // need more bytes
+      }
       const std::string_view b = reasm_.Buffered();
       if (b.size() < kControlBytes) return;  // marker torn: need more
       const std::uint32_t magic = PeekMagic(b);
@@ -229,7 +213,7 @@ void SocketSegmentSource::ProcessBuffered() {
     }
 
     // Alien magic: the stream is off the rails. Same recovery as a corrupt
-    // segment; SkipToMagic will discard up to the server's resync marker.
+    // segment; SkipToMagic will discard up to the server's answer.
     stats_.decode_rejects.fetch_add(1, std::memory_order_relaxed);
     if (!SendNak()) {
       Disconnect();

@@ -133,8 +133,6 @@ class SocketSegmentSource : public log::SegmentSource {
   bool SendNak();                // false: connection is broken
   bool SendAckIfDue();           // false: connection is broken
   bool SendRequest(RequestType type, std::uint64_t arg);
-  // Post-NAK scan: drops bytes up to a resync or behind-retention marker.
-  bool SkipToMarker();
   bool BackoffSleep(std::chrono::milliseconds d);  // false: cancelled
 
   const Options options_;

@@ -101,9 +101,6 @@ class DstChannel {
     log::LogSegment* Next() override;
     void Release(std::uint64_t end_seq) override;
 
-    // Segments released so far.
-    std::size_t released() const { return released_ - begin_; }
-
    private:
     const std::vector<log::LogSegment*>* delivered_;
     const std::size_t begin_;

@@ -456,9 +456,9 @@ TEST(FrameReassemblerTest, SkipToMagicResyncsPastGarbageAndSplitMagic) {
   std::string garbage = "this is definitely not a segment frame";
   reasm.Append(garbage.data(), garbage.size());
   reasm.Append(clean.data(), 2);
-  EXPECT_FALSE(reasm.SkipToMagic(log::kSegmentMagic));
+  EXPECT_FALSE(reasm.SkipToMagic({log::kSegmentMagic}));
   reasm.Append(clean.data() + 2, clean.size() - 2);
-  ASSERT_TRUE(reasm.SkipToMagic(log::kSegmentMagic));
+  ASSERT_TRUE(reasm.SkipToMagic({log::kSegmentMagic}));
 
   std::unique_ptr<LogSegment> seg;
   ASSERT_TRUE(reasm.Poll(&seg).ok());
