@@ -9,18 +9,13 @@
 #include "common/rng.h"
 #include "log/wire.h"
 
-#if defined(__SANITIZE_ADDRESS__)
-#define C5_DST_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define C5_DST_ASAN 1
-#endif
-#endif
-#ifndef C5_DST_ASAN
-#define C5_DST_ASAN 0
-#endif
-#if C5_DST_ASAN
+// The ASan interface header turns its region macros into no-ops when ASan
+// is off; without the header, so do these.
+#if __has_include(<sanitizer/asan_interface.h>)
 #include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
 #endif
 
 namespace c5::sim {
@@ -42,10 +37,8 @@ enum class FaultKind : int {
   kDelay = 4,
 };
 
-// Poisons / unpoisons a segment's record array under ASan; no-ops
-// otherwise.
+// Poisons / unpoisons a segment's record array under ASan.
 void SetRecordsPoisoned(const log::LogSegment& seg, bool poisoned) {
-#if C5_DST_ASAN
   const void* data = seg.records().data();
   const std::size_t bytes = seg.size() * sizeof(log::LogRecord);
   if (bytes == 0) return;
@@ -54,10 +47,6 @@ void SetRecordsPoisoned(const log::LogSegment& seg, bool poisoned) {
   } else {
     ASAN_UNPOISON_MEMORY_REGION(data, bytes);
   }
-#else
-  (void)seg;
-  (void)poisoned;
-#endif
 }
 
 }  // namespace
