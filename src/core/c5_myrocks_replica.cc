@@ -1,26 +1,16 @@
 #include "core/c5_myrocks_replica.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "common/clock.h"
 #include "common/flat_map.h"
-#include "common/histogram.h"
 #include "common/spin_lock.h"
 
 namespace c5::core {
 
-namespace {
-std::uint64_t RowName(TableId table, RowId row) {
-  return (static_cast<std::uint64_t>(table) << 56) | row;
-}
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // TxnDispatchQueue
-
-void C5MyRocksReplica::TxnDispatchQueue::Push(TxnUnit txn) {
-  PushBatch(&txn, 1);
-}
 
 void C5MyRocksReplica::TxnDispatchQueue::PushBatch(const TxnUnit* txns,
                                                    std::size_t count) {
@@ -134,29 +124,17 @@ Timestamp C5MyRocksReplica::TxnDispatchQueue::MinUnapplied() const {
   return min_ts;
 }
 
-std::size_t C5MyRocksReplica::TxnDispatchQueue::SizeApprox() const {
-  MutexLock lock(mu_);
-  return queue_.size();
-}
-
 // ---------------------------------------------------------------------------
 // C5MyRocksReplica
 
 C5MyRocksReplica::C5MyRocksReplica(storage::Database* db, Options options,
                                    replica::LagTracker* lag)
-    : ReplicaBase(db),
+    : ReplicaBase(db, lag,
+                  replica::Pipeline{options.num_workers,
+                                    options.snapshot_interval,
+                                    options.gc_every}),
       options_(options),
-      lag_(lag),
       dispatch_(options.num_workers) {}
-
-void C5MyRocksReplica::Start(log::SegmentSource* source) {
-  workers_running_.store(options_.num_workers, std::memory_order_release);
-  threads_.emplace_back([this, source] { SchedulerLoop(source); });
-  for (int i = 0; i < options_.num_workers; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
-  }
-  threads_.emplace_back([this] { SnapshotterLoop(); });
-}
 
 void C5MyRocksReplica::SchedulerLoop(log::SegmentSource* source) {
   // Same embedded-FIFO preprocessing as C5Replica (§5.1 leverages the
@@ -171,13 +149,7 @@ void C5MyRocksReplica::SchedulerLoop(log::SegmentSource* source) {
     batch.clear();
     for (std::size_t i = 0; i < records.size(); ++i) {
       log::LogRecord& rec = records[i];
-      Timestamp& last = last_write_ts[RowName(rec.table, rec.row)];
-      rec.prev_ts = last;
-      // Monotone, never rewound — see C5Replica::SchedulerLoop: a
-      // redelivered old segment must not reset the row's chain position or
-      // later writes get scheduled against a stale predecessor and the true
-      // predecessor's install is skipped, holing the row's history.
-      if (rec.commit_ts > last) last = rec.commit_ts;
+      StampPrevTs(last_write_ts, rec);
 
       if (rec.last_in_txn) {
         // Collect the transaction in commit order (§5.1: the scheduler
@@ -191,21 +163,14 @@ void C5MyRocksReplica::SchedulerLoop(log::SegmentSource* source) {
     // Whole segment under one queue mutex acquisition / one wakeup.
     dispatch_.PushBatch(batch.data(), batch.size());
     seg->MarkPreprocessed();
-    // Monotone: a redelivered old segment as the final delivery must not
-    // regress the watermark and pin the snapshot below end-of-log.
-    if (!seg->empty() &&
-        seg->MaxTimestamp() > watermark_.load(std::memory_order_relaxed)) {
-      watermark_.store(seg->MaxTimestamp(), std::memory_order_release);
-    }
+    AdvanceWatermark(*seg);
   }
-  scheduler_done_.store(true, std::memory_order_release);
   dispatch_.Close();
 }
 
 void C5MyRocksReplica::WorkerLoop(int idx) {
   const auto guard = db_->epochs().Enter();
-  Histogram apply_latency;
-  std::uint64_t apply_tick = 0;
+  ApplySampler sampler(this);
 
   // A write deferred because its predecessor is not in place yet.
   // sample_t0 is -1 for unsampled records.
@@ -251,13 +216,10 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
       return false;
     }
     stats_.applied_writes.fetch_add(1, std::memory_order_relaxed);
-    if (t0 >= 0) {
-      // For a deferred record this includes the full predecessor stall:
-      // p99 here is the tail cost of a write waiting for its row
-      // dependency, the §5.1 metric.
-      apply_latency.Record(
-          static_cast<std::uint64_t>(MonotonicNowNanos() - t0));
-    }
+    // For a deferred record this includes the full predecessor stall: p99
+    // here is the tail cost of a write waiting for its row dependency, the
+    // §5.1 metric.
+    sampler.End(t0);
     return true;
   };
 
@@ -338,18 +300,8 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
     }
     for (std::size_t i = 0; i < txn.count; ++i) {
       const log::LogRecord& rec = txn.first[i];
-      const bool sample =
-          (apply_tick++ & (kApplySampleEvery - 1)) == 0;
-      const std::int64_t sample_t0 = sample ? MonotonicNowNanos() : -1;
-      storage::Table& table = db_->table(rec.table);
-      table.EnsureRow(rec.row);
-      // A row's first record can carry any op (coalesced insert+delete,
-      // update after an aborted insert); bind the index for every
-      // potentially row-creating record (see ReplicaBase::ApplyRecord).
-      if (rec.op != OpType::kUpdate ||
-          table.NewestVisibleTimestamp(rec.row) == kInvalidTimestamp) {
-        db_->BindIfNewer(rec.table, rec.key, rec.row, rec.commit_ts);
-      }
+      const std::int64_t sample_t0 = sampler.Begin();
+      EnsureRowBound(rec);
       // §5.2: while a snapshot is being taken, writes beyond the boundary n
       // must wait ("choosing n also blocks workers from executing writes
       // with sequence numbers greater than n until after the snapshot").
@@ -372,11 +324,9 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
       retire_front();
     }
   }
-  MergeApplyLatency(apply_latency);
-  workers_running_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-Timestamp C5MyRocksReplica::ApplyFloor() const {
+Timestamp C5MyRocksReplica::ApplyFloor() {
   // The watermark is read FIRST: every transaction at or below it was
   // dispatched before it was published, so an empty MinUnapplied read
   // afterwards proves all of them applied. (Read second, a segment
@@ -386,67 +336,17 @@ Timestamp C5MyRocksReplica::ApplyFloor() const {
   return min_unapplied == kMaxTimestamp ? wm : min_unapplied - 1;
 }
 
-void C5MyRocksReplica::SnapshotterLoop() {
-  int iter = 0;
-  while (true) {
-    // Choose n: everything strictly below MinUnapplied is applied. Blocking
-    // writers above n during the (simulated) snapshot keeps the boundary
-    // stable while RocksDB captures current state.
-    const Timestamp n = ApplyFloor();
-    PublishApplyFloor(n);
-
-    if (n > VisibleTimestamp()) {
-      barrier_ts_.store(n, std::memory_order_release);
-      if (options_.snapshot_cost.count() > 0) {
-        // Simulated RocksDB snapshot acquisition under write blocking.
-        const Stopwatch sw;
-        while (sw.ElapsedNanos() <
-               options_.snapshot_cost.count() * 1000) {
-          CpuRelax();
-        }
-      }
-      PublishVisible(n);
-      stats_.snapshots_taken.fetch_add(1, std::memory_order_relaxed);
-      barrier_ts_.store(kMaxTimestamp, std::memory_order_release);
-      if (lag_ != nullptr) lag_->OnVisible(n);
-    } else if (lag_ != nullptr) {
-      lag_->OnVisible(VisibleTimestamp());
+void C5MyRocksReplica::PublishSnapshot(Timestamp n) {
+  barrier_ts_.store(n, std::memory_order_release);
+  if (options_.snapshot_cost.count() > 0) {
+    // Simulated RocksDB snapshot acquisition under write blocking.
+    const Stopwatch sw;
+    while (sw.ElapsedNanos() < options_.snapshot_cost.count() * 1000) {
+      CpuRelax();
     }
-
-    if (options_.gc_every > 0 && ++iter % options_.gc_every == 0) {
-      db_->CollectGarbage(GcHorizon());
-    }
-
-    if (shutdown_.load(std::memory_order_acquire)) break;
-    if (scheduler_done_.load(std::memory_order_acquire) &&
-        workers_running_.load(std::memory_order_acquire) == 0) {
-      const Timestamp final_ts = watermark_.load(std::memory_order_acquire);
-      if (final_ts > VisibleTimestamp()) {
-        PublishVisible(final_ts);
-        if (lag_ != nullptr) lag_->OnVisible(final_ts);
-      }
-      break;
-    }
-    std::this_thread::sleep_for(options_.snapshot_interval);
   }
-}
-
-void C5MyRocksReplica::WaitUntilCaughtUp() {
-  while (!(scheduler_done_.load(std::memory_order_acquire) &&
-           workers_running_.load(std::memory_order_acquire) == 0 &&
-           VisibleTimestamp() >=
-               watermark_.load(std::memory_order_acquire))) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-}
-
-void C5MyRocksReplica::Stop() {
-  shutdown_.store(true, std::memory_order_release);
-  dispatch_.Close();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
+  ReplicaBase::PublishSnapshot(n);
+  barrier_ts_.store(kMaxTimestamp, std::memory_order_release);
 }
 
 }  // namespace c5::core

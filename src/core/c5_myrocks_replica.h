@@ -8,12 +8,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "replica/lag_tracker.h"
 #include "replica/replica.h"
 
 namespace c5::core {
@@ -60,9 +58,6 @@ class C5MyRocksReplica : public replica::ReplicaBase {
                    replica::LagTracker* lag = nullptr);
   ~C5MyRocksReplica() override { Stop(); }
 
-  void Start(log::SegmentSource* source) override;
-  void WaitUntilCaughtUp() override;
-  void Stop() override;
   std::string name() const override { return "c5-myrocks"; }
 
  private:
@@ -83,7 +78,6 @@ class C5MyRocksReplica : public replica::ReplicaBase {
     explicit TxnDispatchQueue(int num_workers)
         : inflight_(num_workers, kMaxTimestamp) {}
 
-    void Push(TxnUnit txn);
     // Enqueues a whole segment's transactions under ONE mutex acquisition
     // and at most one wakeup. The scheduler dispatches per segment; pushing
     // per transaction costs a futex notify per commit at live-primary rates
@@ -111,8 +105,6 @@ class C5MyRocksReplica : public replica::ReplicaBase {
     // outstanding). Everything strictly below is applied.
     Timestamp MinUnapplied() const;
 
-    std::size_t SizeApprox() const;
-
    private:
     mutable Mutex mu_{LockRank::kQueue};
     CondVar cv_;
@@ -123,30 +115,26 @@ class C5MyRocksReplica : public replica::ReplicaBase {
     alignas(64) std::atomic<std::size_t> size_hint_{0};
   };
 
-  void SchedulerLoop(log::SegmentSource* source);
-  void WorkerLoop(int idx);
-  void SnapshotterLoop();
+  void SchedulerLoop(log::SegmentSource* source) override;
+  void WorkerLoop(int idx) override;
+  void CloseQueues() override { dispatch_.Close(); }
 
   // The snapshot boundary n: MinUnapplied() - 1, or the watermark when
   // nothing is unapplied. Everything at or below it is applied and no
   // worker holds a record at or below it; the scheduler releases the
   // segments it covers (ReplicaBase::NextSegment).
-  Timestamp ApplyFloor() const;
+  Timestamp ApplyFloor() override;
+
+  // §5.2: blocks writers above `n` while the (simulated) RocksDB snapshot is
+  // taken, so the boundary stays stable while it captures current state.
+  void PublishSnapshot(Timestamp n) override;
 
   Options options_;
-  replica::LagTracker* lag_;
 
   TxnDispatchQueue dispatch_;
-  alignas(64) std::atomic<Timestamp> watermark_{0};
   // Snapshot barrier (§5.2): while active, workers must not install writes
   // with timestamps greater than barrier_ts_. kMaxTimestamp = inactive.
   alignas(64) std::atomic<Timestamp> barrier_ts_{kMaxTimestamp};
-
-  std::atomic<bool> scheduler_done_{false};
-  std::atomic<int> workers_running_{0};
-  std::atomic<bool> shutdown_{false};
-
-  std::vector<std::thread> threads_;
 };
 
 }  // namespace c5::core

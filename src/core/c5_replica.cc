@@ -1,35 +1,22 @@
 #include "core/c5_replica.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "common/clock.h"
 #include "common/flat_map.h"
-#include "common/histogram.h"
 
 namespace c5::core {
 
-namespace {
-std::uint64_t RowName(TableId table, RowId row) {
-  return (static_cast<std::uint64_t>(table) << 56) | row;
-}
-}  // namespace
-
 C5Replica::C5Replica(storage::Database* db, Options options,
                      replica::LagTracker* lag)
-    : ReplicaBase(db), options_(options), lag_(lag) {
+    : ReplicaBase(db, lag,
+                  replica::Pipeline{options.num_workers,
+                                    options.snapshot_interval,
+                                    options.gc_every}),
+      options_(options) {
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.push_back(std::make_unique<WorkerState>(/*queue_capacity=*/4096));
   }
-}
-
-void C5Replica::Start(log::SegmentSource* source) {
-  workers_running_.store(options_.num_workers, std::memory_order_release);
-  threads_.emplace_back([this, source] { SchedulerLoop(source); });
-  for (int i = 0; i < options_.num_workers; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
-  }
-  threads_.emplace_back([this] { SnapshotterLoop(); });
 }
 
 C5Replica::Batch* C5Replica::AcquireBatch() {
@@ -70,18 +57,7 @@ void C5Replica::SchedulerLoop(log::SegmentSource* source) {
 
   while (log::LogSegment* seg = NextSegment(source)) {
     for (log::LogRecord& rec : seg->records()) {
-      const std::uint64_t name = RowName(rec.table, rec.row);
-      Timestamp& last = last_write_ts[name];
-      rec.prev_ts = last;
-      // Monotone, never rewound: an at-least-once redelivery of an old
-      // segment would otherwise reset the row's chain position, and the
-      // NEXT new write would be scheduled against the stale predecessor —
-      // it can then install before the true predecessor, whose record the
-      // idempotence guard subsequently skips, leaving a permanent hole in
-      // the row's history. A redelivered record itself gets prev_ts >= its
-      // own timestamp, which resolves as kAlreadyApplied once the row
-      // catches up. (Found by the DST stale-duplicate schedule.)
-      if (rec.commit_ts > last) last = rec.commit_ts;
+      const std::uint64_t name = StampPrevTs(last_write_ts, rec);
 
       // Partition by scheduler key: Fibonacci-mix the row name so dense row
       // ids spread evenly, then reduce mod N. Row affinity is both the
@@ -111,16 +87,12 @@ void C5Replica::SchedulerLoop(log::SegmentSource* source) {
         out[i] = nullptr;
       }
     }
-    // Monotone for the same reason as the scheduler map: a redelivered old
-    // segment must not regress the watermark (a regression as the FINAL
-    // delivery would pin the visible snapshot below end-of-log forever).
-    // Single writer, so load+store suffices.
-    if (!seg->empty() &&
-        seg->MaxTimestamp() > watermark_.load(std::memory_order_relaxed)) {
-      watermark_.store(seg->MaxTimestamp(), std::memory_order_release);
-    }
+    AdvanceWatermark(*seg);
   }
-  scheduler_done_.store(true, std::memory_order_release);
+  CloseQueues();
+}
+
+void C5Replica::CloseQueues() {
   for (auto& w : workers_) w->queue.Close();
 }
 
@@ -174,8 +146,7 @@ void C5Replica::WorkerLoop(int idx) {
   const auto guard = db_->epochs().Enter();
   WorkerState& me = *workers_[idx];
   std::deque<const log::LogRecord*> deferred;
-  Histogram apply_latency;
-  std::uint64_t apply_tick = 0;
+  ApplySampler sampler(this);
   LocalCounts counts;
 
   auto publish_c_prime = [&me](Timestamp floor) {
@@ -241,29 +212,11 @@ void C5Replica::WorkerLoop(int idx) {
       const log::LogRecord& rec = *rp;
       // Row-slot creation and index maintenance are idempotent; do them on
       // first sight so deferred retries only need the install.
-      storage::Table& table = db_->table(rec.table);
-      table.EnsureRow(rec.row);
-      // A row's first record can carry any op (coalesced insert+delete,
-      // update after an aborted insert); bind the index for every
-      // potentially row-creating record, timestamp-aware so parallel
-      // workers converge on the newest row when a key's row id changes
-      // (see ReplicaBase::ApplyRecord).
-      if (rec.op != OpType::kUpdate ||
-          table.NewestVisibleTimestamp(rec.row) == kInvalidTimestamp) {
-        db_->BindIfNewer(rec.table, rec.key, rec.row, rec.commit_ts);
-      }
-      bool applied;
-      if ((apply_tick++ & (kApplySampleEvery - 1)) == 0) {
-        const std::int64_t t0 = MonotonicNowNanos();
-        applied = TryApply(rec, counts);
-        if (applied) {
-          apply_latency.Record(
-              static_cast<std::uint64_t>(MonotonicNowNanos() - t0));
-        }
+      EnsureRowBound(rec);
+      const std::int64_t t0 = sampler.Begin();
+      if (TryApply(rec, counts)) {
+        sampler.End(t0);
       } else {
-        applied = TryApply(rec, counts);
-      }
-      if (!applied) {
         // Defer and move on; deferred writes are re-checked at batch
         // boundaries (§7.2). Row affinity makes this unreachable in
         // practice (the predecessor was applied by THIS worker earlier in
@@ -295,72 +248,16 @@ void C5Replica::WorkerLoop(int idx) {
       SpinBackoff(drain_spins);
     }
   }
-  MergeApplyLatency(apply_latency);
   me.c_prime.store(kMaxTimestamp, std::memory_order_release);
-  me.finished.store(true, std::memory_order_release);
-  workers_running_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-Timestamp C5Replica::ApplyFloor() const {
+Timestamp C5Replica::ApplyFloor() {
   Timestamp n = watermark_.load(std::memory_order_acquire);
   for (const auto& w : workers_) {
     const Timestamp cp = w->c_prime.load(std::memory_order_acquire);
     if (cp < n) n = cp;
   }
   return n;
-}
-
-void C5Replica::SnapshotterLoop() {
-  int iter = 0;
-  while (true) {
-    // §7.2: "periodically calculates a new n as the minimum across all c'
-    // and then advances c to n".
-    const Timestamp n = ApplyFloor();
-    PublishApplyFloor(n);
-    if (n > VisibleTimestamp()) {
-      PublishVisible(n);
-      stats_.snapshots_taken.fetch_add(1, std::memory_order_relaxed);
-      if (lag_ != nullptr) lag_->OnVisible(n);
-    } else if (lag_ != nullptr) {
-      lag_->OnVisible(VisibleTimestamp());
-    }
-
-    ++iter;
-    if (options_.gc_every > 0 && iter % options_.gc_every == 0) {
-      db_->CollectGarbage(GcHorizon());
-    }
-    if (options_.checkpoint_every > 0 && !options_.checkpoint_path.empty() &&
-        iter % options_.checkpoint_every == 0) {
-      const Timestamp c = VisibleTimestamp();
-      if (c > last_checkpoint_ts_.load(std::memory_order_relaxed) &&
-          storage::WriteCheckpoint(*db_, c, options_.checkpoint_path).ok()) {
-        last_checkpoint_ts_.store(c, std::memory_order_release);
-      }
-    }
-
-    if (shutdown_.load(std::memory_order_acquire)) break;
-    if (scheduler_done_.load(std::memory_order_acquire) &&
-        workers_running_.load(std::memory_order_acquire) == 0) {
-      // Final advance: all writes applied, expose the full log.
-      const Timestamp final_ts = watermark_.load(std::memory_order_acquire);
-      if (final_ts > VisibleTimestamp()) {
-        PublishVisible(final_ts);
-        if (lag_ != nullptr) lag_->OnVisible(final_ts);
-      }
-      // A caught-up replica with checkpointing enabled always leaves a
-      // checkpoint at end-of-log: epoch-batched visibility can finish a
-      // short replay before the periodic schedule above ever fires.
-      if (options_.checkpoint_every > 0 && !options_.checkpoint_path.empty()) {
-        const Timestamp c = VisibleTimestamp();
-        if (c > last_checkpoint_ts_.load(std::memory_order_relaxed) &&
-            storage::WriteCheckpoint(*db_, c, options_.checkpoint_path).ok()) {
-          last_checkpoint_ts_.store(c, std::memory_order_release);
-        }
-      }
-      break;
-    }
-    std::this_thread::sleep_for(options_.snapshot_interval);
-  }
 }
 
 std::vector<C5Replica::WorkerLoad> C5Replica::WorkerLoads() const {
@@ -372,24 +269,6 @@ std::vector<C5Replica::WorkerLoad> C5Replica::WorkerLoads() const {
                    w->cpu_ns.load(std::memory_order_acquire)});
   }
   return loads;
-}
-
-void C5Replica::WaitUntilCaughtUp() {
-  while (!(scheduler_done_.load(std::memory_order_acquire) &&
-           workers_running_.load(std::memory_order_acquire) == 0 &&
-           VisibleTimestamp() >=
-               watermark_.load(std::memory_order_acquire))) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-}
-
-void C5Replica::Stop() {
-  shutdown_.store(true, std::memory_order_release);
-  for (auto& w : workers_) w->queue.Close();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
 }
 
 }  // namespace c5::core

@@ -22,15 +22,11 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include "storage/checkpoint.h"
 
 #include "common/spin_lock.h"
 #include "common/thread_annotations.h"
 #include "common/spsc_queue.h"
-#include "replica/lag_tracker.h"
 #include "replica/replica.h"
 
 namespace c5::core {
@@ -72,16 +68,6 @@ class C5Replica : public replica::ReplicaBase {
     // If > 0, the snapshotter garbage-collects version chains every
     // `gc_every` snapshots using the replica's safe horizon.
     int gc_every = 0;
-    // If non-empty and checkpoint_every > 0, the snapshotter writes a
-    // consistent checkpoint of the backup (storage/checkpoint.h) at the
-    // current snapshot every `checkpoint_every` snapshot advances. On
-    // restart, load the checkpoint and resume the archived log with
-    // ha::ResumeSegmentSource from the loaded timestamp. The write runs on
-    // the snapshotter thread (it never blocks workers — the multi-version
-    // store keeps the snapshot stable), so very small intervals trade
-    // snapshot freshness for checkpoint recency.
-    std::string checkpoint_path;
-    int checkpoint_every = 0;
     // Initial capacity of the scheduler's flat row -> last-write-ts map.
     // Pre-size to the replayed log's row universe to avoid rehash stalls on
     // the single scheduler thread mid-replay.
@@ -104,20 +90,7 @@ class C5Replica : public replica::ReplicaBase {
             replica::LagTracker* lag = nullptr);
   ~C5Replica() override { Stop(); }
 
-  void Start(log::SegmentSource* source) override;
-  void WaitUntilCaughtUp() override;
-  void Stop() override;
   std::string name() const override { return "c5"; }
-
-  // Largest commit timestamp fully scheduled (diagnostics / tests).
-  Timestamp watermark() const {
-    return watermark_.load(std::memory_order_acquire);
-  }
-
-  // Snapshot timestamp of the last checkpoint written (0 if none).
-  Timestamp last_checkpoint_ts() const {
-    return last_checkpoint_ts_.load(std::memory_order_acquire);
-  }
 
   // Per-worker apply/CPU accounting, index-aligned with the worker ids.
   // Coherent after WaitUntilCaughtUp (workers flush once per batch).
@@ -143,21 +116,20 @@ class C5Replica : public replica::ReplicaBase {
     // c' (§7.2): one writer (the worker), one reader (the snapshotter).
     // Bumped once per batch (the "local epoch"), not per record.
     alignas(64) std::atomic<Timestamp> c_prime{0};
-    std::atomic<bool> finished{false};
     // Fleet-model load accounting, flushed once per batch.
     std::atomic<std::uint64_t> applied_records{0};
     std::atomic<std::uint64_t> cpu_ns{0};
   };
 
-  void SchedulerLoop(log::SegmentSource* source);
-  void WorkerLoop(int idx);
-  void SnapshotterLoop();
+  void SchedulerLoop(log::SegmentSource* source) override;
+  void WorkerLoop(int idx) override;
+  void CloseQueues() override;
 
   // n = min(watermark, min over workers of c'): everything at or below it
   // is applied, and no worker holds or can still be handed a record at or
   // below it. The snapshotter publishes it; the scheduler releases the
   // segments it covers (ReplicaBase::NextSegment).
-  Timestamp ApplyFloor() const;
+  Timestamp ApplyFloor() override;
 
   Batch* AcquireBatch();
   void ReleaseBatch(Batch* batch);
@@ -181,22 +153,14 @@ class C5Replica : public replica::ReplicaBase {
   bool TryApply(const log::LogRecord& rec, LocalCounts& counts);
 
   Options options_;
-  replica::LagTracker* lag_;
 
   std::vector<std::unique_ptr<WorkerState>> workers_;
-  alignas(64) std::atomic<Timestamp> watermark_{0};
-  std::atomic<Timestamp> last_checkpoint_ts_{0};
-  std::atomic<bool> scheduler_done_{false};
-  std::atomic<int> workers_running_{0};
-  std::atomic<bool> shutdown_{false};
 
   // Batch pool: the scheduler acquires, workers release. Locked once per
   // batch on each side; batch_storage_ owns every batch ever created.
   SpinLock pool_lock_{LockRank::kReplicaState};
   std::vector<std::unique_ptr<Batch>> batch_storage_ C5_GUARDED_BY(pool_lock_);
   std::vector<Batch*> batch_free_ C5_GUARDED_BY(pool_lock_);
-
-  std::vector<std::thread> threads_;
 };
 
 }  // namespace c5::core

@@ -61,7 +61,7 @@ std::unique_ptr<replica::Replica> MakeReplicaImpl(
     case ProtocolKind::kTableGranularity: {
       replica::GranularityReplica::Options o;
       o.num_workers = options.num_workers;
-      o.visibility_interval = options.snapshot_interval;
+      o.snapshot_interval = options.snapshot_interval;
       o.granularity = kind == ProtocolKind::kC5Queue
                           ? replica::Granularity::kRow
                           : (kind == ProtocolKind::kPageGranularity
@@ -73,7 +73,7 @@ std::unique_ptr<replica::Replica> MakeReplicaImpl(
     case ProtocolKind::kKuaFuUnconstrained: {
       replica::KuaFuReplica::Options o;
       o.num_workers = options.num_workers;
-      o.visibility_interval = options.snapshot_interval;
+      o.snapshot_interval = options.snapshot_interval;
       o.unconstrained = kind == ProtocolKind::kKuaFuUnconstrained;
       return std::make_unique<replica::KuaFuReplica>(db, o, lag);
     }

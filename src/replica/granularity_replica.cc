@@ -16,7 +16,9 @@ const char* ToString(Granularity g) {
 
 GranularityReplica::GranularityReplica(storage::Database* db, Options options,
                                        LagTracker* lag)
-    : ReplicaBase(db), options_(options), lag_(lag) {}
+    : ReplicaBase(db, lag,
+                  Pipeline{options.num_workers, options.snapshot_interval}),
+      options_(options) {}
 
 std::string GranularityReplica::name() const {
   switch (options_.granularity) {
@@ -31,36 +33,23 @@ std::string GranularityReplica::name() const {
 }
 
 std::uint64_t GranularityReplica::KeyFor(const log::LogRecord& rec) const {
-  const std::uint64_t table_bits = static_cast<std::uint64_t>(rec.table) << 56;
   switch (options_.granularity) {
     case Granularity::kRow:
-      return table_bits | rec.row;
+      return RowName(rec.table, rec.row);
     case Granularity::kPage:
-      return table_bits | (rec.row / options_.rows_per_page);
+      return RowName(rec.table, rec.row / options_.rows_per_page);
     case Granularity::kTable:
-      return table_bits;
+      return RowName(rec.table, 0);
   }
-  return table_bits | rec.row;
-}
-
-void GranularityReplica::Start(log::SegmentSource* source) {
-  threads_.emplace_back([this, source] { SchedulerLoop(source); });
-  for (int i = 0; i < options_.num_workers; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
-  threads_.emplace_back([this] { VisibilityLoop(); });
+  return RowName(rec.table, rec.row);
 }
 
 void GranularityReplica::SchedulerLoop(log::SegmentSource* source) {
   std::uint64_t seq = 0;
-  Timestamp final_boundary = 0;
   std::vector<KeyQueue*> batch;
   batch.reserve(kHandoffBatch);
   while (log::LogSegment* seg = source->Next()) {
     for (const log::LogRecord& rec : seg->records()) {
-      if (rec.last_in_txn && rec.commit_ts > final_boundary) {
-        final_boundary = rec.commit_ts;
-      }
       const std::uint64_t key = KeyFor(rec);
       auto& slot = queues_[key];
       if (slot == nullptr) slot = std::make_unique<KeyQueue>();
@@ -93,19 +82,14 @@ void GranularityReplica::SchedulerLoop(log::SegmentSource* source) {
       batch.clear();
       batch.reserve(kHandoffBatch);
     }
+    AdvanceWatermark(*seg);
   }
-  if (!batch.empty()) sched_queue_.Push(std::move(batch));
-  final_boundary_ts_.store(final_boundary, std::memory_order_release);
-  final_record_count_.store(seq, std::memory_order_release);
-  scheduler_done_.store(true, std::memory_order_release);
-  if (outstanding_writes_.load(std::memory_order_acquire) == 0) {
-    all_applied_.store(true, std::memory_order_release);
-    sched_queue_.Close();
-  }
+  FinishWrites(1);  // the scheduler's hold
 }
 
-void GranularityReplica::WorkerLoop() {
+void GranularityReplica::WorkerLoop(int /*idx*/) {
   const auto guard = db_->epochs().Enter();
+  ApplySampler sampler(this);
   std::vector<KeyQueue*> reinserts;
   while (auto batch_opt = sched_queue_.Pop()) {
     reinserts.clear();
@@ -121,7 +105,7 @@ void GranularityReplica::WorkerLoop() {
           SpinLockGuard lock(kq->mu);
           ref = kq->writes.front();
         }
-        ApplyRecord(*ref.rec);
+        ApplyRecord(*ref.rec, sampler);
         prefix_.Mark(ref.seq, ref.rec->last_in_txn ? ref.rec->commit_ts
                                                    : kInvalidTimestamp);
         ++applied;
@@ -149,65 +133,9 @@ void GranularityReplica::WorkerLoop() {
 
 void GranularityReplica::FinishWrites(std::uint64_t n) {
   if (n == 0) return;
-  if (outstanding_writes_.fetch_sub(n, std::memory_order_acq_rel) == n &&
-      scheduler_done_.load(std::memory_order_acquire)) {
-    all_applied_.store(true, std::memory_order_release);
+  if (outstanding_writes_.fetch_sub(n, std::memory_order_acq_rel) == n) {
     sched_queue_.Close();
   }
-}
-
-void GranularityReplica::VisibilityLoop() {
-  while (true) {
-    const Timestamp vis = prefix_.Advance();
-    if (vis != kInvalidTimestamp) {
-      PublishVisible(vis);
-      if (lag_ != nullptr) lag_->OnVisible(vis);
-    }
-    if (shutdown_.load(std::memory_order_acquire)) break;
-    if (all_applied_.load(std::memory_order_acquire) &&
-        prefix_.watermark() >=
-            final_record_count_.load(std::memory_order_acquire)) {
-      break;
-    }
-    std::this_thread::sleep_for(options_.visibility_interval);
-  }
-  const Timestamp vis = prefix_.Advance();
-  if (vis != kInvalidTimestamp) {
-    PublishVisible(vis);
-    if (lag_ != nullptr) lag_->OnVisible(vis);
-  }
-}
-
-void GranularityReplica::WaitUntilCaughtUp() {
-  while (!all_applied_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  const std::uint64_t final_count =
-      final_record_count_.load(std::memory_order_acquire);
-  while (prefix_.watermark() < final_count) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  // The contract (replica.h) is that the VISIBILITY watermark covers the
-  // whole log at return, not merely that every record was applied: the
-  // visibility thread publishes asynchronously after the tracker advances,
-  // so wait until the published snapshot reaches the last transaction
-  // boundary the scheduler saw. (Found by the DST harness under TSan
-  // timing: VisibleTimestamp() could still read a stale value — even 0 —
-  // right after the applied-count condition passed.)
-  const Timestamp final_boundary =
-      final_boundary_ts_.load(std::memory_order_acquire);
-  while (VisibleTimestamp() < final_boundary) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-}
-
-void GranularityReplica::Stop() {
-  shutdown_.store(true, std::memory_order_release);
-  sched_queue_.Close();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
 }
 
 }  // namespace c5::replica

@@ -7,14 +7,12 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/mpmc_queue.h"
 #include "common/spin_lock.h"
 #include "common/thread_annotations.h"
-#include "replica/lag_tracker.h"
 #include "replica/prefix_tracker.h"
 #include "replica/replica.h"
 
@@ -56,7 +54,7 @@ class GranularityReplica : public ReplicaBase {
     int num_workers = 4;
     Granularity granularity = Granularity::kRow;
     std::uint64_t rows_per_page = 64;  // §3.1.1's page-capacity assumption
-    std::chrono::microseconds visibility_interval =
+    std::chrono::microseconds snapshot_interval =
         std::chrono::microseconds(100);
   };
 
@@ -64,19 +62,7 @@ class GranularityReplica : public ReplicaBase {
                      LagTracker* lag = nullptr);
   ~GranularityReplica() override { Stop(); }
 
-  void Start(log::SegmentSource* source) override;
-  void WaitUntilCaughtUp() override;
-  void Stop() override;
   std::string name() const override;
-
-  // Diagnostics (tests/benches).
-  bool scheduler_done() const {
-    return scheduler_done_.load(std::memory_order_acquire);
-  }
-  std::size_t sched_queue_size() const { return sched_queue_.Size(); }
-  std::uint64_t outstanding_writes() const {
-    return outstanding_writes_.load(std::memory_order_acquire);
-  }
 
  private:
   struct WriteRef {
@@ -94,9 +80,14 @@ class GranularityReplica : public ReplicaBase {
 
   std::uint64_t KeyFor(const log::LogRecord& rec) const;
 
-  void SchedulerLoop(log::SegmentSource* source);
-  void WorkerLoop();
-  void VisibilityLoop();
+  void SchedulerLoop(log::SegmentSource* source) override;
+  void WorkerLoop(int idx) override;
+  void CloseQueues() override { sched_queue_.Close(); }
+  // The last transaction of the contiguous applied prefix.
+  Timestamp ApplyFloor() override { return prefix_.Advance(); }
+
+  // Drops `n` outstanding writes; the drop that reaches zero closes the
+  // scheduler queue, so the workers exit.
   void FinishWrites(std::uint64_t n);
 
   // Handoff batching: the logical scheduler queue hands off one eligible
@@ -109,7 +100,6 @@ class GranularityReplica : public ReplicaBase {
   static constexpr int kMaxRunPerHandoff = 64;
 
   Options options_;
-  LagTracker* lag_;
 
   // Key -> queue. Created only by the scheduler; workers reach queues via
   // pointers in the scheduler queue, so the map itself is scheduler-private.
@@ -118,16 +108,9 @@ class GranularityReplica : public ReplicaBase {
   MpmcQueue<std::vector<KeyQueue*>> sched_queue_;
   PrefixTracker prefix_;
 
-  std::atomic<bool> scheduler_done_{false};
-  std::atomic<std::uint64_t> outstanding_writes_{0};
-  std::atomic<std::uint64_t> final_record_count_{~std::uint64_t{0}};
-  // Largest transaction-boundary timestamp the scheduler enqueued; what the
-  // visibility watermark must reach before WaitUntilCaughtUp may return.
-  std::atomic<Timestamp> final_boundary_ts_{0};
-  std::atomic<bool> all_applied_{false};
-  std::atomic<bool> shutdown_{false};
-
-  std::vector<std::thread> threads_;
+  // Scheduled but unapplied writes, plus one held by the scheduler until
+  // the log ends, so the count reaches zero exactly once.
+  std::atomic<std::uint64_t> outstanding_writes_{1};
 };
 
 }  // namespace c5::replica

@@ -1,28 +1,15 @@
 #include "replica/kuafu_replica.h"
 
+#include <unordered_map>
 #include <unordered_set>
-
-#include "common/clock.h"
 
 namespace c5::replica {
 
-namespace {
-std::uint64_t RowName(TableId table, RowId row) {
-  return (static_cast<std::uint64_t>(table) << 56) | row;
-}
-}  // namespace
-
 KuaFuReplica::KuaFuReplica(storage::Database* db, Options options,
                            LagTracker* lag)
-    : ReplicaBase(db), options_(options), lag_(lag) {}
-
-void KuaFuReplica::Start(log::SegmentSource* source) {
-  threads_.emplace_back([this, source] { SchedulerLoop(source); });
-  for (int i = 0; i < options_.num_workers; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
-  threads_.emplace_back([this] { VisibilityLoop(); });
-}
+    : ReplicaBase(db, lag,
+                  Pipeline{options.num_workers, options.snapshot_interval}),
+      options_(options) {}
 
 void KuaFuReplica::SchedulerLoop(log::SegmentSource* source) {
   // Per-row last-writer map. Transaction-granularity dependency rule (§3.1):
@@ -31,7 +18,6 @@ void KuaFuReplica::SchedulerLoop(log::SegmentSource* source) {
   // edges chain all writers of the row in log order.
   std::unordered_map<std::uint64_t, TxnNode*> last_writer;
   std::uint64_t txn_index = 0;
-  Timestamp final_boundary = 0;
 
   TxnNode* open = nullptr;
   while (log::LogSegment* seg = source->Next()) {
@@ -47,9 +33,7 @@ void KuaFuReplica::SchedulerLoop(log::SegmentSource* source) {
       // Close the transaction: wire dependencies, then release the
       // scheduler's readiness hold.
       open->commit_ts = rec.commit_ts;
-      if (rec.commit_ts > final_boundary) final_boundary = rec.commit_ts;
       outstanding_txns_.fetch_add(1, std::memory_order_acq_rel);
-      scheduled_txns_.fetch_add(1, std::memory_order_release);
       if (!options_.unconstrained) {
         std::unordered_set<TxnNode*> parents;
         for (const log::LogRecord* r : open->records) {
@@ -59,9 +43,15 @@ void KuaFuReplica::SchedulerLoop(log::SegmentSource* source) {
           }
           last_writer[RowName(r->table, r->row)] = open;
         }
+        // Count each edge BEFORE the parent can see the child: a parent
+        // completing between TryAddChild and the increment would otherwise
+        // release the child early and MaybeReady below would push it a
+        // second time, finishing one transaction twice and closing the
+        // ready queue with dependents still waiting.
         for (TxnNode* parent : parents) {
-          if (parent->TryAddChild(open)) {
-            open->deps.fetch_add(1, std::memory_order_acq_rel);
+          open->deps.fetch_add(1, std::memory_order_acq_rel);
+          if (!parent->TryAddChild(open)) {
+            open->deps.fetch_sub(1, std::memory_order_acq_rel);
           }
         }
       }
@@ -69,70 +59,45 @@ void KuaFuReplica::SchedulerLoop(log::SegmentSource* source) {
       ++txn_index;
       open = nullptr;
     }
+    AdvanceWatermark(*seg);
   }
-  final_boundary_ts_.store(final_boundary, std::memory_order_release);
-  final_txn_count_.store(txn_index, std::memory_order_release);
-  scheduler_done_.store(true, std::memory_order_release);
-  if (outstanding_txns_.load(std::memory_order_acquire) == 0) {
-    all_applied_.store(true, std::memory_order_release);
-    ready_.Close();
-  }
+  FinishTxn();  // the scheduler's hold
 }
 
-void KuaFuReplica::WorkerLoop() {
+void KuaFuReplica::WorkerLoop(int /*idx*/) {
   const auto guard = db_->epochs().Enter();
-  Histogram apply_latency;
-  std::uint64_t apply_tick = 0;
+  // Same sampling cadence as the C5 replicas, so fig6's apply_p50/p99
+  // columns compare like for like. KuaFu never waits per record —
+  // dependency edges gate the whole transaction — so this measures pure
+  // install cost; the transaction-granularity stall shows up as
+  // throughput, not here.
+  ApplySampler sampler(this);
   while (auto node_opt = ready_.Pop()) {
     TxnNode* node = *node_opt;
     for (const log::LogRecord* rec : node->records) {
-      // Sample per-record install latency (same cadence as the C5
-      // replicas, so fig6's apply_p50/p99 columns compare like for like).
-      // KuaFu never waits per record — dependency edges gate the whole
-      // transaction — so this measures pure install cost; the
-      // transaction-granularity stall shows up as throughput, not here.
-      const bool sample = (apply_tick++ & (kApplySampleEvery - 1)) == 0;
-      const std::int64_t sample_t0 = sample ? MonotonicNowNanos() : 0;
-      storage::Table& table = db_->table(rec->table);
-      table.EnsureRow(rec->row);
-      // One chain probe serves both the binding decision and the
-      // idempotence guard: same-row writers are serialized by the
-      // dependency edges, so `newest` cannot change between the two uses.
-      const Timestamp newest = table.NewestVisibleTimestamp(rec->row);
-      // A row's first record can carry any op (coalesced insert+delete,
-      // update after an aborted insert); bind the index for every
-      // potentially row-creating record (see ReplicaBase::ApplyRecord).
-      if (rec->op != OpType::kUpdate || newest == kInvalidTimestamp) {
-        db_->BindIfNewer(rec->table, rec->key, rec->row, rec->commit_ts);
+      // Same-row writers are serialized by the dependency edges, which is
+      // the per-row ordering ApplyRecord's idempotence guard relies on.
+      if (!options_.unconstrained) {
+        ApplyRecord(*rec, sampler);
+        continue;
       }
-      // Idempotency under at-least-once delivery / checkpoint resume: skip
-      // records already covered by this row's state. Safe without a lock:
-      // same-row writers are serialized by the dependency edges. (The
-      // unconstrained diagnostic mode installs blindly by design.)
-      if (options_.unconstrained) {
-        table.InstallCommitted(rec->row, rec->commit_ts, rec->value,
-                               rec->op == OpType::kDelete,
-                               /*allow_out_of_order=*/true);
-      } else if (newest < rec->commit_ts) {
-        table.InstallCommitted(rec->row, rec->commit_ts, rec->value,
-                               rec->op == OpType::kDelete);
-      }
+      // The §7.3 diagnostic installs blindly and out of order by design.
+      const std::int64_t t0 = sampler.Begin();
+      EnsureRowBound(*rec);
+      db_->table(rec->table).InstallCommitted(rec->row, rec->commit_ts,
+                                              rec->value,
+                                              rec->op == OpType::kDelete,
+                                              /*allow_out_of_order=*/true);
       stats_.applied_writes.fetch_add(1, std::memory_order_relaxed);
-      if (sample) {
-        apply_latency.Record(
-            static_cast<std::uint64_t>(MonotonicNowNanos() - sample_t0));
+      if (rec->last_in_txn) {
+        stats_.applied_txns.fetch_add(1, std::memory_order_relaxed);
       }
+      sampler.End(t0);
     }
-    stats_.applied_txns.fetch_add(1, std::memory_order_relaxed);
     ReleaseDependents(node);
     prefix_.Mark(node->txn_index, node->commit_ts);
-    if (outstanding_txns_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-        scheduler_done_.load(std::memory_order_acquire)) {
-      all_applied_.store(true, std::memory_order_release);
-      ready_.Close();
-    }
+    FinishTxn();
   }
-  MergeApplyLatency(apply_latency);
 }
 
 void KuaFuReplica::ReleaseDependents(TxnNode* node) {
@@ -143,60 +108,6 @@ void KuaFuReplica::ReleaseDependents(TxnNode* node) {
     children.swap(node->children);
   }
   for (TxnNode* child : children) MaybeReady(child);
-}
-
-void KuaFuReplica::VisibilityLoop() {
-  while (true) {
-    const Timestamp vis = prefix_.Advance();
-    if (vis != kInvalidTimestamp) {
-      PublishVisible(vis);
-      if (lag_ != nullptr) lag_->OnVisible(vis);
-    }
-    if (shutdown_.load(std::memory_order_acquire)) break;
-    if (all_applied_.load(std::memory_order_acquire) &&
-        prefix_.watermark() >=
-            final_txn_count_.load(std::memory_order_acquire)) {
-      break;
-    }
-    std::this_thread::sleep_for(options_.visibility_interval);
-  }
-  // Final sweep so the last transactions become visible.
-  const Timestamp vis = prefix_.Advance();
-  if (vis != kInvalidTimestamp) {
-    PublishVisible(vis);
-    if (lag_ != nullptr) lag_->OnVisible(vis);
-  }
-}
-
-void KuaFuReplica::WaitUntilCaughtUp() {
-  while (!all_applied_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  const std::uint64_t final_count =
-      final_txn_count_.load(std::memory_order_acquire);
-  while (prefix_.watermark() < final_count) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  // The contract (replica.h) is that the VISIBILITY watermark covers the
-  // whole log at return, not merely that every transaction was applied:
-  // the visibility thread publishes asynchronously after the tracker
-  // advances, so wait until the published snapshot reaches the last
-  // transaction boundary the scheduler closed. (Found by the DST harness
-  // under TSan timing.)
-  const Timestamp final_boundary =
-      final_boundary_ts_.load(std::memory_order_acquire);
-  while (VisibleTimestamp() < final_boundary) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-}
-
-void KuaFuReplica::Stop() {
-  shutdown_.store(true, std::memory_order_release);
-  ready_.Close();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
 }
 
 }  // namespace c5::replica

@@ -7,14 +7,11 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mpmc_queue.h"
 #include "common/spin_lock.h"
 #include "common/thread_annotations.h"
-#include "replica/lag_tracker.h"
 #include "replica/prefix_tracker.h"
 #include "replica/replica.h"
 
@@ -47,7 +44,7 @@ class KuaFuReplica : public ReplicaBase {
   struct Options {
     int num_workers = 4;
     bool unconstrained = false;  // diagnostic mode; breaks correctness
-    std::chrono::microseconds visibility_interval =
+    std::chrono::microseconds snapshot_interval =
         std::chrono::microseconds(100);
   };
 
@@ -55,9 +52,6 @@ class KuaFuReplica : public ReplicaBase {
                LagTracker* lag = nullptr);
   ~KuaFuReplica() override { Stop(); }
 
-  void Start(log::SegmentSource* source) override;
-  void WaitUntilCaughtUp() override;
-  void Stop() override;
   std::string name() const override {
     return options_.unconstrained ? "kuafu-unconstrained" : "kuafu";
   }
@@ -88,10 +82,20 @@ class KuaFuReplica : public ReplicaBase {
     }
   };
 
-  void SchedulerLoop(log::SegmentSource* source);
-  void WorkerLoop();
-  void VisibilityLoop();
+  void SchedulerLoop(log::SegmentSource* source) override;
+  void WorkerLoop(int idx) override;
+  void CloseQueues() override { ready_.Close(); }
+  // The last transaction of the contiguous applied prefix.
+  Timestamp ApplyFloor() override { return prefix_.Advance(); }
+
   void ReleaseDependents(TxnNode* node);
+  // Drops one outstanding transaction (or the scheduler's hold); the drop
+  // that reaches zero closes the ready queue, so the workers exit.
+  void FinishTxn() {
+    if (outstanding_txns_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      ready_.Close();
+    }
+  }
   void MaybeReady(TxnNode* node) {
     if (node->deps.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       ready_.Push(node);
@@ -99,7 +103,6 @@ class KuaFuReplica : public ReplicaBase {
   }
 
   Options options_;
-  LagTracker* lag_;
 
   MpmcQueue<TxnNode*> ready_;
   PrefixTracker prefix_;
@@ -107,17 +110,9 @@ class KuaFuReplica : public ReplicaBase {
   // All nodes, owned; appended only by the scheduler.
   std::deque<std::unique_ptr<TxnNode>> nodes_;
 
-  std::atomic<bool> scheduler_done_{false};
-  std::atomic<std::uint64_t> outstanding_txns_{0};
-  std::atomic<std::uint64_t> scheduled_txns_{0};
-  std::atomic<std::uint64_t> final_txn_count_{~std::uint64_t{0}};
-  // Largest transaction commit timestamp the scheduler closed; what the
-  // visibility watermark must reach before WaitUntilCaughtUp may return.
-  std::atomic<Timestamp> final_boundary_ts_{0};
-  std::atomic<bool> all_applied_{false};
-  std::atomic<bool> shutdown_{false};
-
-  std::vector<std::thread> threads_;
+  // Scheduled but unapplied transactions, plus one held by the scheduler
+  // until the log ends, so the count reaches zero exactly once.
+  std::atomic<std::uint64_t> outstanding_txns_{1};
 };
 
 }  // namespace c5::replica

@@ -45,7 +45,7 @@ QueryFreshReplica::RowStateMap::~RowStateMap() {
 
 QueryFreshReplica::QueryFreshReplica(storage::Database* db, Options options,
                                      LagTracker* lag)
-    : ReplicaBase(db), options_(options), lag_(lag) {}
+    : ReplicaBase(db, lag), options_(options) {}
 
 void QueryFreshReplica::Start(log::SegmentSource* source) {
   // Schema is fixed before replication starts (§2.2: DDL is out of scope).
@@ -53,10 +53,10 @@ void QueryFreshReplica::Start(log::SegmentSource* source) {
   for (auto& map : row_maps_) {
     if (map == nullptr) map = std::make_unique<RowStateMap>();
   }
-  ingest_thread_ = std::thread([this, source] { IngestLoop(source); });
+  ReplicaBase::Start(source);
 }
 
-void QueryFreshReplica::IngestLoop(log::SegmentSource* source) {
+void QueryFreshReplica::SchedulerLoop(log::SegmentSource* source) {
   while (log::LogSegment* seg = source->Next()) {
     for (const log::LogRecord& rec : seg->records()) {
       storage::Table& table = db_->table(rec.table);
@@ -68,7 +68,7 @@ void QueryFreshReplica::IngestLoop(log::SegmentSource* source) {
       // insert), so the row's first pending record always binds; version
       // chains are lazily built here, so "row has state" is "row has
       // pending or applied records", not a chain probe
-      // (see ReplicaBase::ApplyRecord).
+      // (see ReplicaBase::EnsureRowBound).
       if (rec.op != OpType::kUpdate ||
           state->appended.load(std::memory_order_relaxed) == 0) {
         db_->BindIfNewer(rec.table, rec.key, rec.row, rec.commit_ts);
@@ -95,8 +95,8 @@ void QueryFreshReplica::IngestLoop(log::SegmentSource* source) {
         if (lag_ != nullptr) lag_->OnVisible(rec.commit_ts);
       }
     }
+    AdvanceWatermark(*seg);
   }
-  ingest_done_.store(true, std::memory_order_release);
 }
 
 void QueryFreshReplica::InstantiateRow(TableId table, RowId row,
@@ -160,15 +160,10 @@ void QueryFreshReplica::InstantiateAll(Timestamp ts) {
 }
 
 void QueryFreshReplica::WaitUntilCaughtUp() {
-  int spins = 0;
-  while (!ingest_done_.load(std::memory_order_acquire)) SpinBackoff(spins);
+  ReplicaBase::WaitUntilCaughtUp();
   if (!options_.leave_lazy_after_catchup) {
     InstantiateAll(kMaxTimestamp);
   }
-}
-
-void QueryFreshReplica::Stop() {
-  if (ingest_thread_.joinable()) ingest_thread_.join();
 }
 
 }  // namespace c5::replica

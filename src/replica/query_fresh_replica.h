@@ -5,12 +5,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/spin_lock.h"
 #include "common/thread_annotations.h"
-#include "replica/lag_tracker.h"
 #include "replica/replica.h"
 
 namespace c5::replica {
@@ -67,9 +65,12 @@ class QueryFreshReplica : public ReplicaBase {
                     LagTracker* lag = nullptr);
   ~QueryFreshReplica() override { Stop(); }
 
+  // Sizes the per-table row maps from the backup's schema, then starts the
+  // ingest thread.
   void Start(log::SegmentSource* source) override;
+  // The shared wait, then (unless leave_lazy_after_catchup) drains every
+  // pending redo list.
   void WaitUntilCaughtUp() override;
-  void Stop() override;
   std::string name() const override { return "query-fresh"; }
 
   // Instantiates (replays) all of `row`'s pending writes with commit
@@ -174,13 +175,13 @@ class QueryFreshReplica : public ReplicaBase {
     SpinLock grow_mu_{LockRank::kStorage};
   };
 
-  void IngestLoop(log::SegmentSource* source);
+  // The ingest thread.
+  void SchedulerLoop(log::SegmentSource* source) override;
 
   // Drains every pending redo list up to `ts` (single caller thread).
   void InstantiateAll(Timestamp ts);
 
   Options options_;
-  LagTracker* lag_;
 
   // One RowStateMap per table; sized at Start() from the backup's schema.
   std::vector<std::unique_ptr<RowStateMap>> row_maps_;
@@ -188,9 +189,6 @@ class QueryFreshReplica : public ReplicaBase {
 
   std::atomic<std::uint64_t> backlog_{0};
   std::atomic<std::uint64_t> instantiation_conflicts_{0};
-  std::atomic<bool> ingest_done_{false};
-
-  std::thread ingest_thread_;
 };
 
 }  // namespace c5::replica

@@ -1,4 +1,24 @@
-// Replica interface and shared backup plumbing.
+// Replica interface and the shared backup skeleton.
+//
+// ReplicaBase owns every mechanism a backup needs besides its scheduling
+// rule, so a protocol implements only SchedulerLoop (and, with workers,
+// WorkerLoop, ApplyFloor and CloseQueues):
+//  * Thread lifecycle. Start() runs SchedulerLoop on one thread, WorkerLoop
+//    on Pipeline::workers threads and, for a protocol with workers, the
+//    visibility loop. Stop() sets the shutdown flag, calls CloseQueues() and
+//    joins. Every most-derived destructor calls Stop(), because the threads
+//    touch derived members.
+//  * Visibility loop. Each pass publishes ApplyFloor() as the apply floor,
+//    advances the snapshot through PublishSnapshot() when the floor passed
+//    it, reports VisibleTimestamp() to the LagTracker and collects garbage
+//    every Pipeline::gc_every passes; it exits after the first pass that
+//    began drained (scheduler done, every worker exited).
+//  * Caught-up wait. WaitUntilCaughtUp() returns once the replica is drained
+//    and VisibleTimestamp() covers watermark(), the scheduler's monotone
+//    high-water mark (AdvanceWatermark).
+//  * Scheduler preprocessing (RowName, StampPrevTs, AdvanceWatermark,
+//    NextSegment) and the apply step (EnsureRowBound, ApplyRecord,
+//    ApplySampler).
 //
 // Invariants every protocol implementation must preserve:
 //  * VisibleTimestamp() is monotonic and always lands on a transaction
@@ -24,16 +44,22 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "common/clock.h"
+#include "common/flat_map.h"
 #include "common/histogram.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "log/segment_source.h"
+#include "replica/lag_tracker.h"
 #include "storage/database.h"
 #include "txn/active_txn_tracker.h"
 
@@ -85,14 +111,40 @@ class Replica {
   virtual std::string name() const = 0;
 };
 
-// Shared plumbing: visibility watermark, snapshot read surface, reader
-// registration for GC horizons, the recovery visibility window.
+// The threads ReplicaBase::Start() runs besides the scheduler, fixed at
+// construction.
+struct Pipeline {
+  // WorkerLoop(0 .. workers-1) threads. A protocol with workers applies out
+  // of log order, so it also gets the visibility loop; one without (serial
+  // replay, lazy ingest) publishes visibility from its scheduler thread.
+  int workers = 0;
+  // Sleep between visibility-loop passes.
+  std::chrono::microseconds snapshot_interval{100};
+  // Collect garbage at GcHorizon() every `gc_every` passes; 0 = never.
+  int gc_every = 0;
+};
+
+// The shared backup skeleton (see the file comment): thread lifecycle,
+// visibility loop, caught-up wait and apply step, plus the visibility
+// watermark, snapshot read surface, reader registration for GC horizons
+// and the recovery visibility window.
 class ReplicaBase : public Replica {
  public:
-  explicit ReplicaBase(storage::Database* db) : db_(db) {}
+  explicit ReplicaBase(storage::Database* db, LagTracker* lag = nullptr,
+                       Pipeline pipeline = {})
+      : db_(db), lag_(lag), pipeline_(pipeline) {}
+
+  void Start(log::SegmentSource* source) override;
+  void WaitUntilCaughtUp() override;
+  void Stop() override;
 
   storage::Database& db() override { return *db_; }
   ReplicaStats& stats() override { return stats_; }
+
+  // Largest commit timestamp the scheduler has fully scheduled (monotone).
+  Timestamp watermark() const {
+    return watermark_.load(std::memory_order_acquire);
+  }
 
   // ---- Stable identity ------------------------------------------------------
   // A deployment-stable id ("shard0/backup1") distinguishing THIS replica
@@ -125,16 +177,11 @@ class ReplicaBase : public Replica {
   // `ts` are no-ops.
   void AdvanceVisibleTo(Timestamp ts) { PublishVisible(ts); }
 
-  // Apply-latency sampling: workers keep a private Histogram of sampled
-  // per-record install latencies (every kApplySampleEvery-th record) and
-  // merge it here when they exit; benches read the merged snapshot after
-  // WaitUntilCaughtUp. Protocols that do not sample simply never merge.
+  // Apply-latency sampling: each applying thread times every
+  // kApplySampleEvery-th record through its own ApplySampler, which merges
+  // here when the thread's loop returns; benches read the merged snapshot
+  // after WaitUntilCaughtUp. Query Fresh's lazy reads are not sampled.
   static constexpr std::uint64_t kApplySampleEvery = 64;
-
-  void MergeApplyLatency(const Histogram& h) {
-    MutexLock lock(apply_latency_mu_);
-    apply_latency_.Merge(h);
-  }
 
   Histogram ApplyLatencySnapshot() const {
     MutexLock lock(apply_latency_mu_);
@@ -213,43 +260,152 @@ class ReplicaBase : public Replica {
   }
 
  protected:
+  // ---- Protocol hooks -------------------------------------------------------
+
+  // The scheduler thread's body: consumes `source` until it returns
+  // nullptr, then closes whatever queues the workers drain, so they exit
+  // once the work is done.
+  virtual void SchedulerLoop(log::SegmentSource* source) = 0;
+
+  // Worker `idx`'s body; returns when its queue is closed and drained.
+  virtual void WorkerLoop(int idx) { (void)idx; }
+
+  // The protocol's apply floor: a timestamp at or below which every write
+  // is applied and no worker holds, or can still be handed, a record
+  // pointer. The visibility loop publishes it every pass, whether or not it
+  // moves the visible snapshot, and NextSegment releases what it covers. It
+  // is NOT VisibleTimestamp(): after a restart the recovery window
+  // publishes the resume point at once, while workers still read
+  // redelivered segments below it. The default never advances anything.
+  virtual Timestamp ApplyFloor() { return VisibleTimestamp(); }
+
+  // Advances the visible snapshot to `n`, which exceeds VisibleTimestamp().
+  // C5-MyRocks wraps this in its §5.2 write barrier.
+  virtual void PublishSnapshot(Timestamp n) {
+    PublishVisible(n);
+    stats_.snapshots_taken.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  // Unblocks every worker waiting on a protocol queue, so Stop() can join
+  // it. Idempotent.
+  virtual void CloseQueues() {}
+
+  // ---- Scheduler preprocessing ----------------------------------------------
+
+  // A row's scheduler name: unique across tables.
+  static std::uint64_t RowName(TableId table, RowId row) {
+    return (static_cast<std::uint64_t>(table) << 56) | row;
+  }
+
+  // Embeds the per-row FIFO queues in the log (§7.2): sets rec.prev_ts to
+  // the timestamp of the previous write to its row and records this write
+  // in `last_write_ts`. Returns the row's name.
+  //
+  // Monotone, never rewound: an at-least-once redelivery of an old segment
+  // would otherwise reset the row's chain position, and the NEXT new write
+  // would be scheduled against the stale predecessor — it can then install
+  // before the true predecessor, whose record the idempotence guard
+  // subsequently skips, leaving a permanent hole in the row's history. A
+  // redelivered record itself gets prev_ts >= its own timestamp, which
+  // resolves as kAlreadyApplied once the row catches up. (Found by the DST
+  // stale-duplicate schedule.)
+  static std::uint64_t StampPrevTs(FlatMap<Timestamp>& last_write_ts,
+                                   log::LogRecord& rec) {
+    const std::uint64_t name = RowName(rec.table, rec.row);
+    Timestamp& last = last_write_ts[name];
+    rec.prev_ts = last;
+    if (rec.commit_ts > last) last = rec.commit_ts;
+    return name;
+  }
+
+  // Raises watermark() to `seg`'s last commit timestamp once the segment's
+  // work is handed to the workers (transactions never span segments).
+  // Monotone for the same reason as StampPrevTs: a redelivered old segment
+  // as the FINAL delivery would otherwise pin the visible snapshot below
+  // end-of-log forever. Scheduler thread only, so load+store suffices.
+  void AdvanceWatermark(const log::LogSegment& seg) {
+    if (!seg.empty() &&
+        seg.MaxTimestamp() > watermark_.load(std::memory_order_relaxed)) {
+      watermark_.store(seg.MaxTimestamp(), std::memory_order_release);
+    }
+  }
+
+  // ---- Apply step -----------------------------------------------------------
+
+  // One applying thread's apply-latency samples: Begin() returns the start
+  // time of every kApplySampleEvery-th record (-1 for the rest), End()
+  // records the sample. Merges into ApplyLatencySnapshot() when it goes out
+  // of scope, which must be before the thread's loop returns.
+  class ApplySampler {
+   public:
+    explicit ApplySampler(ReplicaBase* replica) : replica_(replica) {}
+    ~ApplySampler() {
+      MutexLock lock(replica_->apply_latency_mu_);
+      replica_->apply_latency_.Merge(hist_);
+    }
+    ApplySampler(const ApplySampler&) = delete;
+    ApplySampler& operator=(const ApplySampler&) = delete;
+
+    std::int64_t Begin() {
+      return (tick_++ & (kApplySampleEvery - 1)) == 0 ? MonotonicNowNanos()
+                                                      : -1;
+    }
+    void End(std::int64_t t0) {
+      if (t0 >= 0) {
+        hist_.Record(static_cast<std::uint64_t>(MonotonicNowNanos() - t0));
+      }
+    }
+
+   private:
+    ReplicaBase* replica_;
+    Histogram hist_;
+    std::uint64_t tick_ = 0;
+  };
+
+  // Creates `rec`'s row slot and binds key -> row for every record that may
+  // CREATE the row, not just kInsert. A row's first logged record can carry
+  // any op: a transaction that inserts and deletes the same key coalesces
+  // to a single kDelete, and an ABORTED insert leaves the key in the
+  // primary's index so a later committed write ships as plain kUpdate.
+  // Binding updates only when the row has no committed state keeps the hot
+  // path (updates to existing rows) free of index writes. (Found by the DST
+  // logical-snapshot oracle.) The binding is timestamp-aware: when a key's
+  // row id changes (delete + re-insert allocates a fresh row), parallel
+  // application of the old-row and new-row creating records must converge
+  // to the newest row, whatever order they land in. Idempotent.
+  //
+  // Returns the row's newest committed timestamp, probed once for both the
+  // binding decision and the caller's idempotence guard.
+  Timestamp EnsureRowBound(const log::LogRecord& rec) {
+    storage::Table& table = db_->table(rec.table);
+    table.EnsureRow(rec.row);
+    const Timestamp newest = table.NewestVisibleTimestamp(rec.row);
+    if (rec.op != OpType::kUpdate || newest == kInvalidTimestamp) {
+      db_->BindIfNewer(rec.table, rec.key, rec.row, rec.commit_ts);
+    }
+    return newest;
+  }
+
   // Applies one log record to the backup database, installing a committed
   // version with the record's commit timestamp. The caller guarantees
-  // per-row ordering. Keys are upserted into the backup's index so read-only
-  // transactions can resolve them. Idempotent: a record whose row already
+  // per-row ordering, so the row's newest timestamp cannot change between
+  // the probe and the install. Idempotent: a record whose row already
   // carries a version at or above its commit timestamp was applied by a
   // previous incarnation of this replica (at-least-once log delivery,
   // checkpoint resume) and is skipped — but still counted, so caught-up
   // accounting holds.
-  void ApplyRecord(const log::LogRecord& rec) {
-    storage::Table& table = db_->table(rec.table);
-    table.EnsureRow(rec.row);
-    // One chain probe serves both the binding decision and the idempotence
-    // guard: the caller guarantees per-row ordering, so `newest` cannot
-    // change between the two uses.
-    const Timestamp newest = table.NewestVisibleTimestamp(rec.row);
-    // Bind key -> row for every record that may CREATE the row, not just
-    // kInsert. A row's first logged record can carry any op: a transaction
-    // that inserts and deletes the same key coalesces to a single kDelete,
-    // and an ABORTED insert leaves the key in the primary's index so a
-    // later committed write ships as plain kUpdate. Binding updates only
-    // when the row has no committed state keeps the hot path (updates to
-    // existing rows) free of index writes. (Found by the DST
-    // logical-snapshot oracle.) The binding is timestamp-aware: when a
-    // key's row id changes (delete + re-insert allocates a fresh row),
-    // parallel application of the old-row and new-row creating records
-    // must converge to the newest row, whatever order they land in.
-    if (rec.op != OpType::kUpdate || newest == kInvalidTimestamp) {
-      db_->BindIfNewer(rec.table, rec.key, rec.row, rec.commit_ts);
-    }
-    if (newest < rec.commit_ts) {
-      table.InstallCommitted(rec.row, rec.commit_ts, rec.value,
-                             rec.op == OpType::kDelete);
+  void ApplyRecord(const log::LogRecord& rec, ApplySampler& sampler) {
+    const std::int64_t t0 = sampler.Begin();
+    if (EnsureRowBound(rec) < rec.commit_ts) {
+      db_->table(rec.table).InstallCommitted(rec.row, rec.commit_ts,
+                                             rec.value,
+                                             rec.op == OpType::kDelete);
     }
     stats_.applied_writes.fetch_add(1, std::memory_order_relaxed);
     if (rec.last_in_txn) {
       stats_.applied_txns.fetch_add(1, std::memory_order_relaxed);
     }
+    sampler.End(t0);
   }
 
   // Lazy-protocol hook, called by the Snapshot read paths with the resolved
@@ -262,20 +418,9 @@ class ReplicaBase : public Replica {
     (void)ts;
   }
 
-  // The protocol's apply floor: a timestamp at or below which every write
-  // is applied and no worker holds, or can still be handed, a record
-  // pointer. Snapshotters publish it (it is their n, computed anyway) every
-  // pass, whether or not it moves the visible snapshot; NextSegment reads
-  // it. It is NOT VisibleTimestamp(): after a restart the recovery window
-  // publishes the resume point at once, while workers still read
-  // redelivered segments below it.
-  void PublishApplyFloor(Timestamp n) {
-    apply_floor_.store(n, std::memory_order_release);
-  }
-
   // Scheduler-thread replacement for source->Next() that drives the
   // release contract (log/segment_source.h): before each Next(), hands back
-  // the delivered prefix at or below the apply floor.
+  // the delivered prefix at or below the published ApplyFloor().
   //
   // Each delivered segment is keyed by its max timestamp, raised to one past
   // the previous key when it does not exceed it. A redelivered or
@@ -329,13 +474,31 @@ class ReplicaBase : public Replica {
   friend class ::c5::Snapshot;
 
   storage::Database* db_;
+  LagTracker* lag_;  // may be null
   ReplicaStats stats_;
   txn::ActiveTxnTracker readers_;
   std::atomic<Timestamp> visible_ts_{0};
   std::atomic<Timestamp> recovery_floor_{0};
   std::atomic<Timestamp> recovery_resume_{0};
+  // watermark(): written by the scheduler (AdvanceWatermark), read by
+  // workers and the visibility loop.
+  alignas(64) std::atomic<Timestamp> watermark_{0};
 
  private:
+  // Scheduler done and every worker exited: no write is left to apply.
+  bool Drained() const {
+    return scheduler_done_.load(std::memory_order_acquire) &&
+           workers_running_.load(std::memory_order_acquire) == 0;
+  }
+
+  void VisibilityLoop();
+
+  const Pipeline pipeline_;
+  std::vector<std::thread> threads_;
+  std::atomic<bool> shutdown_{false};
+  std::atomic<bool> scheduler_done_{false};
+  std::atomic<int> workers_running_{0};
+
   // NextSegment's delivered-but-unreleased segments, in delivery order
   // (scheduler thread only).
   struct InUse {

@@ -1,18 +1,13 @@
 #include "replica/single_thread_replica.h"
 
-#include "common/spin_lock.h"
-
 namespace c5::replica {
 
-void SingleThreadReplica::Start(log::SegmentSource* source) {
-  thread_ = std::thread([this, source] { Run(source); });
-}
-
-void SingleThreadReplica::Run(log::SegmentSource* source) {
+void SingleThreadReplica::SchedulerLoop(log::SegmentSource* source) {
   const auto guard = db_->epochs().Enter();
+  ApplySampler sampler(this);
   while (log::LogSegment* seg = source->Next()) {
     for (const log::LogRecord& rec : seg->records()) {
-      ApplyRecord(rec);
+      ApplyRecord(rec, sampler);
       if (rec.last_in_txn) {
         // Each transaction's writes become visible atomically, in commit
         // order: the visibility watermark moves only at txn boundaries.
@@ -20,17 +15,8 @@ void SingleThreadReplica::Run(log::SegmentSource* source) {
         if (lag_ != nullptr) lag_->OnVisible(rec.commit_ts);
       }
     }
+    AdvanceWatermark(*seg);
   }
-  done_.store(true, std::memory_order_release);
-}
-
-void SingleThreadReplica::WaitUntilCaughtUp() {
-  int spins = 0;
-  while (!done_.load(std::memory_order_acquire)) SpinBackoff(spins);
-}
-
-void SingleThreadReplica::Stop() {
-  if (thread_.joinable()) thread_.join();
 }
 
 }  // namespace c5::replica

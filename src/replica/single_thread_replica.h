@@ -1,11 +1,8 @@
 #ifndef C5_REPLICA_SINGLE_THREAD_REPLICA_H_
 #define C5_REPLICA_SINGLE_THREAD_REPLICA_H_
 
-#include <atomic>
 #include <string>
-#include <thread>
 
-#include "replica/lag_tracker.h"
 #include "replica/replica.h"
 
 namespace c5::replica {
@@ -18,20 +15,13 @@ class SingleThreadReplica : public ReplicaBase {
  public:
   explicit SingleThreadReplica(storage::Database* db,
                                LagTracker* lag = nullptr)
-      : ReplicaBase(db), lag_(lag) {}
+      : ReplicaBase(db, lag) {}
   ~SingleThreadReplica() override { Stop(); }
 
-  void Start(log::SegmentSource* source) override;
-  void WaitUntilCaughtUp() override;
-  void Stop() override;
   std::string name() const override { return "single-threaded"; }
 
  private:
-  void Run(log::SegmentSource* source);
-
-  LagTracker* lag_;
-  std::thread thread_;
-  std::atomic<bool> done_{false};
+  void SchedulerLoop(log::SegmentSource* source) override;
 };
 
 }  // namespace c5::replica

@@ -9,7 +9,6 @@
 #include <filesystem>
 #include <string>
 
-#include "core/c5_replica.h"
 #include "core/protocol_factory.h"
 #include "ha/recovery.h"
 #include "log/log_file.h"
@@ -261,52 +260,6 @@ TEST(CheckpointTest, ConcurrentCheckpointMatchesQuiescedCheckpoint) {
             test::StateDigest(from_ref, kMaxTimestamp));
   std::filesystem::remove(live_path);
   std::filesystem::remove(ref_path);
-}
-
-
-// C5's snapshotter writes checkpoints automatically when configured; a
-// restart from the auto-checkpoint plus the log resumes to the exact state.
-TEST(CheckpointTest, C5AutoCheckpointEnablesResume) {
-  auto run = test::RunSyntheticPrimary(/*adversarial=*/true, /*clients=*/2,
-                                       /*txns_per_client=*/300);
-  const std::string ckpt_path = TempPath("c5_auto.ckpt");
-
-  // Checkpoint knobs live on the concrete type, not the factory options.
-  {
-    storage::Database backup;
-    workload::SyntheticWorkload::CreateTable(&backup);
-    run.log.ResetReplayState();
-    log::OfflineSegmentSource source(&run.log);
-    core::C5Replica::Options o;
-    o.num_workers = 4;
-    o.snapshot_interval = std::chrono::microseconds(100);
-    o.checkpoint_path = ckpt_path;
-    o.checkpoint_every = 2;
-    core::C5Replica replica(&backup, o);
-    replica.Start(&source);
-    replica.WaitUntilCaughtUp();
-    replica.Stop();
-    ASSERT_GT(replica.last_checkpoint_ts(), 0u)
-        << "snapshotter never wrote a checkpoint";
-  }
-
-  // Fresh process: recover from the auto-checkpoint + the log.
-  storage::Database backup;
-  workload::SyntheticWorkload::CreateTable(&backup);
-  Timestamp resume_ts = 0;
-  ASSERT_TRUE(storage::LoadCheckpoint(&backup, ckpt_path, &resume_ts).ok());
-  ASSERT_GT(resume_ts, 0u);
-
-  run.log.ResetReplayState();
-  ha::ResumeSegmentSource resume(&run.log, resume_ts);
-  auto replica = MakeReplica(ProtocolKind::kC5, &backup, {.num_workers = 4});
-  replica->Start(&resume);
-  replica->WaitUntilCaughtUp();
-  replica->Stop();
-
-  EXPECT_EQ(test::StateDigest(backup, kMaxTimestamp),
-            test::StateDigest(run.primary->db, kMaxTimestamp));
-  std::filesystem::remove(ckpt_path);
 }
 
 }  // namespace

@@ -970,9 +970,7 @@ TEST(ClusterTest, RecoveryWindowSuppressesInteriorSnapshots) {
   class Probe : public replica::ReplicaBase {
    public:
     explicit Probe(storage::Database* db) : ReplicaBase(db) {}
-    void Start(log::SegmentSource*) override {}
-    void WaitUntilCaughtUp() override {}
-    void Stop() override {}
+    void SchedulerLoop(log::SegmentSource*) override {}
     std::string name() const override { return "probe"; }
     void Publish(Timestamp ts) { PublishVisible(ts); }
   } probe(&db);

@@ -131,7 +131,9 @@ INSTANTIATE_TEST_SUITE_P(
     Protocols, OnlineReplicationTest,
     ::testing::Values(ProtocolKind::kC5, ProtocolKind::kC5MyRocks,
                       ProtocolKind::kKuaFu, ProtocolKind::kSingleThread,
-                      ProtocolKind::kC5Queue),
+                      ProtocolKind::kC5Queue, ProtocolKind::kPageGranularity,
+                      ProtocolKind::kTableGranularity,
+                      ProtocolKind::kQueryFresh),
     [](const ::testing::TestParamInfo<ProtocolKind>& info) {
       std::string name = core::ToString(info.param);
       for (auto& c : name) {

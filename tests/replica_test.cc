@@ -151,6 +151,29 @@ TEST_P(ReplicaParamTest, ReadAtVisibleFindsReplicatedRows) {
   replica->Stop();
 }
 
+// The shared apply step samples install latency on every eager protocol
+// (Query Fresh applies on the read path, which is not sampled), and Stop()
+// is idempotent: a second call and the destructor's own call are no-ops.
+TEST_P(ReplicaParamTest, SamplesApplyLatencyAndStopsIdempotently) {
+  auto run = test::RunSyntheticPrimary(false, 2, 100);
+  storage::Database backup;
+  workload::SyntheticWorkload::CreateTable(&backup);
+  run.log.ResetReplayState();
+  log::OfflineSegmentSource source(&run.log);
+  auto replica = MakeReplica(kind(), &backup, Options());
+  auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get());
+  ASSERT_NE(base, nullptr);
+  replica->Start(&source);
+  replica->WaitUntilCaughtUp();
+  replica->Stop();
+  replica->Stop();
+  if (kind() != ProtocolKind::kQueryFresh) {
+    EXPECT_GT(base->ApplyLatencySnapshot().count(), 0u);
+  }
+  EXPECT_EQ(replica->stats().applied_writes.load(), run.log.NumRecords());
+  replica.reset();
+}
+
 // Monotonic prefix consistency under concurrent readers: while the replica
 // applies the log, readers repeatedly execute two-key read-only transactions
 // against pair rows that every transaction writes together with equal
