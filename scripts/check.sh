@@ -88,7 +88,7 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 # as a red lane instead of a "flaky" test.
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
   --repeat until-fail:20 \
-  -R 'replica|dst|property|failover|session|net|cluster|ordered_index|tpcc|checkpoint|c5_core|integration|query_fresh'
+  -R 'replica|dst|property|failover|session|net|cluster|ordered_index|tpcc|checkpoint|c5_core|integration|query_fresh|engine|two_phase_locking'
 "$repo_root/scripts/bench.sh" --quick "$build_dir"
 
 run_static_lane

@@ -6,8 +6,6 @@
 #include "net/ship_server.h"
 #include "net/socket_segment_source.h"
 #include "storage/checkpoint.h"
-#include "txn/mvtso_engine.h"
-#include "txn/two_phase_locking_engine.h"
 
 namespace c5 {
 
@@ -192,25 +190,11 @@ void Cluster::Start() {
   // Primary engine. Online sequencing needs the engine's release horizon —
   // the smallest timestamp any in-flight transaction could still commit
   // with — on every lane.
-  std::function<Timestamp()> horizon;
-  switch (options_.engine) {
-    case ha::EngineKind::kMvtso: {
-      auto e = std::make_unique<txn::MvtsoEngine>(&primary_db_, tee_.get(),
-                                                  &clock_);
-      horizon = [eng = e.get()] { return eng->LogHorizon(); };
-      engine_ = std::move(e);
-      break;
-    }
-    case ha::EngineKind::kTwoPhaseLocking: {
-      auto e = std::make_unique<txn::TwoPhaseLockingEngine>(
-          &primary_db_, tee_.get(), &clock_);
-      horizon = [eng = e.get()] { return eng->LogHorizon(); };
-      engine_ = std::move(e);
-      break;
-    }
+  engine_ = txn::MakeEngine(options_.engine, &primary_db_, tee_.get(), &clock_);
+  if (shipping_ != nullptr) {
+    shipping_->collector.SetReleaseHorizon(
+        [eng = engine_.get()] { return eng->LogHorizon(); });
   }
-  if (shipping_ != nullptr) shipping_->collector.SetReleaseHorizon(horizon);
-  horizon_fn_ = horizon;
 
   // Subscriber channels may only go to ACTUAL consumers — an unconsumed
   // channel fills and blocks the sequencer — so they are claimed on demand:
@@ -392,8 +376,7 @@ void Cluster::RefreshPromotedReader() {
   // no transaction in flight the horizon is kMaxTimestamp and the clock
   // alone decides.
   const Timestamp latest = promoted_->clock.Latest();
-  const Timestamp horizon =
-      promoted_->horizon ? promoted_->horizon() : kMaxTimestamp;
+  const Timestamp horizon = promoted_->engine->LogHorizon();
   const Timestamp settled =
       horizon == kMaxTimestamp ? latest : std::min(latest, horizon - 1);
   nodes_[promoted_index_]->reader().AdvanceVisibleTo(settled);
@@ -463,8 +446,8 @@ Status Cluster::ExportRows(TableId table,
 }
 
 Timestamp Cluster::PrimaryLogHorizon() const {
-  if (promoted_ != nullptr && promoted_->horizon) return promoted_->horizon();
-  return horizon_fn_ ? horizon_fn_() : kMaxTimestamp;
+  if (promoted_ != nullptr) return promoted_->engine->LogHorizon();
+  return engine_ != nullptr ? engine_->LogHorizon() : kMaxTimestamp;
 }
 
 net::ShipServer* Cluster::ship_server() {

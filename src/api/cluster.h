@@ -483,7 +483,6 @@ class Cluster {
   TapSet taps_;
   std::unique_ptr<txn::Engine> engine_;
   std::unique_ptr<log::LogCollector> tee_;
-  std::function<Timestamp()> horizon_fn_;
   std::unique_ptr<Shipping> shipping_;  // null until Start (or 0 backups)
 
   // Failover logs/sources are declared BEFORE the fleet: sources must

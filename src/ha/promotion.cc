@@ -1,19 +1,6 @@
 #include "ha/promotion.h"
 
-#include "txn/mvtso_engine.h"
-#include "txn/two_phase_locking_engine.h"
-
 namespace c5::ha {
-
-const char* ToString(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kMvtso:
-      return "mvtso";
-    case EngineKind::kTwoPhaseLocking:
-      return "2pl";
-  }
-  return "unknown";
-}
 
 std::unique_ptr<PromotedPrimary> PromoteToPrimary(
     storage::Database* db, Timestamp applied_upto, EngineKind kind,
@@ -28,21 +15,7 @@ std::unique_ptr<PromotedPrimary> PromoteToPrimary(
         std::vector<log::LogCollector*>{extra_sink, &promoted->collector});
     sink = promoted->sink_tee.get();
   }
-  switch (kind) {
-    case EngineKind::kMvtso: {
-      auto e = std::make_unique<txn::MvtsoEngine>(db, sink, &promoted->clock);
-      promoted->horizon = [eng = e.get()] { return eng->LogHorizon(); };
-      promoted->engine = std::move(e);
-      break;
-    }
-    case EngineKind::kTwoPhaseLocking: {
-      auto e = std::make_unique<txn::TwoPhaseLockingEngine>(db, sink,
-                                                            &promoted->clock);
-      promoted->horizon = [eng = e.get()] { return eng->LogHorizon(); };
-      promoted->engine = std::move(e);
-      break;
-    }
-  }
+  promoted->engine = txn::MakeEngine(kind, db, sink, &promoted->clock);
   return promoted;
 }
 

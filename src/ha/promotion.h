@@ -2,7 +2,6 @@
 #define C5_HA_PROMOTION_H_
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 
 #include "common/clock.h"
@@ -14,12 +13,7 @@
 namespace c5::ha {
 
 // Which primary concurrency control protocol the promoted node runs.
-enum class EngineKind {
-  kMvtso = 0,            // Cicada-like multi-version timestamp ordering
-  kTwoPhaseLocking = 1,  // MyRocks-like 2PL with commit-LSN sequencing
-};
-
-const char* ToString(EngineKind kind);
+using txn::EngineKind;
 
 // A backup promoted to primary: a fresh concurrency-control engine over the
 // backup's database, a timestamp source seeded above every replicated
@@ -40,9 +34,6 @@ struct PromotedPrimary {
   // this tee over {extra_sink, &collector} instead of `collector` directly.
   std::unique_ptr<log::LogCollector> sink_tee;
   std::unique_ptr<txn::Engine> engine;
-  // The engine's release horizon (lower bound on every future commit
-  // timestamp), type-erased so callers need not know the engine kind.
-  std::function<Timestamp()> horizon;
 };
 
 // Promotes a caught-up backup database to primary (§9: "if the primary

@@ -21,8 +21,6 @@
 #include "log/segment_source.h"
 #include "sim/dst_oracle.h"
 #include "storage/version.h"
-#include "txn/mvtso_engine.h"
-#include "txn/two_phase_locking_engine.h"
 #include "workload/synthetic.h"
 
 namespace c5::sim {
@@ -92,13 +90,9 @@ Status MixedTxn(txn::Txn& txn, TableId table, Rng& rng,
 void SetupPrimary(const DstPlan& plan, DstPrimary* p) {
   p->collector =
       std::make_unique<log::PerThreadLogCollector>(plan.segment_capacity);
-  if (plan.use_2pl) {
-    p->engine = std::make_unique<txn::TwoPhaseLockingEngine>(
-        &p->db, p->collector.get(), &p->clock);
-  } else {
-    p->engine = std::make_unique<txn::MvtsoEngine>(&p->db, p->collector.get(),
-                                                   &p->clock);
-  }
+  p->engine = txn::MakeEngine(plan.use_2pl ? txn::EngineKind::kTwoPhaseLocking
+                                           : txn::EngineKind::kMvtso,
+                              &p->db, p->collector.get(), &p->clock);
   p->table = p->db.CreateTable("dst", 1u << 12);
 }
 

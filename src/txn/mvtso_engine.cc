@@ -1,8 +1,9 @@
 #include "txn/mvtso_engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "storage/table.h"
 #include "storage/version.h"
@@ -15,59 +16,25 @@ using storage::VersionStatus;
 
 namespace {
 
-struct BufferedWrite {
-  TableId table;
-  RowId row;
-  Key key;
-  OpType op;
-  Value value;
-};
-
 struct ReadEntry {
   TableId table;
   RowId row;
   const Version* observed;  // nullptr = observed absence of any version
 };
 
-// Per-thread commit scratch (mirrors the 2PL engine): write/read buffers,
-// the dedup and install lists, and log-record staging are reused across
-// transactions so the commit path allocates nothing in steady state. Write
-// slots keep their Value capacity across reuse. Nested Execute on one thread
-// falls back to a stack-local scratch via in_use.
-struct TxnScratch {
-  std::vector<BufferedWrite> writes;
-  std::size_t n_writes = 0;
+// MVTSO's per-thread scratch: the shared write set plus the read set and
+// the pending versions installed so far, all recycled across transactions.
+struct MvtsoScratch {
+  WriteSet writes;
   std::vector<ReadEntry> reads;
-  std::vector<BufferedWrite*> finals;
-  std::vector<std::pair<BufferedWrite*, Version*>> installed;
-  std::vector<log::LogRecord> records;
-  bool in_use = false;
+  std::vector<std::pair<const BufferedWrite*, Version*>> installed;
 
-  void Reset() {
-    n_writes = 0;
+  void Clear() {
+    writes.Clear();
     reads.clear();
-    finals.clear();
     installed.clear();
-    records.clear();
-  }
-
-  BufferedWrite& PushWrite(TableId table, RowId row, Key key, OpType op,
-                           const Value& value) {
-    if (n_writes == writes.size()) writes.emplace_back();
-    BufferedWrite& w = writes[n_writes++];
-    w.table = table;
-    w.row = row;
-    w.key = key;
-    w.op = op;
-    w.value.assign(value);  // reuses the slot's capacity
-    return w;
   }
 };
-
-TxnScratch& ThreadScratch() {
-  thread_local TxnScratch scratch;
-  return scratch;
-}
 
 // Newest non-aborted version with write_ts strictly below `ts`, waiting out
 // pending versions (their writers resolve promptly). Unlike Table::ReadAt,
@@ -82,255 +49,114 @@ const Version* NewestCommittedBelow(const storage::Table& table, RowId row,
 
 }  // namespace
 
-class MvtsoEngine::MvtsoTxn : public Txn {
+class MvtsoEngine::MvtsoTxn : public BufferedTxn<MvtsoTxn> {
  public:
-  MvtsoTxn(MvtsoEngine* engine, Timestamp ts, TxnScratch* scratch)
-      : engine_(engine), ts_(ts), s_(scratch) {
-    s_->Reset();
+  using Scratch = MvtsoScratch;
+
+  // Registers with the active-transaction tracker before drawing the
+  // timestamp, so LogHorizon() never passes it.
+  MvtsoTxn(MvtsoScratch& scratch, MvtsoEngine* engine)
+      : BufferedTxn(*engine->db_, scratch.writes),
+        engine_(engine),
+        scope_(&engine->active_),
+        ts_(engine->clock_->Next()),
+        s_(scratch) {
+    scope_.Set(ts_);
   }
 
   Timestamp timestamp() const override { return ts_; }
 
-  Status Read(TableId table, Key key, Value* out) override {
-    // Read-your-writes: newest buffered write to this key wins.
-    for (std::size_t i = s_->n_writes; i > 0; --i) {
-      const BufferedWrite& w = s_->writes[i - 1];
-      if (w.table == table && w.key == key) {
-        if (w.op == OpType::kDelete) return Status::NotFound();
-        *out = w.value;
-        return Status::Ok();
-      }
-    }
-    storage::Database& db = engine_->db();
-    const auto row = db.index(table).Lookup(key);
-    if (!row.has_value()) return Status::NotFound();
-    const Version* v = db.table(table).ReadAt(*row, ts_);
+  // BufferedTxn hooks. Validation already makes read-modify-write safe, so
+  // writes claim nothing and ReadForUpdate is a plain read.
+  Status Claim(TableId, RowId) { return Status::Ok(); }
+  Timestamp ReadPoint() const { return ts_; }
+
+  Status ReadCommitted(TableId table, RowId row, Value* out,
+                       bool /*for_update*/) {
+    const Version* v = db_.table(table).ReadAt(row, ts_);
     // Record the observation (including observed absence) for validation.
-    s_->reads.push_back(ReadEntry{table, *row, v});
+    s_.reads.push_back(ReadEntry{table, row, v});
     if (v == nullptr || v->deleted) return Status::NotFound();
     const_cast<Version*>(v)->ObserveRead(ts_);
     out->assign(v->value());
     return Status::Ok();
   }
 
-  Status ReadForUpdate(TableId table, Key key, Value* out) override {
-    // MVTSO: read validation + the predecessor read-timestamp check already
-    // make read-modify-write safe; a plain read suffices.
-    return Read(table, key, out);
-  }
-
-  Status Insert(TableId table, Key key, Value value) override {
-    storage::Database& db = engine_->db();
-    auto row = db.index(table).Lookup(key);
-    if (row.has_value()) {
-      const Version* v = db.table(table).ReadAt(*row, ts_);
-      if (v != nullptr && !v->deleted) return Status::AlreadyExists();
-    } else {
-      const RowId fresh = db.table(table).AllocateRow();
-      // Losing the race wastes the slot and reuses the winner's row.
-      const RowId bound = db.BindInsert(table, key, fresh);
-      assert(bound != kInvalidRowId);
-      row = bound;
-    }
-    Buffer(table, *row, key, OpType::kInsert, std::move(value));
-    return Status::Ok();
-  }
-
-  Status Update(TableId table, Key key, Value value) override {
-    storage::Database& db = engine_->db();
-    const auto row = db.index(table).Lookup(key);
-    if (!row.has_value()) return Status::NotFound();
-    Buffer(table, *row, key, OpType::kUpdate, std::move(value));
-    return Status::Ok();
-  }
-
-  Status Delete(TableId table, Key key) override {
-    storage::Database& db = engine_->db();
-    const auto row = db.index(table).Lookup(key);
-    if (!row.has_value()) return Status::NotFound();
-    Buffer(table, *row, key, OpType::kDelete, Value());
-    return Status::Ok();
-  }
-
-  Status Put(TableId table, Key key, Value value) override {
-    storage::Database& db = engine_->db();
-    auto row = db.index(table).Lookup(key);
-    OpType op = OpType::kUpdate;
-    if (!row.has_value()) {
-      const RowId fresh = db.table(table).AllocateRow();
-      const RowId bound = db.BindInsert(table, key, fresh);
-      assert(bound != kInvalidRowId);
-      row = bound;
-      op = OpType::kInsert;
-    }
-    Buffer(table, *row, key, op, std::move(value));
-    return Status::Ok();
-  }
-
-  // Installs pending versions, validates reads, logs, and commits.
+  // Installs pending versions, validates reads, logs, and commits. A failed
+  // step returns kAborted; Rollback then unlinks what was installed.
   Status Commit() {
-    storage::Database& db = engine_->db();
-    if (s_->n_writes == 0) {
-      // Read-only transactions still validate: ObserveRead() and a
-      // concurrent writer's read-timestamp check can race (the writer may
-      // install-and-commit between our version lookup and our read-timestamp
-      // publication), so re-check that each observed version is still the
-      // newest committed one below our timestamp.
-      for (const ReadEntry& r : s_->reads) {
-        const Version* now =
-            NewestCommittedBelow(db.table(r.table), r.row, ts_);
-        if (now != r.observed) {
-          return Status::Aborted("read-only validation failed");
-        }
-      }
-      return Status::Ok();
-    }
-
-    // (1) Deduplicate per row, keeping operation order of the survivors.
-    std::vector<BufferedWrite*>& final_writes = s_->finals;
-    for (std::size_t i = 0; i < s_->n_writes; ++i) {
-      BufferedWrite& w = s_->writes[i];
-      bool superseded = false;
-      // Scan later writes for the same row.
-      for (auto* fw : final_writes) {
-        if (fw->table == w.table && fw->row == w.row) {
-          // Later write replaces the earlier one, but an insert-then-update
-          // pair stays an insert so the backup knows the row is new.
-          const bool keep_insert =
-              fw->op == OpType::kInsert && w.op != OpType::kDelete;
-          *fw = w;
-          if (keep_insert) fw->op = OpType::kInsert;
-          superseded = true;
-          break;
-        }
-      }
-      if (!superseded) final_writes.push_back(&w);
-    }
-
-    // (2) Install pending versions (sorted by (table,row) for determinism).
-    std::sort(final_writes.begin(), final_writes.end(),
-              [](const BufferedWrite* a, const BufferedWrite* b) {
-                return std::tie(a->table, a->row) < std::tie(b->table, b->row);
+    // (1) Sort the write set (one write per row) by (table, row) for
+    // determinism.
+    const std::span<BufferedWrite> writes = writes_.writes();
+    std::sort(writes.begin(), writes.end(),
+              [](const BufferedWrite& a, const BufferedWrite& b) {
+                return std::tie(a.table, a.row) < std::tie(b.table, b.row);
               });
-    std::vector<std::pair<BufferedWrite*, Version*>>& installed = s_->installed;
-    for (auto* w : final_writes) {
+
+    // (2) Install pending versions.
+    for (const BufferedWrite& w : writes) {
+      storage::Table& table = db_.table(w.table);
       // Allocated from the table's arena; the payload is copied once, here.
-      Version* v = db.table(w->table).NewPendingVersion(
-          ts_, w->value, w->op == OpType::kDelete);
-      const InstallResult res = db.table(w->table).TryInstallPending(w->row, v);
+      Version* v =
+          table.NewPendingVersion(ts_, w.value, w.op == OpType::kDelete);
+      const InstallResult res = table.TryInstallPending(w.row, v);
       if (res != InstallResult::kOk) {
         FreeVersion(v);  // never linked, so no epoch wait
-        AbortInstalled(installed);
         return Status::Aborted(res == InstallResult::kWriteConflict
                                    ? "write-write conflict"
                                    : "read-timestamp conflict");
       }
-      installed.push_back({w, v});
+      s_.installed.emplace_back(&w, v);
       // Cicada's install-then-validate order: re-check the predecessor's
       // read timestamp AFTER our pending version is linked. A reader
       // publishes its read timestamp before it validates, so exactly one of
       // us observes the other (checking only before the CAS would let a
       // racing reader and writer both commit inconsistently).
       const Version* below = v->Next();
-      while (below != nullptr &&
-             below->Status() == storage::VersionStatus::kAborted) {
+      while (below != nullptr && below->Status() == VersionStatus::kAborted) {
         below = below->Next();
       }
       if (below != nullptr &&
           below->read_ts.load(std::memory_order_acquire) > ts_) {
-        AbortInstalled(installed);
         return Status::Aborted("read-timestamp conflict (post-install)");
       }
     }
 
     // (3) Validate reads: the version observed must still be the newest
     // committed one strictly below our timestamp (our own pendings have
-    // write_ts == ts_ and are skipped by construction).
-    for (const ReadEntry& r : s_->reads) {
-      const Version* now = NewestCommittedBelow(db.table(r.table), r.row, ts_);
-      if (now != r.observed) {
-        AbortInstalled(installed);
+    // write_ts == ts_ and are skipped by construction). Read-only
+    // transactions validate too: ObserveRead() and a concurrent writer's
+    // read-timestamp check can race (the writer may install-and-commit
+    // between our version lookup and our read-timestamp publication).
+    for (const ReadEntry& r : s_.reads) {
+      if (NewestCommittedBelow(db_.table(r.table), r.row, ts_) != r.observed) {
         return Status::Aborted("read validation failed");
       }
     }
 
-    // (4) Log after validation, before visibility. The records view the
-    // scratch buffers; sinks copy what they keep (see log::RecordSpan).
-    if (engine_->collector_ != nullptr) {
-      std::vector<log::LogRecord>& records = s_->records;
-      for (auto& [w, v] : installed) {
-        log::LogRecord rec;
-        rec.table = w->table;
-        rec.op = w->op;
-        rec.row = w->row;
-        rec.key = w->key;
-        rec.commit_ts = ts_;
-        rec.value = w->value;
-        records.push_back(rec);
-      }
-      records.back().last_in_txn = true;
-      engine_->collector_->LogCommit(records);
-    }
+    // (4) Log after validation, before visibility, in install order.
+    writes_.LogCommit(engine_->collector_, ts_);
 
     // (5) Make the writes visible.
-    for (auto& [w, v] : installed) v->SetStatus(VersionStatus::kCommitted);
+    for (const auto& [w, v] : s_.installed) {
+      v->SetStatus(VersionStatus::kCommitted);
+    }
     return Status::Ok();
   }
 
- private:
-  void Buffer(TableId table, RowId row, Key key, OpType op,
-              const Value& value) {
-    s_->PushWrite(table, row, key, op, value);
-  }
-
-  void AbortInstalled(
-      const std::vector<std::pair<BufferedWrite*, Version*>>& installed) {
-    storage::Database& db = engine_->db();
-    for (const auto& [w, v] : installed) {
-      db.table(w->table).AbortPending(w->row, v, db.epochs());
+  void Rollback() {
+    for (const auto& [w, v] : s_.installed) {
+      db_.table(w->table).AbortPending(w->row, v, db_.epochs());
     }
   }
 
+ private:
   MvtsoEngine* engine_;
+  ActiveTxnTracker::Scope scope_;
   const Timestamp ts_;
-  TxnScratch* s_;
+  MvtsoScratch& s_;
 };
 
-MvtsoEngine::MvtsoEngine(storage::Database* db, log::LogCollector* collector,
-                         TxnClock* clock)
-    : db_(db), collector_(collector), clock_(clock) {}
-
-Status MvtsoEngine::Execute(const TxnFn& fn) {
-  const auto guard = db_->epochs().Enter();
-  ActiveTxnTracker::Scope scope(&active_);
-  const Timestamp ts = clock_->Next();
-  scope.Set(ts);
-
-  TxnScratch& shared = ThreadScratch();
-  TxnScratch local;  // only used when re-entered on this thread
-  TxnScratch* scratch = shared.in_use ? &local : &shared;
-  scratch->in_use = true;
-
-  MvtsoTxn txn(this, ts, scratch);
-  Status body = fn(txn);
-  Status result;
-  if (body.code() == StatusCode::kCancelled) {
-    // Explicit rollback: nothing was installed (installs happen at commit).
-    stats_.user_aborts.fetch_add(1, std::memory_order_relaxed);
-    result = body;
-  } else if (!body.ok()) {
-    stats_.aborts.fetch_add(1, std::memory_order_relaxed);
-    result = body;
-  } else {
-    result = txn.Commit();
-    if (result.ok()) {
-      stats_.commits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      stats_.aborts.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  scratch->in_use = false;
-  return result;
-}
+Status MvtsoEngine::Execute(const TxnFn& fn) { return Run<MvtsoTxn>(fn, this); }
 
 }  // namespace c5::txn

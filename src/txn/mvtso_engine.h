@@ -24,7 +24,7 @@
 #include "log/log_collector.h"
 #include "storage/database.h"
 #include "txn/active_txn_tracker.h"
-#include "txn/txn.h"
+#include "txn/engine_base.h"
 
 namespace c5::txn {
 
@@ -42,30 +42,25 @@ namespace c5::txn {
 //    only increase the abort rate under contention.
 //
 // Commit protocol (order matters for the replication invariants):
-//  1. Deduplicate the write set per row (last write wins), sort by row.
+//  1. Sort the write set (already one write per row) by row.
 //  2. Install pending versions with conflict checks; abort on conflict.
 //  3. Validate the read set (each observed version is still the newest
 //     committed one below our timestamp).
 //  4. LogCommit(records) — after validation, before visibility (§7.1).
 //  5. Flip pending versions to committed.
-class MvtsoEngine : public Engine {
+class MvtsoEngine : public EngineBase {
  public:
   MvtsoEngine(storage::Database* db, log::LogCollector* collector,
-              TxnClock* clock);
+              TxnClock* clock)
+      : EngineBase(db, collector, clock) {}
 
   Status Execute(const TxnFn& fn) override;
-  storage::Database& db() override { return *db_; }
-  EngineStats& stats() override { return stats_; }
   std::string name() const override { return "mvtso"; }
 
-  TxnClock& clock() { return *clock_; }
-  ActiveTxnTracker& active_txns() { return active_; }
-
-  // Release horizon for online log sequencing: no in-flight transaction can
-  // commit with a timestamp below this (transactions register before drawing
-  // their timestamp and deregister after logging). Pass to
-  // log::OnlineLogCollector::SetReleaseHorizon.
-  Timestamp LogHorizon() const { return active_.MinActive(); }
+  // No in-flight transaction can commit with a timestamp below this:
+  // transactions register before drawing their timestamp and deregister
+  // after logging.
+  Timestamp LogHorizon() const override { return active_.MinActive(); }
 
   // Safe GC horizon: one below the oldest timestamp any in-flight
   // transaction could read at.
@@ -79,11 +74,7 @@ class MvtsoEngine : public Engine {
  private:
   class MvtsoTxn;
 
-  storage::Database* db_;
-  log::LogCollector* collector_;
-  TxnClock* clock_;
   ActiveTxnTracker active_;
-  EngineStats stats_;
 };
 
 }  // namespace c5::txn

@@ -1,7 +1,5 @@
 #include "txn/two_phase_locking_engine.h"
 
-#include <algorithm>
-#include <cassert>
 #include <vector>
 
 #include "storage/table.h"
@@ -13,232 +11,84 @@ using storage::Version;
 
 namespace {
 
-struct BufferedWrite {
-  TableId table;
-  RowId row;
-  Key key;
-  OpType op;
-  Value value;
-};
-
 struct HeldLock {
   TableId table;
   RowId row;
 };
 
-// Per-thread commit scratch: the write buffer, lock list, and log-record
-// staging are reused across transactions so the closed-loop commit path
-// performs no heap allocation in steady state. Slots keep their Value
-// string capacity across reuse (assign, never destroy). Nested Execute on
-// one thread (not an expected pattern, but cheap to tolerate) falls back to
-// a stack-local scratch via the in_use flag.
-struct TxnScratch {
-  std::vector<BufferedWrite> writes;
-  std::size_t n_writes = 0;
+// 2PL's per-thread scratch: the shared write set plus the row locks held,
+// recycled across transactions.
+struct TplScratch {
+  WriteSet writes;
   std::vector<HeldLock> held;
-  std::vector<BufferedWrite*> finals;
-  std::vector<log::LogRecord> records;
-  bool in_use = false;
 
-  void Reset() {
-    n_writes = 0;
+  void Clear() {
+    writes.Clear();
     held.clear();
-    finals.clear();
-    records.clear();
-  }
-
-  BufferedWrite& PushWrite(TableId table, RowId row, Key key, OpType op,
-                           const Value& value) {
-    if (n_writes == writes.size()) writes.emplace_back();
-    BufferedWrite& w = writes[n_writes++];
-    w.table = table;
-    w.row = row;
-    w.key = key;
-    w.op = op;
-    w.value.assign(value);  // reuses the slot's capacity
-    return w;
   }
 };
 
-TxnScratch& ThreadScratch() {
-  thread_local TxnScratch scratch;
-  return scratch;
-}
-
 }  // namespace
 
-class TwoPhaseLockingEngine::TplTxn : public Txn {
+class TwoPhaseLockingEngine::TplTxn : public BufferedTxn<TplTxn> {
  public:
-  TplTxn(TwoPhaseLockingEngine* engine, LockManager::TxnId id,
-         TxnScratch* scratch)
-      : engine_(engine),
-        id_(id),
+  using Scratch = TplScratch;
+
+  TplTxn(TplScratch& scratch, TwoPhaseLockingEngine* engine)
+      : BufferedTxn(*engine->db_, scratch.writes),
+        engine_(engine),
+        id_(engine->next_txn_id_.fetch_add(1, std::memory_order_relaxed)),
         deadline_(std::chrono::steady_clock::now() +
                   engine->options_.lock_wait_timeout),
-        s_(scratch) {
-    s_->Reset();
-  }
+        s_(scratch) {}
 
   Timestamp timestamp() const override { return kInvalidTimestamp; }
 
-  Status Read(TableId table, Key key, Value* out) override {
-    // Read-your-writes first.
-    if (const BufferedWrite* w = NewestBufferedWrite(table, key)) {
-      if (w->op == OpType::kDelete) return Status::NotFound();
-      *out = w->value;
-      return Status::Ok();
+  // BufferedTxn hooks. A write takes the row's exclusive lock, held until
+  // commit; reads see the newest committed version (read committed, §6).
+  Status Claim(TableId table, RowId row) {
+    for (const HeldLock& h : s_.held) {
+      if (h.table == table && h.row == row) return Status::Ok();
     }
-    storage::Database& db = engine_->db();
-    const auto row = db.index(table).Lookup(key);
-    if (!row.has_value()) return Status::NotFound();
-    // Read committed: newest committed version, no lock (§6 setup).
-    const Version* v = db.table(table).ReadLatestCommitted(*row);
+    if (!engine_->locks_.Acquire(id_, table, row, deadline_)) {
+      return Status::TimedOut("lock wait");
+    }
+    s_.held.push_back(HeldLock{table, row});
+    return Status::Ok();
+  }
+
+  Timestamp ReadPoint() const { return kMaxTimestamp; }
+
+  // ReadForUpdate takes the row's lock before reading: the value is then
+  // stable until commit, making read-modify-write safe under read committed.
+  Status ReadCommitted(TableId table, RowId row, Value* out, bool for_update) {
+    if (for_update) {
+      const Status s = Claim(table, row);
+      if (!s.ok()) return s;
+    }
+    const Version* v = db_.table(table).ReadLatestCommitted(row);
     if (v == nullptr || v->deleted) return Status::NotFound();
     out->assign(v->value());
     return Status::Ok();
   }
 
-  Status ReadForUpdate(TableId table, Key key, Value* out) override {
-    // Buffered writes win (read-your-writes).
-    if (const BufferedWrite* w = NewestBufferedWrite(table, key)) {
-      if (w->op == OpType::kDelete) return Status::NotFound();
-      *out = w->value;
-      return Status::Ok();
-    }
-    storage::Database& db = engine_->db();
-    const auto row = db.index(table).Lookup(key);
-    if (!row.has_value()) return Status::NotFound();
-    // Take the exclusive lock BEFORE reading: the value is then stable until
-    // commit, making read-modify-write safe under read committed.
-    if (!Lock(table, *row)) return Status::TimedOut("lock wait");
-    const Version* v = db.table(table).ReadLatestCommitted(*row);
-    if (v == nullptr || v->deleted) return Status::NotFound();
-    out->assign(v->value());
-    return Status::Ok();
-  }
-
-  Status Insert(TableId table, Key key, Value value) override {
-    storage::Database& db = engine_->db();
-    auto row = db.index(table).Lookup(key);
-    if (!row.has_value()) {
-      const RowId fresh = db.table(table).AllocateRow();
-      const RowId bound = db.BindInsert(table, key, fresh);
-      assert(bound != kInvalidRowId);
-      if (bound == fresh) {
-        // We won the index insert for a brand-new row slot: no other
-        // transaction can have locked it, so the row lock is skipped (the
-        // classic new-row latch elision; the row id is private until our
-        // commit installs the first version).
-        s_->PushWrite(table, fresh, key, OpType::kInsert, value);
-        return Status::Ok();
-      }
-      row = bound;
-    }
-    if (!Lock(table, *row)) return Status::TimedOut("lock wait");
-    const Version* v = db.table(table).ReadLatestCommitted(*row);
-    if (v != nullptr && !v->deleted && !HasBufferedDelete(table, *row)) {
-      return Status::AlreadyExists();
-    }
-    s_->PushWrite(table, *row, key, OpType::kInsert, value);
-    return Status::Ok();
-  }
-
-  Status Update(TableId table, Key key, Value value) override {
-    storage::Database& db = engine_->db();
-    const auto row = db.index(table).Lookup(key);
-    if (!row.has_value()) return Status::NotFound();
-    if (!Lock(table, *row)) return Status::TimedOut("lock wait");
-    s_->PushWrite(table, *row, key, OpType::kUpdate, value);
-    return Status::Ok();
-  }
-
-  Status Delete(TableId table, Key key) override {
-    storage::Database& db = engine_->db();
-    const auto row = db.index(table).Lookup(key);
-    if (!row.has_value()) return Status::NotFound();
-    if (!Lock(table, *row)) return Status::TimedOut("lock wait");
-    s_->PushWrite(table, *row, key, OpType::kDelete, Value());
-    return Status::Ok();
-  }
-
-  Status Put(TableId table, Key key, Value value) override {
-    storage::Database& db = engine_->db();
-    auto row = db.index(table).Lookup(key);
-    OpType op = OpType::kUpdate;
-    if (!row.has_value()) {
-      const RowId fresh = db.table(table).AllocateRow();
-      const RowId bound = db.BindInsert(table, key, fresh);
-      assert(bound != kInvalidRowId);
-      if (bound == fresh) {
-        // New-row latch elision (see Insert).
-        s_->PushWrite(table, fresh, key, OpType::kInsert, value);
-        return Status::Ok();
-      }
-      row = bound;
-      op = OpType::kInsert;
-    }
-    if (!Lock(table, *row)) return Status::TimedOut("lock wait");
-    s_->PushWrite(table, *row, key, op, value);
-    return Status::Ok();
-  }
-
-  // Commits: draws the LSN while holding all locks so conflicting
-  // transactions are LSN-ordered by their lock-acquisition order, installs
-  // committed versions, logs, then releases.
+  // Draws the LSN while holding all locks, so conflicting transactions are
+  // LSN-ordered by their lock-acquisition order; logs in first-write order,
+  // installs committed versions, then releases.
   Status Commit() {
-    storage::Database& db = engine_->db();
-    if (s_->n_writes == 0) {
-      ReleaseAll();
-      return Status::Ok();
-    }
-
-    // Register in the commit tracker BEFORE drawing the LSN so the online
-    // log sequencer's release horizon never passes an unlogged commit.
-    ActiveTxnTracker::Scope commit_scope(&engine_->commit_tracker_);
-    const Timestamp lsn = engine_->clock_->Next();
-    commit_scope.Set(lsn);
-
-    // Deduplicate per row (last write wins, inserts stay inserts).
-    std::vector<BufferedWrite*>& final_writes = s_->finals;
-    for (std::size_t i = 0; i < s_->n_writes; ++i) {
-      BufferedWrite& w = s_->writes[i];
-      bool superseded = false;
-      for (auto* fw : final_writes) {
-        if (fw->table == w.table && fw->row == w.row) {
-          const bool keep_insert =
-              fw->op == OpType::kInsert && w.op != OpType::kDelete;
-          *fw = w;
-          if (keep_insert) fw->op = OpType::kInsert;
-          superseded = true;
-          break;
-        }
+    if (!writes_.empty()) {
+      // Register in the commit tracker BEFORE drawing the LSN so the online
+      // log sequencer's release horizon never passes an unlogged commit.
+      ActiveTxnTracker::Scope commit_scope(&engine_->commit_tracker_);
+      const Timestamp lsn = engine_->clock_->Next();
+      commit_scope.Set(lsn);
+      writes_.LogCommit(engine_->collector_, lsn);
+      for (const BufferedWrite& w : writes_.writes()) {
+        // The value is viewed, not moved: the single copy happens inside
+        // InstallCommitted, into the arena block.
+        db_.table(w.table).InstallCommitted(w.row, lsn, w.value,
+                                            w.op == OpType::kDelete);
       }
-      if (!superseded) final_writes.push_back(&w);
-    }
-
-    // Log after execution, before visibility. The records view the scratch
-    // buffers; sinks copy what they keep (see log::RecordSpan).
-    if (engine_->collector_ != nullptr) {
-      std::vector<log::LogRecord>& records = s_->records;
-      for (auto* w : final_writes) {
-        log::LogRecord rec;
-        rec.table = w->table;
-        rec.op = w->op;
-        rec.row = w->row;
-        rec.key = w->key;
-        rec.commit_ts = lsn;
-        rec.value = w->value;
-        records.push_back(rec);
-      }
-      records.back().last_in_txn = true;
-      engine_->collector_->LogCommit(records);
-    }
-
-    for (auto* w : final_writes) {
-      // The value is viewed, not moved: the single copy happens inside
-      // InstallCommitted, into the arena block.
-      db.table(w->table).InstallCommitted(w->row, lsn, w->value,
-                                          w->op == OpType::kDelete);
     }
     ReleaseAll();
     return Status::Ok();
@@ -247,81 +97,26 @@ class TwoPhaseLockingEngine::TplTxn : public Txn {
   void Rollback() { ReleaseAll(); }
 
  private:
-  bool Lock(TableId table, RowId row) {
-    for (const HeldLock& h : s_->held) {
-      if (h.table == table && h.row == row) return true;
-    }
-    if (!engine_->locks_.Acquire(id_, table, row, deadline_)) return false;
-    s_->held.push_back(HeldLock{table, row});
-    return true;
-  }
-
   void ReleaseAll() {
-    for (const HeldLock& h : s_->held) {
+    for (const HeldLock& h : s_.held) {
       engine_->locks_.Release(id_, h.table, h.row);
     }
-    s_->held.clear();
-  }
-
-  const BufferedWrite* NewestBufferedWrite(TableId table, Key key) const {
-    for (std::size_t i = s_->n_writes; i > 0; --i) {
-      const BufferedWrite& w = s_->writes[i - 1];
-      if (w.table == table && w.key == key) return &w;
-    }
-    return nullptr;
-  }
-
-  bool HasBufferedDelete(TableId table, RowId row) const {
-    for (std::size_t i = s_->n_writes; i > 0; --i) {
-      const BufferedWrite& w = s_->writes[i - 1];
-      if (w.table == table && w.row == row) return w.op == OpType::kDelete;
-    }
-    return false;
+    s_.held.clear();
   }
 
   TwoPhaseLockingEngine* engine_;
   const LockManager::TxnId id_;
   const std::chrono::steady_clock::time_point deadline_;
-  TxnScratch* s_;
+  TplScratch& s_;
 };
 
 TwoPhaseLockingEngine::TwoPhaseLockingEngine(storage::Database* db,
                                              log::LogCollector* collector,
                                              TxnClock* clock, Options options)
-    : db_(db), collector_(collector), clock_(clock), options_(options) {}
+    : EngineBase(db, collector, clock), options_(options) {}
 
 Status TwoPhaseLockingEngine::Execute(const TxnFn& fn) {
-  const auto guard = db_->epochs().Enter();
-  const LockManager::TxnId id =
-      next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-
-  TxnScratch& shared = ThreadScratch();
-  TxnScratch local;  // only used when re-entered on this thread
-  TxnScratch* scratch = shared.in_use ? &local : &shared;
-  scratch->in_use = true;
-
-  TplTxn txn(this, id, scratch);
-  Status body = fn(txn);
-  Status result;
-  if (body.code() == StatusCode::kCancelled) {
-    txn.Rollback();
-    stats_.user_aborts.fetch_add(1, std::memory_order_relaxed);
-    result = body;
-  } else if (!body.ok()) {
-    txn.Rollback();
-    stats_.aborts.fetch_add(1, std::memory_order_relaxed);
-    result = body;
-  } else {
-    result = txn.Commit();
-    if (result.ok()) {
-      stats_.commits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      txn.Rollback();
-      stats_.aborts.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  scratch->in_use = false;
-  return result;
+  return Run<TplTxn>(fn, this);
 }
 
 }  // namespace c5::txn

@@ -10,8 +10,8 @@
 #include "log/log_collector.h"
 #include "storage/database.h"
 #include "txn/active_txn_tracker.h"
+#include "txn/engine_base.h"
 #include "txn/lock_manager.h"
-#include "txn/txn.h"
 
 namespace c5::txn {
 
@@ -27,7 +27,7 @@ namespace c5::txn {
 //    the LSN as their write timestamp; the log is ordered by LSN.
 //  * Deadlocks are broken by lock-wait timeouts: the transaction aborts with
 //    kTimedOut and the caller retries (InnoDB-style).
-class TwoPhaseLockingEngine : public Engine {
+class TwoPhaseLockingEngine : public EngineBase {
  public:
   struct Options {
     std::chrono::microseconds lock_wait_timeout =
@@ -41,18 +41,14 @@ class TwoPhaseLockingEngine : public Engine {
                         TxnClock* clock, Options options);
 
   Status Execute(const TxnFn& fn) override;
-  storage::Database& db() override { return *db_; }
-  EngineStats& stats() override { return stats_; }
   std::string name() const override { return "2pl"; }
 
-  TxnClock& clock() { return *clock_; }
   LockManager& locks() { return locks_; }
 
-  // Release horizon for online log sequencing: committing transactions
-  // register before drawing their LSN and deregister after logging, so no
-  // future log entry can carry an LSN below this. Pass to
-  // log::OnlineLogCollector::SetReleaseHorizon.
-  Timestamp LogHorizon() const { return commit_tracker_.MinActive(); }
+  // Committing transactions register before drawing their LSN and
+  // deregister after logging, so no future log entry can carry an LSN below
+  // this.
+  Timestamp LogHorizon() const override { return commit_tracker_.MinActive(); }
 
   // Safe GC horizon. 2PL transactions read at "latest committed" and hold an
   // epoch guard while touching version memory, so the horizon may trail the
@@ -66,13 +62,9 @@ class TwoPhaseLockingEngine : public Engine {
  private:
   class TplTxn;
 
-  storage::Database* db_;
-  log::LogCollector* collector_;
-  TxnClock* clock_;
   LockManager locks_;
   Options options_;
   ActiveTxnTracker commit_tracker_;
-  EngineStats stats_;
   std::atomic<LockManager::TxnId> next_txn_id_{1};
 };
 

@@ -7,15 +7,26 @@
 #include <string>
 #include <type_traits>
 
+#include "common/clock.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "storage/database.h"
+
+namespace c5::log {
+class LogCollector;
+}  // namespace c5::log
 
 namespace c5::txn {
 
 // Operation surface exposed to a transaction body. All operations address
 // rows by externally meaningful key; the engine resolves keys through the
 // table's index.
+//
+// Existence inside a transaction: the newest write this transaction
+// buffered to (table, key) decides whether the key exists. A buffered
+// Insert, Update or Put means it does; a buffered Delete means it does not.
+// Only for a key the transaction has not written does the engine fall back
+// to committed state. Both engines apply this one rule (txn/engine_base.h).
 class Txn {
  public:
   virtual ~Txn() = default;
@@ -31,9 +42,11 @@ class Txn {
   virtual Status ReadForUpdate(TableId table, Key key, Value* out) = 0;
 
   // Buffered write operations; they take effect atomically at commit.
-  // Insert returns kAlreadyExists if a visible row already has the key.
+  // Insert returns kAlreadyExists if the key exists (for a key this
+  // transaction has not written: a visible row has it).
   virtual Status Insert(TableId table, Key key, Value value) = 0;
-  // Update / Delete return kNotFound if no visible row has the key.
+  // Update / Delete return kNotFound if the key does not exist (for a key
+  // this transaction has not written: the table's index has no binding).
   virtual Status Update(TableId table, Key key, Value value) = 0;
   virtual Status Delete(TableId table, Key key) = 0;
 
@@ -110,10 +123,26 @@ class Engine {
     return s;
   }
 
+  // Release horizon for online log sequencing: a lower bound on the commit
+  // timestamp of every transaction not yet logged. Pass to
+  // log::OnlineLogCollector::SetReleaseHorizon.
+  virtual Timestamp LogHorizon() const = 0;
+
   virtual storage::Database& db() = 0;
   virtual EngineStats& stats() = 0;
   virtual std::string name() const = 0;
 };
+
+// Which primary concurrency-control protocol an engine runs.
+enum class EngineKind {
+  kMvtso = 0,            // Cicada-like multi-version timestamp ordering
+  kTwoPhaseLocking = 1,  // MyRocks-like 2PL with commit-LSN sequencing
+};
+
+// Builds the engine of `kind` over `db`, logging commits into `sink` (may
+// be null) and drawing timestamps from `clock`.
+std::unique_ptr<Engine> MakeEngine(EngineKind kind, storage::Database* db,
+                                   log::LogCollector* sink, TxnClock* clock);
 
 }  // namespace c5::txn
 

@@ -24,132 +24,6 @@ class MvtsoTest : public ::testing::Test {
   TableId table_;
 };
 
-TEST_F(MvtsoTest, InsertAndRead) {
-  ASSERT_TRUE(engine_
-                  .Execute([this](Txn& txn) {
-                    return txn.Insert(table_, 1, "hello");
-                  })
-                  .ok());
-  Value v;
-  ASSERT_TRUE(engine_
-                  .Execute([this, &v](Txn& txn) {
-                    return txn.Read(table_, 1, &v);
-                  })
-                  .ok());
-  EXPECT_EQ(v, "hello");
-}
-
-TEST_F(MvtsoTest, ReadMissingKeyIsNotFound) {
-  const Status s = engine_.Execute([this](Txn& txn) {
-    Value v;
-    return txn.Read(table_, 999, &v);
-  });
-  EXPECT_EQ(s.code(), StatusCode::kNotFound);
-}
-
-TEST_F(MvtsoTest, UpdateMissingKeyIsNotFound) {
-  const Status s = engine_.Execute([this](Txn& txn) {
-    return txn.Update(table_, 999, "x");
-  });
-  EXPECT_EQ(s.code(), StatusCode::kNotFound);
-}
-
-TEST_F(MvtsoTest, DuplicateInsertIsAlreadyExists) {
-  ASSERT_TRUE(engine_.Execute([this](Txn& txn) {
-    return txn.Insert(table_, 1, "a");
-  }).ok());
-  const Status s = engine_.Execute([this](Txn& txn) {
-    return txn.Insert(table_, 1, "b");
-  });
-  EXPECT_EQ(s.code(), StatusCode::kAlreadyExists);
-}
-
-TEST_F(MvtsoTest, ReadYourOwnWrites) {
-  ASSERT_TRUE(engine_
-                  .Execute([this](Txn& txn) {
-                    Status s = txn.Insert(table_, 1, "v1");
-                    if (!s.ok()) return s;
-                    Value v;
-                    s = txn.Read(table_, 1, &v);
-                    if (!s.ok()) return s;
-                    EXPECT_EQ(v, "v1");
-                    s = txn.Update(table_, 1, "v2");
-                    if (!s.ok()) return s;
-                    s = txn.Read(table_, 1, &v);
-                    EXPECT_EQ(v, "v2");
-                    return s;
-                  })
-                  .ok());
-}
-
-TEST_F(MvtsoTest, DeleteHidesRow) {
-  ASSERT_TRUE(engine_.Execute([this](Txn& txn) {
-    return txn.Insert(table_, 1, "x");
-  }).ok());
-  ASSERT_TRUE(engine_.Execute([this](Txn& txn) {
-    return txn.Delete(table_, 1);
-  }).ok());
-  const Status s = engine_.Execute([this](Txn& txn) {
-    Value v;
-    return txn.Read(table_, 1, &v);
-  });
-  EXPECT_EQ(s.code(), StatusCode::kNotFound);
-}
-
-TEST_F(MvtsoTest, ReinsertAfterDelete) {
-  for (const char* val : {"first", "second"}) {
-    ASSERT_TRUE(engine_.Execute([this, val](Txn& txn) {
-      return txn.Put(table_, 1, val);
-    }).ok());
-    ASSERT_TRUE(engine_.Execute([this](Txn& txn) {
-      return txn.Delete(table_, 1);
-    }).ok());
-  }
-  ASSERT_TRUE(engine_.Execute([this](Txn& txn) {
-    return txn.Insert(table_, 1, "third");
-  }).ok());
-  Value v;
-  ASSERT_TRUE(engine_.Execute([this, &v](Txn& txn) {
-    return txn.Read(table_, 1, &v);
-  }).ok());
-  EXPECT_EQ(v, "third");
-}
-
-TEST_F(MvtsoTest, CancelledBodyAppliesNothing) {
-  const Status s = engine_.Execute([this](Txn& txn) {
-    const Status st = txn.Insert(table_, 1, "doomed");
-    EXPECT_TRUE(st.ok());
-    return Status::Cancelled("user rollback");
-  });
-  EXPECT_EQ(s.code(), StatusCode::kCancelled);
-  const Status read = engine_.Execute([this](Txn& txn) {
-    Value v;
-    return txn.Read(table_, 1, &v);
-  });
-  EXPECT_EQ(read.code(), StatusCode::kNotFound);
-  EXPECT_EQ(engine_.stats().user_aborts.load(), 1u);
-}
-
-TEST_F(MvtsoTest, WriteSetDeduplicatedPerRow) {
-  ASSERT_TRUE(engine_.Execute([this](Txn& txn) {
-    Status s = txn.Insert(table_, 1, "a");
-    if (!s.ok()) return s;
-    s = txn.Update(table_, 1, "b");
-    if (!s.ok()) return s;
-    return txn.Update(table_, 1, "c");
-  }).ok());
-  // One commit, one version, one log record; final value is the last write.
-  Value v;
-  ASSERT_TRUE(engine_.Execute([this, &v](Txn& txn) {
-    return txn.Read(table_, 1, &v);
-  }).ok());
-  EXPECT_EQ(v, "c");
-  const log::Log log = collector_.Coalesce();
-  ASSERT_EQ(log.NumRecords(), 1u);
-  EXPECT_EQ(log.segment(0)->record(0).op, OpType::kInsert);  // stays insert
-  EXPECT_EQ(log.segment(0)->record(0).value, "c");
-}
-
 TEST_F(MvtsoTest, TimestampsAreUniqueAndIncreasing) {
   Timestamp first = 0, second = 0;
   engine_.Execute([&](Txn& txn) {
@@ -262,42 +136,6 @@ TEST_F(MvtsoTest, ConcurrentDisjointInsertsAllCommit) {
   EXPECT_EQ(engine_.stats().commits.load(),
             static_cast<std::uint64_t>(kThreads) * kPer);
   EXPECT_EQ(db_.index(table_).Size(), static_cast<std::size_t>(kThreads) * kPer);
-}
-
-TEST_F(MvtsoTest, LogRecordsCarryCommitTimestampAndBoundaries) {
-  ASSERT_TRUE(engine_.Execute([this](Txn& txn) {
-    Status s = txn.Insert(table_, 1, "a");
-    if (!s.ok()) return s;
-    return txn.Insert(table_, 2, "b");
-  }).ok());
-  const log::Log log = collector_.Coalesce();
-  ASSERT_EQ(log.NumRecords(), 2u);
-  const auto& r0 = log.segment(0)->record(0);
-  const auto& r1 = log.segment(0)->record(1);
-  EXPECT_EQ(r0.commit_ts, r1.commit_ts);
-  EXPECT_FALSE(r0.last_in_txn);
-  EXPECT_TRUE(r1.last_in_txn);
-  EXPECT_EQ(r0.prev_ts, kInvalidTimestamp);  // primary leaves it unset
-}
-
-TEST_F(MvtsoTest, AbortedTxnsProduceNoLog) {
-  engine_.Execute([this](Txn& txn) {
-    const Status s = txn.Insert(table_, 1, "x");
-    EXPECT_TRUE(s.ok());
-    return Status::Cancelled();
-  });
-  EXPECT_EQ(collector_.BufferedTxns(), 0u);
-}
-
-TEST_F(MvtsoTest, ReadOnlyTxnsProduceNoLog) {
-  ASSERT_TRUE(engine_.Execute([this](Txn& txn) {
-    return txn.Insert(table_, 1, "x");
-  }).ok());
-  ASSERT_TRUE(engine_.Execute([this](Txn& txn) {
-    Value v;
-    return txn.Read(table_, 1, &v);
-  }).ok());
-  EXPECT_EQ(collector_.BufferedTxns(), 1u);  // only the insert
 }
 
 TEST_F(MvtsoTest, GcHorizonTrailsActiveTxns) {

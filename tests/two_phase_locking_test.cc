@@ -24,56 +24,6 @@ class TplTest : public ::testing::Test {
   TableId table_;
 };
 
-TEST_F(TplTest, InsertAndRead) {
-  ASSERT_TRUE(engine_.Execute([this](Txn& txn) {
-    return txn.Insert(table_, 1, "hello");
-  }).ok());
-  Value v;
-  ASSERT_TRUE(engine_.Execute([this, &v](Txn& txn) {
-    return txn.Read(table_, 1, &v);
-  }).ok());
-  EXPECT_EQ(v, "hello");
-}
-
-TEST_F(TplTest, DuplicateInsertIsAlreadyExists) {
-  ASSERT_TRUE(engine_.Execute([this](Txn& txn) {
-    return txn.Insert(table_, 1, "a");
-  }).ok());
-  EXPECT_EQ(engine_
-                .Execute([this](Txn& txn) {
-                  return txn.Insert(table_, 1, "b");
-                })
-                .code(),
-            StatusCode::kAlreadyExists);
-}
-
-TEST_F(TplTest, ReadYourOwnWrites) {
-  ASSERT_TRUE(engine_.Execute([this](Txn& txn) {
-    Status s = txn.Insert(table_, 1, "v1");
-    if (!s.ok()) return s;
-    Value v;
-    s = txn.Read(table_, 1, &v);
-    EXPECT_EQ(v, "v1");
-    return s;
-  }).ok());
-}
-
-TEST_F(TplTest, DeleteThenInsertWithinTxn) {
-  ASSERT_TRUE(engine_.Execute([this](Txn& txn) {
-    return txn.Insert(table_, 1, "old");
-  }).ok());
-  ASSERT_TRUE(engine_.Execute([this](Txn& txn) {
-    Status s = txn.Delete(table_, 1);
-    if (!s.ok()) return s;
-    return txn.Insert(table_, 1, "new");
-  }).ok());
-  Value v;
-  ASSERT_TRUE(engine_.Execute([this, &v](Txn& txn) {
-    return txn.Read(table_, 1, &v);
-  }).ok());
-  EXPECT_EQ(v, "new");
-}
-
 TEST_F(TplTest, CancelledBodyReleasesLocksAndAppliesNothing) {
   engine_.Execute([this](Txn& txn) {
     EXPECT_TRUE(txn.Insert(table_, 1, "doomed").ok());
@@ -251,21 +201,6 @@ TEST_F(TplTest, LsnOrderMatchesPerRowInstallOrder) {
     EXPECT_LT(v->write_ts, prev);
     prev = v->write_ts;
   }
-}
-
-TEST_F(TplTest, LogBoundariesAndOrdering) {
-  ASSERT_TRUE(engine_.Execute([this](Txn& txn) {
-    Status s = txn.Insert(table_, 1, "a");
-    if (!s.ok()) return s;
-    return txn.Insert(table_, 2, "b");
-  }).ok());
-  ASSERT_TRUE(engine_.Execute([this](Txn& txn) {
-    return txn.Insert(table_, 3, "c");
-  }).ok());
-  const log::Log log = collector_.Coalesce();
-  EXPECT_EQ(log.NumRecords(), 3u);
-  EXPECT_EQ(log.CountTransactions(), 2u);
-  EXPECT_TRUE(test::LogIsWellFormed(log));
 }
 
 TEST_F(TplTest, TimestampIsInvalidDuringBody) {
