@@ -85,18 +85,22 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 
 # Stress lane: the concurrency-heavy suites, all at once, 20 times over (or
 # until the first failure). A race that fires one run in ten shows up here
-# as a red lane instead of a "flaky" test.
+# as a red lane instead of a "flaky" test. It includes the epoch limbo
+# buckets (epoch_test), reclamation while replay workers run (replica_test)
+# and the GC-every-pass DST sweep (dst_test).
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
   --repeat until-fail:20 \
-  -R 'replica|dst|property|failover|session|net|cluster|ordered_index|tpcc|checkpoint|c5_core|integration|query_fresh|engine|two_phase_locking'
+  -R 'replica|dst|epoch|property|failover|session|net|cluster|ordered_index|tpcc|checkpoint|c5_core|integration|query_fresh|engine|two_phase_locking'
 "$repo_root/scripts/bench.sh" --quick "$build_dir"
 
 run_static_lane
 
-# Sanitizer lanes: the DST harness (the classic sweep AND the sharded
-# 16-seed sweep — dst_test runs both; the sharded sweep seeds live reshard
-# migrations mid-workload, so the epoch-aware router oracle and the
-# commit/abort migration ledger run under both sanitizers), the wire fuzz
+# Sanitizer lanes: the DST harness (the classic sweep, the GC-every-pass
+# sweep — under ASan a reclaimed version that a reader or worker can still
+# reach is a crash — AND the sharded 16-seed sweep; the sharded sweep seeds
+# live reshard migrations mid-workload, so the epoch-aware router oracle and
+# the commit/abort migration ledger run under both sanitizers), the epoch
+# limbo buckets and reclamation while replay workers run, the wire fuzz
 # loop, the real-socket shipping suite (net_test: loopback TCP round trips,
 # NAK-driven retransmit, reconnect-after-disconnect — every listener binds
 # port 0, so parallel lanes never collide on a port), and the public-API
@@ -117,8 +121,10 @@ run_static_lane
 tsan_dir="${build_dir}-tsan"
 cmake -B "$tsan_dir" -S "$repo_root" -DC5_SANITIZE=thread >/dev/null
 cmake --build "$tsan_dir" -j "$jobs" --target dst_test cluster_test net_test \
-  ordered_index_test htap_scan_test
+  ordered_index_test htap_scan_test epoch_test replica_test
 C5_DST_SEED_COUNT=16 "$tsan_dir/dst_test"
+"$tsan_dir/epoch_test"
+"$tsan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*'
 "$tsan_dir/cluster_test"
 "$tsan_dir/net_test"
 "$tsan_dir/ordered_index_test"
@@ -127,8 +133,10 @@ C5_DST_SEED_COUNT=16 "$tsan_dir/dst_test"
 asan_dir="${build_dir}-asan"
 cmake -B "$asan_dir" -S "$repo_root" -DC5_SANITIZE=address >/dev/null
 cmake --build "$asan_dir" -j "$jobs" --target dst_test wire_test cluster_test \
-  net_test ordered_index_test htap_scan_test
+  net_test ordered_index_test htap_scan_test epoch_test replica_test
 C5_DST_SEED_COUNT=16 "$asan_dir/dst_test"
+"$asan_dir/epoch_test"
+"$asan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*'
 "$asan_dir/wire_test"
 "$asan_dir/cluster_test"
 "$asan_dir/net_test"

@@ -10,8 +10,10 @@ Snapshot::Snapshot(replica::ReplicaBase* replica)
       scope_(&replica->readers_) {
   // Pin AFTER registering (the tracker holds the conservative floor until
   // Set), so GC can never compute a horizon above this snapshot between
-  // timestamp assignment and registration.
-  ts_ = replica_->VisibleTimestamp();
+  // timestamp assignment and registration. seq_cst, pairing with
+  // ReplicaBase::GcHorizon (see there): a GC pass that missed the
+  // registration read a visible timestamp at or below this one.
+  ts_ = replica_->visible_ts_.load(std::memory_order_seq_cst);
   scope_.Set(ts_);
   replica_->stats_.read_only_txns.fetch_add(1, std::memory_order_relaxed);
 }

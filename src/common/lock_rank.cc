@@ -21,10 +21,14 @@ const char* LockRankName(LockRank rank) {
       return "ReplicaState";
     case LockRank::kQueue:
       return "Queue";
+    case LockRank::kGc:
+      return "Gc";
     case LockRank::kStorage:
       return "Storage";
     case LockRank::kIndexShard:
       return "IndexShard";
+    case LockRank::kEpochReclaim:
+      return "EpochReclaim";
     case LockRank::kEpochRetired:
       return "EpochRetired";
     case LockRank::kArenaShard:

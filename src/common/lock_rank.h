@@ -79,13 +79,19 @@ enum class LockRank : std::uint8_t {
   // Hand-off queues and transport state: MpmcQueue, replay dispatch queues,
   // ShipServer, SocketSegmentSource.
   kQueue = 55,
+  // Database::gc_mu_: one garbage-collection pass per database at a time.
+  // Held across the table walk and the reclaim underneath (-> 68/70/80/85).
+  kGc = 58,
   // Storage growth latches (Table chunk growth, row-state map growth).
   kStorage = 60,
   // HashIndex shards. Acquired during apply while kReplicaState is held;
   // never nested with another index shard (rule 2 makes ForEach-reentry
   // abort).
   kIndexShard = 65,
-  // EpochManager retired list (deleters run OUTSIDE it).
+  // EpochManager::reclaim_mu_: one reclaimer at a time. Deleters run under
+  // it (-> 80/85), with the limbo lock below it released.
+  kEpochReclaim = 68,
+  // EpochManager limbo buckets (deleters run OUTSIDE it).
   kEpochRetired = 70,
   // SlabArena per-shard bump cursors; the freelist nests inside them.
   kArenaShard = 80,

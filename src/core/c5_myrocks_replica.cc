@@ -169,7 +169,6 @@ void C5MyRocksReplica::SchedulerLoop(log::SegmentSource* source) {
 }
 
 void C5MyRocksReplica::WorkerLoop(int idx) {
-  const auto guard = db_->epochs().Enter();
   ApplySampler sampler(this);
 
   // A write deferred because its predecessor is not in place yet.
@@ -267,7 +266,13 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
   // into the next Pop's mutex acquisition instead of a separate SetFloor.
   bool completed_prior = false;
   while (true) {
+    // One epoch guard per iteration (a sweep and at most one popped
+    // transaction), dropped before any wait: Pop blocks, and the stall
+    // sleep below can outlast many GC passes.
+    std::optional<storage::EpochManager::Guard> guard(std::in_place,
+                                                      &db_->epochs());
     if (sweep()) retire_front();
+    if (open.empty()) guard.reset();
 
     // Take on new work while the window has room. Blocking Pop only when
     // nothing is open (nothing to sweep while we wait).
@@ -287,10 +292,12 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
       // of magnitude worse on a single-core host under a read-only client
       // load). The sleep forcibly deschedules us so a peer can run; the
       // window amortizes its wakeup latency over every transaction in it.
+      guard.reset();
       std::this_thread::sleep_for(std::chrono::microseconds(1));
       continue;
     }
 
+    if (!guard.has_value()) guard.emplace(&db_->epochs());
     const TxnUnit txn = *txn_opt;
     std::vector<Pending> pending;
     if (!spare.empty()) {

@@ -48,7 +48,7 @@ class C5MyRocksReplica : public replica::ReplicaBase {
         std::chrono::microseconds(10000);
     // Simulated cost of taking a RocksDB snapshot while writers are blocked.
     std::chrono::microseconds snapshot_cost = std::chrono::microseconds(0);
-    int gc_every = 0;
+    int gc_every = 0;  // see C5Replica::Options::gc_every
     // Initial capacity of the scheduler's flat row -> last-write-ts map
     // (see C5Replica::Options::scheduler_map_capacity).
     std::size_t scheduler_map_capacity = std::size_t{1} << 16;

@@ -143,7 +143,6 @@ bool C5Replica::RetryDeferred(std::deque<const log::LogRecord*>& deferred,
 }
 
 void C5Replica::WorkerLoop(int idx) {
-  const auto guard = db_->epochs().Enter();
   WorkerState& me = *workers_[idx];
   std::deque<const log::LogRecord*> deferred;
   ApplySampler sampler(this);
@@ -174,7 +173,10 @@ void C5Replica::WorkerLoop(int idx) {
         // Defensive fallback: unreachable under row affinity (a row's
         // records always land here in log order), kept for robustness.
         const std::int64_t cpu0 = ThreadCpuNowNanos();
-        if (RetryDeferred(deferred, counts)) idle_spins = 0;
+        {
+          const auto guard = db_->epochs().Enter();
+          if (RetryDeferred(deferred, counts)) idle_spins = 0;
+        }
         account_batch(cpu0);
         if (!deferred.empty()) {
           publish_c_prime(deferred.front()->commit_ts - 1);
@@ -208,6 +210,8 @@ void C5Replica::WorkerLoop(int idx) {
                                    deferred.front()->commit_ts - 1));
 
     const std::int64_t cpu0 = ThreadCpuNowNanos();
+    // One epoch guard per batch, never across the idle wait above.
+    const auto guard = db_->epochs().Enter();
     for (const log::LogRecord* rp : batch->recs) {
       const log::LogRecord& rec = *rp;
       // Row-slot creation and index maintenance are idempotent; do them on
@@ -240,7 +244,11 @@ void C5Replica::WorkerLoop(int idx) {
   int drain_spins = 0;
   while (!deferred.empty()) {
     const std::int64_t cpu0 = ThreadCpuNowNanos();
-    const bool progress = RetryDeferred(deferred, counts);
+    bool progress = false;
+    {
+      const auto guard = db_->epochs().Enter();
+      progress = RetryDeferred(deferred, counts);
+    }
     account_batch(cpu0);
     if (progress) drain_spins = 0;
     if (!deferred.empty()) {

@@ -65,8 +65,8 @@ class C5Replica : public replica::ReplicaBase {
     int num_workers = 4;
     std::chrono::microseconds snapshot_interval =
         std::chrono::microseconds(100);
-    // If > 0, the snapshotter garbage-collects version chains every
-    // `gc_every` snapshots using the replica's safe horizon.
+    // If > 0, the maintenance thread garbage-collects version chains every
+    // gc_every x snapshot_interval at the replica's safe horizon.
     int gc_every = 0;
     // Initial capacity of the scheduler's flat row -> last-write-ts map.
     // Pre-size to the replayed log's row universe to avoid rehash stalls on

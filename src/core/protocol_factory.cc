@@ -62,6 +62,7 @@ std::unique_ptr<replica::Replica> MakeReplicaImpl(
       replica::GranularityReplica::Options o;
       o.num_workers = options.num_workers;
       o.snapshot_interval = options.snapshot_interval;
+      o.gc_every = options.gc_every;
       o.granularity = kind == ProtocolKind::kC5Queue
                           ? replica::Granularity::kRow
                           : (kind == ProtocolKind::kPageGranularity
@@ -74,6 +75,7 @@ std::unique_ptr<replica::Replica> MakeReplicaImpl(
       replica::KuaFuReplica::Options o;
       o.num_workers = options.num_workers;
       o.snapshot_interval = options.snapshot_interval;
+      o.gc_every = options.gc_every;
       o.unconstrained = kind == ProtocolKind::kKuaFuUnconstrained;
       return std::make_unique<replica::KuaFuReplica>(db, o, lag);
     }

@@ -32,7 +32,8 @@ struct ProtocolOptions {
   std::chrono::microseconds snapshot_interval =
       std::chrono::microseconds(200);
   std::chrono::microseconds snapshot_cost = std::chrono::microseconds(0);
-  int gc_every = 0;  // C5 variants: GC every N snapshots (0 = off)
+  // Protocols with workers: GC every N snapshot intervals (0 = off).
+  int gc_every = 0;
   // C5 variants: initial capacity of the scheduler's flat row map.
   std::size_t scheduler_map_capacity = std::size_t{1} << 16;
   // Stable per-node id ("shard0/backup1") surfaced through

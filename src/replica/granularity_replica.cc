@@ -17,7 +17,8 @@ const char* ToString(Granularity g) {
 GranularityReplica::GranularityReplica(storage::Database* db, Options options,
                                        LagTracker* lag)
     : ReplicaBase(db, lag,
-                  Pipeline{options.num_workers, options.snapshot_interval}),
+                  Pipeline{options.num_workers, options.snapshot_interval,
+                           options.gc_every}),
       options_(options) {}
 
 std::string GranularityReplica::name() const {
@@ -88,10 +89,11 @@ void GranularityReplica::SchedulerLoop(log::SegmentSource* source) {
 }
 
 void GranularityReplica::WorkerLoop(int /*idx*/) {
-  const auto guard = db_->epochs().Enter();
   ApplySampler sampler(this);
   std::vector<KeyQueue*> reinserts;
   while (auto batch_opt = sched_queue_.Pop()) {
+    // One epoch guard per batch, never across the blocking Pop.
+    const auto guard = db_->epochs().Enter();
     reinserts.clear();
     std::uint64_t applied = 0;
     for (KeyQueue* kq : *batch_opt) {

@@ -56,6 +56,7 @@ class GranularityReplica : public ReplicaBase {
     std::uint64_t rows_per_page = 64;  // §3.1.1's page-capacity assumption
     std::chrono::microseconds snapshot_interval =
         std::chrono::microseconds(100);
+    int gc_every = 0;  // Pipeline::gc_every
   };
 
   GranularityReplica(storage::Database* db, Options options,

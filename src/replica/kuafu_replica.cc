@@ -8,7 +8,8 @@ namespace c5::replica {
 KuaFuReplica::KuaFuReplica(storage::Database* db, Options options,
                            LagTracker* lag)
     : ReplicaBase(db, lag,
-                  Pipeline{options.num_workers, options.snapshot_interval}),
+                  Pipeline{options.num_workers, options.snapshot_interval,
+                           options.gc_every}),
       options_(options) {}
 
 void KuaFuReplica::SchedulerLoop(log::SegmentSource* source) {
@@ -65,7 +66,6 @@ void KuaFuReplica::SchedulerLoop(log::SegmentSource* source) {
 }
 
 void KuaFuReplica::WorkerLoop(int /*idx*/) {
-  const auto guard = db_->epochs().Enter();
   // Same sampling cadence as the C5 replicas, so fig6's apply_p50/p99
   // columns compare like for like. KuaFu never waits per record —
   // dependency edges gate the whole transaction — so this measures pure
@@ -73,6 +73,8 @@ void KuaFuReplica::WorkerLoop(int /*idx*/) {
   // throughput, not here.
   ApplySampler sampler(this);
   while (auto node_opt = ready_.Pop()) {
+    // One epoch guard per transaction, never across the blocking Pop.
+    const auto guard = db_->epochs().Enter();
     TxnNode* node = *node_opt;
     for (const log::LogRecord* rec : node->records) {
       // Same-row writers are serialized by the dependency edges, which is

@@ -46,6 +46,7 @@ class KuaFuReplica : public ReplicaBase {
     bool unconstrained = false;  // diagnostic mode; breaks correctness
     std::chrono::microseconds snapshot_interval =
         std::chrono::microseconds(100);
+    int gc_every = 0;  // Pipeline::gc_every
   };
 
   KuaFuReplica(storage::Database* db, Options options,

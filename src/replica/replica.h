@@ -5,14 +5,21 @@
 // WorkerLoop, ApplyFloor and CloseQueues):
 //  * Thread lifecycle. Start() runs SchedulerLoop on one thread, WorkerLoop
 //    on Pipeline::workers threads and, for a protocol with workers, the
-//    visibility loop. Stop() sets the shutdown flag, calls CloseQueues() and
-//    joins. Every most-derived destructor calls Stop(), because the threads
-//    touch derived members.
+//    visibility loop and (with Pipeline::gc_every > 0) the maintenance loop.
+//    Stop() sets the shutdown flag, calls CloseQueues() and joins. Every
+//    most-derived destructor calls Stop(), because the threads touch derived
+//    members.
 //  * Visibility loop. Each pass publishes ApplyFloor() as the apply floor,
 //    advances the snapshot through PublishSnapshot() when the floor passed
-//    it, reports VisibleTimestamp() to the LagTracker and collects garbage
-//    every Pipeline::gc_every passes; it exits after the first pass that
-//    began drained (scheduler done, every worker exited).
+//    it and reports VisibleTimestamp() to the LagTracker; it exits after the
+//    first pass that began drained (scheduler done, every worker exited).
+//    It never collects garbage, so a GC pass never delays a publish.
+//  * Maintenance loop. Every gc_every snapshot intervals it collects
+//    garbage at GcHorizon() and reclaims what no epoch guard pins, timing
+//    each pass into ReplicaStats. A pass whose horizon has not moved skips
+//    the table walk; a walk that truncated nothing doubles the gap to the
+//    next one (up to 8x). It exits after the first pass that began once the
+//    visibility loop had exited.
 //  * Caught-up wait. WaitUntilCaughtUp() returns once the replica is drained
 //    and VisibleTimestamp() covers watermark(), the scheduler's monotone
 //    high-water mark (AdvanceWatermark).
@@ -27,6 +34,9 @@
 //  * Every read-only transaction runs inside an epoch guard and registers
 //    its snapshot with the reader tracker before reading, so GcHorizon()
 //    never reclaims a version an active reader could still observe.
+//  * A worker holds an epoch guard per unit of work (a batch, a popped
+//    transaction), never across a blocking or idle wait: a guard held for a
+//    thread's life pins every retired version, and nothing is ever freed.
 //  * ApplyRecord is idempotent: at-least-once log delivery (checkpoint
 //    resume, source restart) must not install duplicate versions or skew
 //    the applied-write/transaction counters used for caught-up accounting.
@@ -78,6 +88,10 @@ struct ReplicaStats {
   std::atomic<std::uint64_t> read_only_txns{0};
   // Delivered segments handed back to the source (ReplicaBase::NextSegment).
   std::atomic<std::uint64_t> released_segments{0};
+  // Maintenance-loop GC passes and their wall time (collect + reclaim).
+  std::atomic<std::uint64_t> gc_passes{0};
+  std::atomic<std::uint64_t> gc_ns_total{0};
+  std::atomic<std::uint64_t> gc_ns_max{0};
 };
 
 // A cloned concurrency control protocol: consumes the primary's log and
@@ -120,7 +134,9 @@ struct Pipeline {
   int workers = 0;
   // Sleep between visibility-loop passes.
   std::chrono::microseconds snapshot_interval{100};
-  // Collect garbage at GcHorizon() every `gc_every` passes; 0 = never.
+  // With workers: collect garbage at GcHorizon() on the maintenance thread
+  // every gc_every x snapshot_interval (backing off while walks truncate
+  // nothing); 0 = never.
   int gc_every = 0;
 };
 
@@ -209,9 +225,18 @@ class ReplicaBase : public Replica {
 
   // Safe GC horizon for the backup: nothing at or below min(active reader
   // snapshots, current snapshot) may lose its newest-committed-below version.
+  //
+  // The visible timestamp is read BEFORE the readers, both seq_cst, racing a
+  // Snapshot that registers (seq_cst store) and then loads the visible
+  // timestamp (seq_cst). If the reader scan misses a registration, the
+  // registration follows the scan in the single total order, so the
+  // reader's load follows ours and pins a snapshot at or above `visible`,
+  // above the horizon. Read the other way round, a publish landing between
+  // the two loads lifts the horizon over a registered reader that has not
+  // yet pinned its timestamp.
   Timestamp GcHorizon() const {
+    const Timestamp visible = visible_ts_.load(std::memory_order_seq_cst);
     const Timestamp readers = readers_.MinActive();
-    const Timestamp visible = VisibleTimestamp();
     const Timestamp bound = readers == kMaxTimestamp
                                 ? visible
                                 : std::min(readers, visible);
@@ -465,9 +490,11 @@ class ReplicaBase : public Replica {
     // published snapshot at the resume point until the re-applied watermark
     // covers the inherited high-water mark.
     if (ts < recovery_floor_.load(std::memory_order_acquire)) return;
+    // seq_cst, so each publish takes its place in the total order GcHorizon
+    // relies on.
     Timestamp cur = visible_ts_.load(std::memory_order_relaxed);
     while (cur < ts && !visible_ts_.compare_exchange_weak(
-                           cur, ts, std::memory_order_acq_rel)) {
+                           cur, ts, std::memory_order_seq_cst)) {
     }
   }
 
@@ -492,12 +519,14 @@ class ReplicaBase : public Replica {
   }
 
   void VisibilityLoop();
+  void MaintenanceLoop();
 
   const Pipeline pipeline_;
   std::vector<std::thread> threads_;
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> scheduler_done_{false};
   std::atomic<int> workers_running_{0};
+  std::atomic<bool> visibility_done_{false};
 
   // NextSegment's delivered-but-unreleased segments, in delivery order
   // (scheduler thread only).

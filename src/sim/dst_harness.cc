@@ -410,9 +410,10 @@ void RunConvergenceReplica(const DstPlan& plan, ProtocolKind kind,
     report->violations.push_back(who + ": " + std::move(why));
   };
 
-  const bool gc_active =
-      plan.gc_every > 0 &&
-      (kind == ProtocolKind::kC5 || kind == ProtocolKind::kC5MyRocks);
+  // Only protocols with workers run the maintenance thread that collects.
+  const bool gc_active = plan.gc_every > 0 &&
+                         kind != ProtocolKind::kSingleThread &&
+                         kind != ProtocolKind::kQueryFresh;
   c5::BackupOptions node_options;
   node_options.protocol = kind;
   node_options.id = who;
@@ -931,6 +932,7 @@ DstReport RunDst(std::uint64_t seed, const DstHooks& hooks) {
   if (hooks.force_replay_workers > 0) {
     plan.replay_workers = hooks.force_replay_workers;
   }
+  if (hooks.force_gc_every > 0) plan.gc_every = hooks.force_gc_every;
   if (hooks.armed()) {
     // Self-test mode: strip the stochastic scenarios so the planted
     // violation is the only signal the checker can fire on.

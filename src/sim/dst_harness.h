@@ -98,6 +98,12 @@ struct DstHooks {
   // decides.
   int force_replay_workers = 0;
 
+  // Mode pin, NOT a planted bug (excluded from armed()): overrides the
+  // plan's gc_every draw. The dedicated GC sweep in dst_test pins 1, so every
+  // replica with workers collects garbage on every snapshot interval while
+  // the sampler reads. 0: the plan decides.
+  int force_gc_every = 0;
+
   bool armed() const { return drop_txn_segment >= 0 || gc_past_horizon; }
 };
 

@@ -53,7 +53,9 @@ DstPlan DstPlan::FromSeed(std::uint64_t seed) {
   p.replicas.push_back(kPool[rng.Uniform(8)]);
 
   p.num_workers = 2 + static_cast<int>(rng.Uniform(2));       // 2-3
-  p.gc_every = rng.NextDouble() < 0.3 ? 3 : 0;
+  // One draw, so later fields keep their values for older seeds.
+  const double gc_draw = rng.NextDouble();
+  p.gc_every = gc_draw < 0.15 ? 1 : (gc_draw < 0.3 ? 3 : 0);
 
   p.crash = rng.NextDouble() < 0.4;
   p.crash_frac = 0.25 + 0.5 * rng.NextDouble();

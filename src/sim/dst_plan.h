@@ -41,7 +41,7 @@ struct DstPlan {
   // ---- Replica set replaying the faulted stream. ----
   std::vector<core::ProtocolKind> replicas;
   int num_workers = 2;
-  int gc_every = 0;  // C5 variants: GC every N snapshots during replay
+  int gc_every = 0;  // protocols with workers: GC every N snapshot intervals
 
   // ---- Crash/restart of replicas[0]: deliver a prefix, destroy the
   // replica, restart a fresh instance from its visibility checkpoint. ----

@@ -14,6 +14,7 @@ TableId Database::CreateTable(std::string name, std::size_t expected_keys) {
 }
 
 std::size_t Database::CollectGarbage(Timestamp horizon) {
+  MutexLock lock(gc_mu_);
   std::size_t total = 0;
   for (auto& t : tables_) total += t->CollectGarbage(horizon, epochs_);
   epochs_.ReclaimSome();

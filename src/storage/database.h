@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/spin_lock.h"
 #include "common/types.h"
 #include "index/hash_index.h"
@@ -85,6 +86,9 @@ class Database {
   // horizon (e.g., horizon = snapshotter's current snapshot minus active
   // reader margin). Returns the number of rows whose chains were truncated
   // (exact freed-version counts come from the epoch manager's reclaim).
+  // Passes are serialized: the walk holds no epoch guard, so a concurrent
+  // pass with a lower horizon could otherwise walk into a tail this pass
+  // retired and reclaimed.
   std::size_t CollectGarbage(Timestamp horizon);
 
   // Convenience read: resolve key through the index, then read at ts.
@@ -104,6 +108,7 @@ class Database {
   std::vector<std::unique_ptr<index::HashIndex>> indexes_;
   std::vector<std::unique_ptr<index::OrderedIndex>> ordered_indexes_;
   EpochManager epochs_;
+  Mutex gc_mu_{LockRank::kGc};
 };
 
 }  // namespace c5::storage

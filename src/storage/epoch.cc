@@ -57,19 +57,33 @@ EpochManager::Guard::~Guard() {
 }
 
 void EpochManager::Retire(void* ptr, void (*deleter)(void*)) {
-  const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
-  {
-    MutexLock lock(retired_mu_);
-    retired_.push_back(RetiredItem{ptr, deleter, nullptr, e});
-  }
-  retired_count_.fetch_add(1, std::memory_order_relaxed);
+  Push(RetiredItem{ptr, deleter, nullptr});
 }
 
 void EpochManager::RetireBatch(void* ptr, std::size_t (*deleter)(void*)) {
-  const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
+  Push(RetiredItem{ptr, nullptr, deleter});
+}
+
+void EpochManager::Push(const RetiredItem& item) {
   {
     MutexLock lock(retired_mu_);
-    retired_.push_back(RetiredItem{ptr, nullptr, deleter, e});
+    // Read under the lock: successive pushes then see a non-decreasing
+    // epoch, so the newest bucket is the only one an item can join.
+    const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
+    if (live_ == 0 || ring_[(head_ + live_ - 1) % ring_.size()].epoch != e) {
+      if (live_ == ring_.size()) {
+        // Full: unroll the ring into a twice-larger one, oldest first.
+        std::vector<Bucket> grown(std::max<std::size_t>(8, 2 * ring_.size()));
+        for (std::size_t i = 0; i < live_; ++i) {
+          grown[i] = std::move(ring_[(head_ + i) % ring_.size()]);
+        }
+        ring_.swap(grown);
+        head_ = 0;
+      }
+      ring_[(head_ + live_) % ring_.size()].epoch = e;
+      ++live_;
+    }
+    ring_[(head_ + live_ - 1) % ring_.size()].items.push_back(item);
   }
   retired_count_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -87,35 +101,27 @@ std::size_t EpochManager::ReclaimSome() {
   // Advance the epoch so future retirements are distinguishable from the
   // garbage we are about to examine.
   global_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  const std::uint64_t min_active = MinActiveEpoch();
-
-  std::vector<RetiredItem> to_free;
-  {
-    MutexLock lock(retired_mu_);
-    auto keep_end = std::partition(
-        retired_.begin(), retired_.end(),
-        [min_active](const RetiredItem& item) {
-          return item.epoch >= min_active;
-        });
-    to_free.assign(std::make_move_iterator(keep_end),
-                   std::make_move_iterator(retired_.end()));
-    retired_.erase(keep_end, retired_.end());
-  }
-  std::size_t freed = 0;
-  for (const RetiredItem& item : to_free) freed += Free(item);
-  retired_count_.fetch_sub(to_free.size(), std::memory_order_relaxed);
-  return freed;
+  return ReclaimBelow(MinActiveEpoch());
 }
 
-std::size_t EpochManager::ReclaimAllUnsafe() {
-  std::vector<RetiredItem> to_free;
+std::size_t EpochManager::ReclaimAllUnsafe() { return ReclaimBelow(kIdleEpoch); }
+
+std::size_t EpochManager::ReclaimBelow(std::uint64_t epoch) {
+  MutexLock reclaim(reclaim_mu_);
   {
     MutexLock lock(retired_mu_);
-    to_free.swap(retired_);
+    while (live_ > 0 && ring_[head_].epoch < epoch) {
+      std::vector<RetiredItem>& items = ring_[head_].items;
+      doomed_.insert(doomed_.end(), items.begin(), items.end());
+      items.clear();
+      head_ = (head_ + 1) % ring_.size();
+      --live_;
+    }
   }
   std::size_t freed = 0;
-  for (const RetiredItem& item : to_free) freed += Free(item);
-  retired_count_.fetch_sub(to_free.size(), std::memory_order_relaxed);
+  for (const RetiredItem& item : doomed_) freed += Free(item);
+  retired_count_.fetch_sub(doomed_.size(), std::memory_order_relaxed);
+  doomed_.clear();
   return freed;
 }
 

@@ -22,9 +22,14 @@ namespace c5::storage {
 //
 // This is a classic three-phase EBR scheme kept deliberately small:
 //  * Enter() publishes the thread's view of the global epoch.
-//  * Retire() stamps garbage with the current global epoch.
-//  * ReclaimSome() advances the global epoch when possible and frees garbage
-//    whose epoch is strictly below the minimum active epoch.
+//  * Retire() stamps garbage with the current global epoch and appends it to
+//    that epoch's limbo bucket.
+//  * ReclaimSome() advances the global epoch and frees every bucket whose
+//    epoch is strictly below the minimum active epoch.
+//
+// Guards are per unit of work (a read, a replay batch), never per thread
+// lifetime: one long-lived guard pins every bucket from its epoch on, and
+// nothing retired after it is ever freed.
 class EpochManager {
  public:
   static constexpr int kMaxThreads = 512;
@@ -62,9 +67,10 @@ class EpochManager {
   // exact without the retiring thread ever walking the doomed structure.
   void RetireBatch(void* ptr, std::size_t (*deleter)(void*));
 
-  // Attempts to advance the global epoch and frees all eligible garbage.
-  // Returns the number of objects freed (batch items count each object their
-  // deleter reports). Safe to call from any thread; internally serialized.
+  // Advances the global epoch and frees every limbo bucket below the
+  // minimum active epoch, oldest first; a pass costs what it frees. Returns
+  // the number of objects freed (batch items count each object their deleter
+  // reports). Safe to call from any thread; internally serialized.
   std::size_t ReclaimSome();
 
   // Frees everything regardless of epochs. Only call when no thread can be
@@ -96,7 +102,12 @@ class EpochManager {
     void* ptr;
     void (*deleter)(void*);                // exactly one of deleter /
     std::size_t (*batch_deleter)(void*);   // batch_deleter is non-null
-    std::uint64_t epoch;
+  };
+
+  // Everything retired while the global epoch was `epoch`.
+  struct Bucket {
+    std::uint64_t epoch = 0;
+    std::vector<RetiredItem> items;
   };
 
   static std::size_t Free(const RetiredItem& item) {
@@ -107,14 +118,27 @@ class EpochManager {
 
   int AcquireSlot();
   std::uint64_t MinActiveEpoch() const;
+  void Push(const RetiredItem& item);
+  // Frees every bucket whose epoch is below `epoch`.
+  std::size_t ReclaimBelow(std::uint64_t epoch);
 
   std::atomic<std::uint64_t> global_epoch_{1};
   Slot slots_[kMaxThreads];
 
-  // Deleters always run OUTSIDE retired_mu_ (they may take arena locks).
+  // Limbo: a ring of buckets, oldest at `head_`, epochs strictly increasing.
+  // A popped bucket keeps its item capacity and the ring never shrinks, so a
+  // warm manager retires and reclaims without allocating. Deleters always
+  // run OUTSIDE retired_mu_ (they may take arena locks).
   Mutex retired_mu_{LockRank::kEpochRetired};
-  std::vector<RetiredItem> retired_ C5_GUARDED_BY(retired_mu_);
+  std::vector<Bucket> ring_ C5_GUARDED_BY(retired_mu_);
+  std::size_t head_ C5_GUARDED_BY(retired_mu_) = 0;
+  std::size_t live_ C5_GUARDED_BY(retired_mu_) = 0;
   std::atomic<std::size_t> retired_count_{0};
+
+  // One reclaimer at a time: it copies the popped buckets into `doomed_`
+  // under retired_mu_, then frees them with only this lock held.
+  Mutex reclaim_mu_{LockRank::kEpochReclaim};
+  std::vector<RetiredItem> doomed_ C5_GUARDED_BY(reclaim_mu_);
 };
 
 }  // namespace c5::storage

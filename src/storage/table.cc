@@ -200,7 +200,12 @@ std::size_t Table::CollectRowGarbage(RowId row, Timestamp horizon,
                            v->write_ts <= horizon)) {
     v = v->Next();
   }
-  if (v == nullptr) return 0;
+  // Load before exchanging: most rows have nothing below the horizon, and
+  // an exchange would write every row's version cache line for nothing,
+  // under the workers installing on those rows.
+  if (v == nullptr || v->next.load(std::memory_order_acquire) == nullptr) {
+    return 0;
+  }
   Version* tail = v->next.exchange(nullptr, std::memory_order_acq_rel);
   if (tail == nullptr) return 0;
   // One batched retirement for the whole tail; the batch deleter counts the

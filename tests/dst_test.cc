@@ -205,6 +205,28 @@ TEST(DstTest, ReplayWorkerSweepHoldsAllInvariants) {
   EXPECT_EQ(restarts, windows_closed);
 }
 
+// The GC sweep: every seed re-runs with garbage collection on every
+// snapshot interval (DstHooks::force_gc_every is a mode pin, like
+// force_shards), so each replica with workers truncates and reclaims
+// versions on its maintenance thread while the replay workers apply and the
+// sampler thread reads. A reclaimed version that is still reachable is the
+// failure that matters; the ASan lane turns it into a crash.
+TEST(DstTest, GcEveryPassSweepHoldsAllInvariants) {
+  const std::vector<std::uint64_t> seeds = SweepSeeds();
+  DstHooks gc;
+  gc.force_gc_every = 1;
+  ASSERT_FALSE(gc.armed()) << "force_gc_every is a mode pin, not a hook";
+  std::uint64_t restarts = 0, windows_closed = 0;
+  for (const std::uint64_t seed : seeds) {
+    const DstReport r = RunDst(seed, gc);
+    EXPECT_TRUE(r.ok()) << "gc_every=1; " << Describe(r);
+    EXPECT_EQ(r.plan.gc_every, 1) << Describe(r);
+    restarts += r.crash_restarts;
+    windows_closed += r.recovery_windows_closed;
+  }
+  EXPECT_EQ(restarts, windows_closed);
+}
+
 TEST(DstTest, SameSeedReplaysBitForBit) {
   const DstReport a = RunDst(424242);
   const DstReport b = RunDst(424242);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
+#include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -78,6 +81,61 @@ TEST_F(EpochTest, NestedGuardsAreSupported) {
   mgr.Retire(new int(1), CountingDeleter);
   mgr.ReclaimSome();
   EXPECT_EQ(g_deleted.load(), 0);  // outer guard still active
+}
+
+// Limbo buckets: a held guard pins the bucket of its epoch and every newer
+// one, while older buckets are freed with exact counts.
+TEST_F(EpochTest, HeldGuardPinsItsBucketAndFreesOlderOnes) {
+  EpochManager mgr;
+  std::optional<EpochManager::Guard> older(std::in_place, &mgr);
+  mgr.Retire(new int(1), CountingDeleter);
+  mgr.Retire(new int(2), CountingDeleter);  // bucket 1: two items
+  EXPECT_EQ(mgr.ReclaimSome(), 0u);         // epoch 2; `older` pins bucket 1
+
+  std::optional<EpochManager::Guard> newer(std::in_place, &mgr);
+  for (int i = 0; i < 3; ++i) mgr.Retire(new int(i), CountingDeleter);
+  EXPECT_EQ(mgr.ReclaimSome(), 0u);  // bucket 2: three items; epoch 3
+  mgr.Retire(new int(9), CountingDeleter);  // bucket 3: one item
+  EXPECT_EQ(mgr.RetiredCountApprox(), 6u);
+
+  older.reset();
+  // The minimum active epoch is now `newer`'s (2): exactly bucket 1 goes.
+  EXPECT_EQ(mgr.ReclaimSome(), 2u);
+  EXPECT_EQ(g_deleted.load(), 2);
+  EXPECT_EQ(mgr.RetiredCountApprox(), 4u);
+  EXPECT_EQ(mgr.ReclaimSome(), 0u);  // still pinned: nothing newer moves
+
+  newer.reset();
+  EXPECT_EQ(mgr.ReclaimSome(), 4u);
+  EXPECT_EQ(g_deleted.load(), 6);
+  EXPECT_EQ(mgr.RetiredCountApprox(), 0u);
+}
+
+// Batch items count every object their deleter reports, and a bucket is
+// freed whole once the guard pinning it goes. A sliding window of guards
+// keeps ten buckets live, so the ring grows and wraps around.
+TEST_F(EpochTest, BucketsBelowTheMinimumFreeWithExactCounts) {
+  EpochManager mgr;
+  std::deque<std::unique_ptr<EpochManager::Guard>> window;
+  std::size_t freed = 0;
+  for (int round = 0; round < 100; ++round) {
+    window.push_back(std::make_unique<EpochManager::Guard>(&mgr));
+    for (int i = 0; i <= round % 5; ++i) {
+      mgr.RetireBatch(new int(i), [](void* p) -> std::size_t {
+        CountingDeleter(p);
+        return 3;  // stands for a three-version chain
+      });
+    }
+    if (window.size() > 10) window.pop_front();
+    freed += mgr.ReclaimSome();  // one new epoch, so one bucket, per round
+    EXPECT_LE(mgr.RetiredCountApprox(), 10u * 5u);
+  }
+  window.clear();
+  freed += mgr.ReclaimSome();
+  // Rounds retire 1..5 items cyclically: 20 full cycles of 15 items.
+  EXPECT_EQ(g_deleted.load(), 300);
+  EXPECT_EQ(freed, 900u);
+  EXPECT_EQ(mgr.RetiredCountApprox(), 0u);
 }
 
 TEST_F(EpochTest, ReclaimAllUnsafeFreesEverything) {
