@@ -86,17 +86,16 @@ struct OfflinePrimary {
   log::PerThreadLogCollector collector{4096};
   std::unique_ptr<txn::Engine> engine;
 
-  static std::unique_ptr<OfflinePrimary> Mvtso() {
+  static std::unique_ptr<OfflinePrimary> Make(txn::EngineKind kind) {
     auto p = std::make_unique<OfflinePrimary>();
-    p->engine = std::make_unique<txn::MvtsoEngine>(&p->db, &p->collector,
-                                                   &p->clock);
+    p->engine = txn::MakeEngine(kind, &p->db, &p->collector, &p->clock);
     return p;
   }
+  static std::unique_ptr<OfflinePrimary> Mvtso() {
+    return Make(txn::EngineKind::kMvtso);
+  }
   static std::unique_ptr<OfflinePrimary> Tpl() {
-    auto p = std::make_unique<OfflinePrimary>();
-    p->engine = std::make_unique<txn::TwoPhaseLockingEngine>(
-        &p->db, &p->collector, &p->clock);
-    return p;
+    return Make(txn::EngineKind::kTwoPhaseLocking);
   }
 };
 
@@ -149,12 +148,10 @@ inline ReplayResult ReplayLog(core::ProtocolKind kind, log::Log& log,
   replica->Stop();
   result.txns = replica->stats().applied_txns.load();
   result.writes = replica->stats().applied_writes.load();
-  if (auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get())) {
-    const Histogram h = base->ApplyLatencySnapshot();
-    if (h.count() > 0) {
-      result.apply_p50_ns = h.Quantile(0.5);
-      result.apply_p99_ns = h.Quantile(0.99);
-    }
+  const Histogram h = replica->ApplyLatencySnapshot();
+  if (h.count() > 0) {
+    result.apply_p50_ns = h.Quantile(0.5);
+    result.apply_p99_ns = h.Quantile(0.99);
   }
   return result;
 }

@@ -188,11 +188,6 @@ int Run(int argc, char** argv) {
   replica->Start(&source);
   replica->WaitUntilCaughtUp();
   const double replay_seconds = replay_sw.ElapsedSeconds();
-  auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get());
-  if (base == nullptr) {
-    std::fprintf(stderr, "protocol has no snapshot surface\n");
-    return 1;
-  }
 
   const int baseline_reps = quick ? 3 : 5;
   std::vector<RangeResult> rows;
@@ -203,7 +198,7 @@ int Run(int argc, char** argv) {
     const Key lo = (table_keys - range) / 2;
     const int stream_reps =
         quick ? 10 : (range <= 64 ? 2000 : (range <= 4096 ? 200 : 20));
-    rows.push_back(MeasureRange(*base, backup, table, lo, range,
+    rows.push_back(MeasureRange(*replica, backup, table, lo, range,
                                 baseline_reps, stream_reps));
   }
 

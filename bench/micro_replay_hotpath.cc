@@ -213,8 +213,9 @@ WorkerScalingPoint BenchWorkerScaling(log::Log& log, int workers) {
   backup.CreateTable("kv");
   log.ResetReplayState();
   log::OfflineSegmentSource source(&log);
-  core::C5Replica::Options options;
+  core::ProtocolOptions options;
   options.num_workers = workers;
+  options.snapshot_interval = std::chrono::microseconds(100);
   options.scheduler_map_capacity = 4096 * 2;  // the log's row universe
   core::C5Replica replica(&backup, options);
   replica.Start(&source);

@@ -67,7 +67,6 @@ inline OnlineResult RunOnlineInsertExperiment(const OnlineConfig& config) {
   auto rep = core::MakeReplica(config.protocol, &backup_db, options, &lag);
   AllocScope alloc_scope;
   rep->Start(&source);
-  auto* base = dynamic_cast<replica::ReplicaBase*>(rep.get());
 
   // Log flusher: ship partial segments promptly so measured lag reflects the
   // protocol, not batching.
@@ -92,7 +91,7 @@ inline OnlineResult RunOnlineInsertExperiment(const OnlineConfig& config) {
         const Key key = (std::uint64_t{1} << 63) |
                         (rng.Uniform(config.write_clients) << 40) |
                         rng.Uniform(1 << 20);
-        (void)base->ReadAtVisible(table, key, &v);
+        (void)rep->ReadAtVisible(table, key, &v);
         reads.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -181,7 +180,7 @@ inline OnlineResult RunOnlineInsertExperiment(const OnlineConfig& config) {
   stop_readers.store(true, std::memory_order_release);
   for (auto& r : readers) r.join();
   rep->Stop();
-  if (base != nullptr) result.apply_latency = base->ApplyLatencySnapshot();
+  result.apply_latency = rep->ApplyLatencySnapshot();
   return result;
 }
 

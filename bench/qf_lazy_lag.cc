@@ -59,12 +59,10 @@ void PartA() {
   storage::Database qf_db;
   schema(&qf_db);
   log::OfflineSegmentSource qf_source(&log);
-  QueryFreshReplica::Options qopt;
-  qopt.leave_lazy_after_catchup = true;
-  QueryFreshReplica qf(&qf_db, qopt);
+  QueryFreshReplica qf(&qf_db);
   Stopwatch sw;
   qf.Start(&qf_source);
-  qf.WaitUntilCaughtUp();
+  qf.WaitUntilIndexed();
   const double qf_secs = sw.ElapsedSeconds();
   const std::uint64_t qf_executed = qf.stats().applied_writes.load();
   const std::uint64_t backlog = qf.PendingBacklog();
@@ -106,11 +104,9 @@ void PartB() {
     storage::Database qf_db;
     const TableId qf_table = workload::SyntheticWorkload::CreateTable(&qf_db);
     log::OfflineSegmentSource qf_source(&log);
-    QueryFreshReplica::Options qopt;
-    qopt.leave_lazy_after_catchup = true;
-    QueryFreshReplica qf(&qf_db, qopt);
+    QueryFreshReplica qf(&qf_db);
     qf.Start(&qf_source);
-    qf.WaitUntilCaughtUp();
+    qf.WaitUntilIndexed();
     Value v;
     Stopwatch first;
     (void)qf.ReadAtVisible(qf_table, workload::SyntheticWorkload::kHotKey,
@@ -131,10 +127,9 @@ void PartB() {
                                 {.num_workers = bench::DefaultWorkers()});
     c5->Start(&c5_source);
     c5->WaitUntilCaughtUp();
-    auto* base = dynamic_cast<replica::ReplicaBase*>(c5.get());
     Stopwatch c5_read;
-    (void)base->ReadAtVisible(c5_table,
-                              workload::SyntheticWorkload::kHotKey, &v);
+    (void)c5->ReadAtVisible(c5_table, workload::SyntheticWorkload::kHotKey,
+                            &v);
     const double c5_us = c5_read.ElapsedSeconds() * 1e6;
     c5->Stop();
 

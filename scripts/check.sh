@@ -83,6 +83,12 @@ cmake -B "$build_dir" -S "$repo_root"
 cmake --build "$build_dir" -j "$jobs"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 
+# c5bench (the end-to-end benchmark) is a package of its own outside the
+# root build, so compile it here too: an API change that breaks it fails
+# this lane instead of the benchmark run.
+cmake -S "$repo_root/c5bench" -B "${build_dir}-c5bench" >/dev/null
+cmake --build "${build_dir}-c5bench" -j "$jobs" --target c5bench
+
 # Stress lane: the concurrency-heavy suites, all at once, 20 times over (or
 # until the first failure). A race that fires one run in ten shows up here
 # as a red lane instead of a "flaky" test. It includes the epoch limbo

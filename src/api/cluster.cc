@@ -18,17 +18,12 @@ BackupNode::BackupNode(BackupOptions options) : options_(std::move(options)) {
 BackupNode::~BackupNode() { Stop(); }
 
 void BackupNode::MakeProtocol() {
+  replica_ = core::MakeReplica(options_.protocol, &db_,
+                               options_.protocol_options, options_.lag);
   // The node id names the NODE, not the incarnation: every protocol rebuilt
   // by Restart carries the same instance id, so multi-shard failure output
   // stays attributable across crash/restart cycles.
-  core::ProtocolOptions po = options_.protocol_options;
-  if (po.instance_id.empty()) po.instance_id = options_.id;
-  // Per-node apply-stage sizing; Restart rebuilds with the same override.
-  if (options_.replay_workers > 0) po.num_workers = options_.replay_workers;
-  replica_ = core::MakeReplica(options_.protocol, &db_, po, options_.lag);
-  base_ = dynamic_cast<replica::ReplicaBase*>(replica_.get());
-  assert(base_ != nullptr &&
-         "every protocol in this repository derives ReplicaBase");
+  replica_->SetInstanceId(options_.id);
 }
 
 std::string BackupNode::id() const {
@@ -52,7 +47,7 @@ void BackupNode::Start(log::SegmentSource* source) {
     // inherited high-water mark IS the checkpoint (one version per row at
     // or below it), so the window is empty and only the resume point
     // matters.
-    base_->SetRecoveryWindow(restored_ts_, db_.MaxCommittedTimestamp());
+    replica_->SetRecoveryWindow(restored_ts_, db_.MaxCommittedTimestamp());
   }
   started_ = true;
   replica_->Start(source);
@@ -60,14 +55,14 @@ void BackupNode::Start(log::SegmentSource* source) {
 
 void BackupNode::Restart(log::SegmentSource* source) {
   const Timestamp resume =
-      started_ ? base_->VisibleTimestamp() : restored_ts_;
+      started_ ? replica_->VisibleTimestamp() : restored_ts_;
   replica_->Stop();
   // The surviving database may hold run-ahead writes above `resume` from
   // workers of the dead incarnation; until replay covers them again, the
   // states in between are not prefix-consistent and must stay unreadable.
   const Timestamp inherited = db_.MaxCommittedTimestamp();
   MakeProtocol();
-  base_->SetRecoveryWindow(resume, inherited);
+  replica_->SetRecoveryWindow(resume, inherited);
   started_ = true;
   replica_->Start(source);
 }
@@ -81,7 +76,7 @@ void BackupNode::Stop() {
 }
 
 Timestamp BackupNode::VisibleTimestamp() const {
-  return base_->VisibleTimestamp();
+  return replica_->VisibleTimestamp();
 }
 
 Status BackupNode::WriteCheckpoint(const std::string& path) {
@@ -94,9 +89,6 @@ std::unique_ptr<ha::PromotedPrimary> BackupNode::Promote(
   return ha::PromoteToPrimary(&db_, VisibleTimestamp(), kind,
                               /*segment_capacity=*/256, extra_sink);
 }
-
-replica::ReplicaBase& BackupNode::reader() { return *base_; }
-const replica::ReplicaBase& BackupNode::reader() const { return *base_; }
 
 // ---- Cluster ----------------------------------------------------------------
 
@@ -234,7 +226,6 @@ void Cluster::Start() {
     BackupOptions bo;
     bo.protocol = specs[i].protocol;
     bo.protocol_options = options_.protocol;
-    bo.replay_workers = options_.replay_workers;
     bo.lag = specs[i].lag;
     bo.id = options_.id + "/backup" + std::to_string(i);
     nodes_.push_back(std::make_unique<BackupNode>(std::move(bo)));

@@ -72,14 +72,8 @@ namespace c5 {
 struct BackupOptions {
   core::ProtocolKind protocol = core::ProtocolKind::kC5;
   core::ProtocolOptions protocol_options{};
-  // Replay-worker override: when > 0, replaces protocol_options.num_workers
-  // for this node. Separate from protocol_options so a heterogeneous fleet
-  // can share one ProtocolOptions while sizing each node's apply stage
-  // independently (and so DST plans can sweep worker counts without
-  // disturbing the rest of the protocol draw).
-  int replay_workers = 0;
   replica::LagTracker* lag = nullptr;
-  // Stable node id ("shard0/backup1"): threaded into the protocol's
+  // Stable node id ("shard0/backup1"): set as the protocol's
   // ReplicaBase::instance_id() so logs and DST failure output can attribute
   // a divergence to this node across restarts (Restart builds a FRESH
   // ReplicaBase, but the id — identity of the node, not the incarnation —
@@ -150,9 +144,10 @@ class BackupNode {
   std::unique_ptr<ha::PromotedPrimary> Promote(
       ha::EngineKind kind, log::LogCollector* extra_sink = nullptr);
 
-  replica::ReplicaBase& reader();
-  const replica::ReplicaBase& reader() const;
-  replica::Replica& replica() { return *replica_; }
+  // The protocol instance. reader() and replica() are the same object.
+  replica::ReplicaBase& reader() { return *replica_; }
+  const replica::ReplicaBase& reader() const { return *replica_; }
+  replica::ReplicaBase& replica() { return *replica_; }
   storage::Database& db() { return db_; }
   const BackupOptions& options() const { return options_; }
 
@@ -165,8 +160,7 @@ class BackupNode {
 
   BackupOptions options_;
   storage::Database db_;
-  std::unique_ptr<replica::Replica> replica_;
-  replica::ReplicaBase* base_ = nullptr;
+  std::unique_ptr<replica::ReplicaBase> replica_;
   Timestamp restored_ts_ = 0;  // checkpoint restore point (0: none)
   bool started_ = false;
 };
@@ -189,13 +183,8 @@ struct ClusterOptions {
   std::size_t num_backups = 1;
   core::ProtocolKind backup_protocol = core::ProtocolKind::kC5;
 
-  // Replication knobs applied to every backup (absorbs
-  // core::ProtocolOptions).
+  // Replication knobs applied to every backup.
   core::ProtocolOptions protocol{.num_workers = 2};
-
-  // Replay-worker override for every backup (see
-  // BackupOptions::replay_workers). 0: use protocol.num_workers.
-  int replay_workers = 0;
 
   // Log shipping: records per shipped segment, and how often the background
   // flusher closes a partial segment so lag excludes batching delay
@@ -251,10 +240,6 @@ struct ClusterOptions {
   }
   ClusterOptions& WithWorkers(int n) {
     protocol.num_workers = n;
-    return *this;
-  }
-  ClusterOptions& WithReplayWorkers(int n) {
-    replay_workers = n;
     return *this;
   }
   ClusterOptions& WithSnapshotInterval(std::chrono::microseconds us) {

@@ -127,14 +127,10 @@ Timestamp C5MyRocksReplica::TxnDispatchQueue::MinUnapplied() const {
 // ---------------------------------------------------------------------------
 // C5MyRocksReplica
 
-C5MyRocksReplica::C5MyRocksReplica(storage::Database* db, Options options,
+C5MyRocksReplica::C5MyRocksReplica(storage::Database* db,
+                                   const replica::ProtocolOptions& options,
                                    replica::LagTracker* lag)
-    : ReplicaBase(db, lag,
-                  replica::Pipeline{options.num_workers,
-                                    options.snapshot_interval,
-                                    options.gc_every}),
-      options_(options),
-      dispatch_(options.num_workers) {}
+    : ReplicaBase(db, options, lag), dispatch_(options.num_workers) {}
 
 void C5MyRocksReplica::SchedulerLoop(log::SegmentSource* source) {
   // Same embedded-FIFO preprocessing as C5Replica (§5.1 leverages the

@@ -2,7 +2,6 @@
 #define C5_CORE_C5_MYROCKS_REPLICA_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -41,20 +40,11 @@ namespace c5::core {
 //     cost to reproduce the lag spikes the paper discusses.
 class C5MyRocksReplica : public replica::ReplicaBase {
  public:
-  struct Options {
-    int num_workers = 4;
-    // Approximate snapshot frequency I (§5.2; the paper's Fig. 8 uses 10ms).
-    std::chrono::microseconds snapshot_interval =
-        std::chrono::microseconds(10000);
-    // Simulated cost of taking a RocksDB snapshot while writers are blocked.
-    std::chrono::microseconds snapshot_cost = std::chrono::microseconds(0);
-    int gc_every = 0;  // see C5Replica::Options::gc_every
-    // Initial capacity of the scheduler's flat row -> last-write-ts map
-    // (see C5Replica::Options::scheduler_map_capacity).
-    std::size_t scheduler_map_capacity = std::size_t{1} << 16;
-  };
-
-  C5MyRocksReplica(storage::Database* db, Options options,
+  // ProtocolOptions::snapshot_interval is the snapshot frequency I (the
+  // paper's Fig. 8 uses 10 ms) and snapshot_cost the simulated snapshot
+  // cost.
+  C5MyRocksReplica(storage::Database* db,
+                   const replica::ProtocolOptions& options,
                    replica::LagTracker* lag = nullptr);
   ~C5MyRocksReplica() override { Stop(); }
 
@@ -128,8 +118,6 @@ class C5MyRocksReplica : public replica::ReplicaBase {
   // §5.2: blocks writers above `n` while the (simulated) RocksDB snapshot is
   // taken, so the boundary stays stable while it captures current state.
   void PublishSnapshot(Timestamp n) override;
-
-  Options options_;
 
   TxnDispatchQueue dispatch_;
   // Snapshot barrier (§5.2): while active, workers must not install writes

@@ -7,13 +7,10 @@
 
 namespace c5::core {
 
-C5Replica::C5Replica(storage::Database* db, Options options,
+C5Replica::C5Replica(storage::Database* db,
+                     const replica::ProtocolOptions& options,
                      replica::LagTracker* lag)
-    : ReplicaBase(db, lag,
-                  replica::Pipeline{options.num_workers,
-                                    options.snapshot_interval,
-                                    options.gc_every}),
-      options_(options) {
+    : ReplicaBase(db, options, lag) {
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.push_back(std::make_unique<WorkerState>(/*queue_capacity=*/4096));
   }

@@ -17,7 +17,6 @@
 #define C5_CORE_C5_REPLICA_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -61,19 +60,6 @@ namespace c5::core {
 // timestamps).
 class C5Replica : public replica::ReplicaBase {
  public:
-  struct Options {
-    int num_workers = 4;
-    std::chrono::microseconds snapshot_interval =
-        std::chrono::microseconds(100);
-    // If > 0, the maintenance thread garbage-collects version chains every
-    // gc_every x snapshot_interval at the replica's safe horizon.
-    int gc_every = 0;
-    // Initial capacity of the scheduler's flat row -> last-write-ts map.
-    // Pre-size to the replayed log's row universe to avoid rehash stalls on
-    // the single scheduler thread mid-replay.
-    std::size_t scheduler_map_capacity = std::size_t{1} << 16;
-  };
-
   // Per-worker load accounting for the fleet-model scaling methodology
   // (BENCH_replay.json worker_scaling): records applied by the worker and
   // the CPU nanoseconds its batch processing consumed
@@ -86,7 +72,7 @@ class C5Replica : public replica::ReplicaBase {
     std::uint64_t cpu_ns = 0;
   };
 
-  C5Replica(storage::Database* db, Options options,
+  C5Replica(storage::Database* db, const replica::ProtocolOptions& options,
             replica::LagTracker* lag = nullptr);
   ~C5Replica() override { Stop(); }
 
@@ -151,8 +137,6 @@ class C5Replica : public replica::ReplicaBase {
   // defer. Row-slot creation and index maintenance are idempotent and happen
   // on first attempt.
   bool TryApply(const log::LogRecord& rec, LocalCounts& counts);
-
-  Options options_;
 
   std::vector<std::unique_ptr<WorkerState>> workers_;
 

@@ -33,78 +33,33 @@ const char* ToString(ProtocolKind kind) {
   return "unknown";
 }
 
-namespace {
-
-std::unique_ptr<replica::Replica> MakeReplicaImpl(
+std::unique_ptr<replica::ReplicaBase> MakeReplica(
     ProtocolKind kind, storage::Database* db, const ProtocolOptions& options,
     replica::LagTracker* lag) {
   switch (kind) {
-    case ProtocolKind::kC5: {
-      C5Replica::Options o;
-      o.num_workers = options.num_workers;
-      o.snapshot_interval = options.snapshot_interval;
-      o.gc_every = options.gc_every;
-      o.scheduler_map_capacity = options.scheduler_map_capacity;
-      return std::make_unique<C5Replica>(db, o, lag);
-    }
-    case ProtocolKind::kC5MyRocks: {
-      C5MyRocksReplica::Options o;
-      o.num_workers = options.num_workers;
-      o.snapshot_interval = options.snapshot_interval;
-      o.snapshot_cost = options.snapshot_cost;
-      o.gc_every = options.gc_every;
-      o.scheduler_map_capacity = options.scheduler_map_capacity;
-      return std::make_unique<C5MyRocksReplica>(db, o, lag);
-    }
+    case ProtocolKind::kC5:
+      return std::make_unique<C5Replica>(db, options, lag);
+    case ProtocolKind::kC5MyRocks:
+      return std::make_unique<C5MyRocksReplica>(db, options, lag);
     case ProtocolKind::kC5Queue:
+      return std::make_unique<replica::GranularityReplica>(
+          db, replica::Granularity::kRow, options, lag);
     case ProtocolKind::kPageGranularity:
-    case ProtocolKind::kTableGranularity: {
-      replica::GranularityReplica::Options o;
-      o.num_workers = options.num_workers;
-      o.snapshot_interval = options.snapshot_interval;
-      o.gc_every = options.gc_every;
-      o.granularity = kind == ProtocolKind::kC5Queue
-                          ? replica::Granularity::kRow
-                          : (kind == ProtocolKind::kPageGranularity
-                                 ? replica::Granularity::kPage
-                                 : replica::Granularity::kTable);
-      return std::make_unique<replica::GranularityReplica>(db, o, lag);
-    }
+      return std::make_unique<replica::GranularityReplica>(
+          db, replica::Granularity::kPage, options, lag);
+    case ProtocolKind::kTableGranularity:
+      return std::make_unique<replica::GranularityReplica>(
+          db, replica::Granularity::kTable, options, lag);
     case ProtocolKind::kKuaFu:
-    case ProtocolKind::kKuaFuUnconstrained: {
-      replica::KuaFuReplica::Options o;
-      o.num_workers = options.num_workers;
-      o.snapshot_interval = options.snapshot_interval;
-      o.gc_every = options.gc_every;
-      o.unconstrained = kind == ProtocolKind::kKuaFuUnconstrained;
-      return std::make_unique<replica::KuaFuReplica>(db, o, lag);
-    }
+    case ProtocolKind::kKuaFuUnconstrained:
+      return std::make_unique<replica::KuaFuReplica>(
+          db, kind == ProtocolKind::kKuaFuUnconstrained, options, lag);
     case ProtocolKind::kSingleThread:
-      return std::make_unique<replica::SingleThreadReplica>(db, lag);
+      return std::make_unique<replica::SingleThreadReplica>(db, options, lag);
     case ProtocolKind::kQueryFresh:
-      return std::make_unique<replica::QueryFreshReplica>(
-          db, replica::QueryFreshReplica::Options{}, lag);
+      return std::make_unique<replica::QueryFreshReplica>(db, options, lag);
   }
   return nullptr;
-}
-
-}  // namespace
-
-std::unique_ptr<replica::Replica> MakeReplica(ProtocolKind kind,
-                                              storage::Database* db,
-                                              const ProtocolOptions& options,
-                                              replica::LagTracker* lag) {
-  std::unique_ptr<replica::Replica> replica =
-      MakeReplicaImpl(kind, db, options, lag);
-  // Cross-protocol construction hook: the stable instance id. Every protocol
-  // in this repository derives ReplicaBase, so the cast cannot fail for
-  // in-tree kinds.
-  if (replica != nullptr && !options.instance_id.empty()) {
-    if (auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get())) {
-      base->SetInstanceId(options.instance_id);
-    }
-  }
-  return replica;
 }
 
 }  // namespace c5::core

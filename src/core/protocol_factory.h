@@ -1,9 +1,7 @@
 #ifndef C5_CORE_PROTOCOL_FACTORY_H_
 #define C5_CORE_PROTOCOL_FACTORY_H_
 
-#include <chrono>
 #include <memory>
-#include <string>
 
 #include "replica/lag_tracker.h"
 #include "replica/replica.h"
@@ -11,8 +9,8 @@
 namespace c5::core {
 
 // Every cloned concurrency control protocol in this repository, constructible
-// behind the common replica::Replica interface. Used by the parameterized
-// test suites and the benchmark harness.
+// as a replica::ReplicaBase. Used by c5::BackupNode, the parameterized test
+// suites and the benchmark harness.
 enum class ProtocolKind {
   kC5 = 0,              // §7.2 faithful design (embedded prev_ts scheduler)
   kC5MyRocks = 1,       // §5 backward-compatible variant
@@ -27,23 +25,11 @@ enum class ProtocolKind {
 
 const char* ToString(ProtocolKind kind);
 
-struct ProtocolOptions {
-  int num_workers = 4;
-  std::chrono::microseconds snapshot_interval =
-      std::chrono::microseconds(200);
-  std::chrono::microseconds snapshot_cost = std::chrono::microseconds(0);
-  // Protocols with workers: GC every N snapshot intervals (0 = off).
-  int gc_every = 0;
-  // C5 variants: initial capacity of the scheduler's flat row map.
-  std::size_t scheduler_map_capacity = std::size_t{1} << 16;
-  // Stable per-node id ("shard0/backup1") surfaced through
-  // replica::ReplicaBase::instance_id() in logs and DST failure output, so a
-  // multi-shard divergence names the replica it happened on. Empty: the
-  // protocol name alone identifies the node.
-  std::string instance_id;
-};
+using replica::ProtocolOptions;
 
-std::unique_ptr<replica::Replica> MakeReplica(
+// Builds the protocol of `kind` over `db`. The kind also picks the
+// granularity of the keyed-FIFO replicas and KuaFu's unconstrained mode.
+std::unique_ptr<replica::ReplicaBase> MakeReplica(
     ProtocolKind kind, storage::Database* db, const ProtocolOptions& options,
     replica::LagTracker* lag = nullptr);
 

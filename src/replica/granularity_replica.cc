@@ -14,15 +14,14 @@ const char* ToString(Granularity g) {
   return "unknown";
 }
 
-GranularityReplica::GranularityReplica(storage::Database* db, Options options,
+GranularityReplica::GranularityReplica(storage::Database* db,
+                                       Granularity granularity,
+                                       const ProtocolOptions& options,
                                        LagTracker* lag)
-    : ReplicaBase(db, lag,
-                  Pipeline{options.num_workers, options.snapshot_interval,
-                           options.gc_every}),
-      options_(options) {}
+    : ReplicaBase(db, options, lag), granularity_(granularity) {}
 
 std::string GranularityReplica::name() const {
-  switch (options_.granularity) {
+  switch (granularity_) {
     case Granularity::kRow:
       return "c5-queue(row)";
     case Granularity::kPage:
@@ -34,11 +33,11 @@ std::string GranularityReplica::name() const {
 }
 
 std::uint64_t GranularityReplica::KeyFor(const log::LogRecord& rec) const {
-  switch (options_.granularity) {
+  switch (granularity_) {
     case Granularity::kRow:
       return RowName(rec.table, rec.row);
     case Granularity::kPage:
-      return RowName(rec.table, rec.row / options_.rows_per_page);
+      return RowName(rec.table, rec.row / kRowsPerPage);
     case Granularity::kTable:
       return RowName(rec.table, 0);
   }

@@ -2,7 +2,6 @@
 #define C5_REPLICA_GRANULARITY_REPLICA_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -25,7 +24,7 @@ namespace c5::replica {
 // Meta table-granularity protocol of Fig. 12 by simply coarsening the key.
 enum class Granularity {
   kRow = 0,
-  kPage = 1,   // rows_per_page rows share one serialization key (§3.1.1)
+  kPage = 1,   // kRowsPerPage rows share one serialization key (§3.1.1)
   kTable = 2,  // all writes to a table serialize (Fig. 12 baseline)
 };
 
@@ -50,22 +49,17 @@ const char* ToString(Granularity g);
 // over record sequence numbers computes the transaction-aligned snapshot.
 class GranularityReplica : public ReplicaBase {
  public:
-  struct Options {
-    int num_workers = 4;
-    Granularity granularity = Granularity::kRow;
-    std::uint64_t rows_per_page = 64;  // §3.1.1's page-capacity assumption
-    std::chrono::microseconds snapshot_interval =
-        std::chrono::microseconds(100);
-    int gc_every = 0;  // Pipeline::gc_every
-  };
-
-  GranularityReplica(storage::Database* db, Options options,
+  GranularityReplica(storage::Database* db, Granularity granularity,
+                     const ProtocolOptions& options,
                      LagTracker* lag = nullptr);
   ~GranularityReplica() override { Stop(); }
 
   std::string name() const override;
 
  private:
+  // §3.1.1's page-capacity assumption.
+  static constexpr std::uint64_t kRowsPerPage = 64;
+
   struct WriteRef {
     const log::LogRecord* rec;
     std::uint64_t seq;
@@ -100,7 +94,7 @@ class GranularityReplica : public ReplicaBase {
   static constexpr std::size_t kHandoffBatch = 512;
   static constexpr int kMaxRunPerHandoff = 64;
 
-  Options options_;
+  const Granularity granularity_;
 
   // Key -> queue. Created only by the scheduler; workers reach queues via
   // pointers in the scheduler queue, so the map itself is scheduler-private.

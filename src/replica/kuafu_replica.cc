@@ -5,12 +5,9 @@
 
 namespace c5::replica {
 
-KuaFuReplica::KuaFuReplica(storage::Database* db, Options options,
-                           LagTracker* lag)
-    : ReplicaBase(db, lag,
-                  Pipeline{options.num_workers, options.snapshot_interval,
-                           options.gc_every}),
-      options_(options) {}
+KuaFuReplica::KuaFuReplica(storage::Database* db, bool unconstrained,
+                           const ProtocolOptions& options, LagTracker* lag)
+    : ReplicaBase(db, options, lag), unconstrained_(unconstrained) {}
 
 void KuaFuReplica::SchedulerLoop(log::SegmentSource* source) {
   // Per-row last-writer map. Transaction-granularity dependency rule (§3.1):
@@ -35,7 +32,7 @@ void KuaFuReplica::SchedulerLoop(log::SegmentSource* source) {
       // scheduler's readiness hold.
       open->commit_ts = rec.commit_ts;
       outstanding_txns_.fetch_add(1, std::memory_order_acq_rel);
-      if (!options_.unconstrained) {
+      if (!unconstrained_) {
         std::unordered_set<TxnNode*> parents;
         for (const log::LogRecord* r : open->records) {
           auto it = last_writer.find(RowName(r->table, r->row));
@@ -79,7 +76,7 @@ void KuaFuReplica::WorkerLoop(int /*idx*/) {
     for (const log::LogRecord* rec : node->records) {
       // Same-row writers are serialized by the dependency edges, which is
       // the per-row ordering ApplyRecord's idempotence guard relies on.
-      if (!options_.unconstrained) {
+      if (!unconstrained_) {
         ApplyRecord(*rec, sampler);
         continue;
       }

@@ -2,7 +2,6 @@
 #define C5_REPLICA_KUAFU_REPLICA_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -33,7 +32,7 @@ namespace c5::replica {
 // over transaction indexes computes the contiguous applied prefix; the
 // visibility timestamp is the last transaction in it (MPC, §2.3).
 //
-// `unconstrained` mode reproduces the paper's diagnostic (§7.3): the
+// Unconstrained mode reproduces the paper's diagnostic (§7.3): the
 // scheduler skips dependency calculation entirely and every transaction is
 // immediately ready. This intentionally breaks correctness (writes race) and
 // exists only to measure the scheduler/worker ceiling, exactly as the paper
@@ -41,20 +40,13 @@ namespace c5::replica {
 // calculation of transaction-granularity constraints").
 class KuaFuReplica : public ReplicaBase {
  public:
-  struct Options {
-    int num_workers = 4;
-    bool unconstrained = false;  // diagnostic mode; breaks correctness
-    std::chrono::microseconds snapshot_interval =
-        std::chrono::microseconds(100);
-    int gc_every = 0;  // Pipeline::gc_every
-  };
-
-  KuaFuReplica(storage::Database* db, Options options,
-               LagTracker* lag = nullptr);
+  // `unconstrained` selects the diagnostic mode; it breaks correctness.
+  KuaFuReplica(storage::Database* db, bool unconstrained,
+               const ProtocolOptions& options, LagTracker* lag = nullptr);
   ~KuaFuReplica() override { Stop(); }
 
   std::string name() const override {
-    return options_.unconstrained ? "kuafu-unconstrained" : "kuafu";
+    return unconstrained_ ? "kuafu-unconstrained" : "kuafu";
   }
 
  private:
@@ -103,7 +95,7 @@ class KuaFuReplica : public ReplicaBase {
     }
   }
 
-  Options options_;
+  const bool unconstrained_;
 
   MpmcQueue<TxnNode*> ready_;
   PrefixTracker prefix_;

@@ -43,9 +43,10 @@ QueryFreshReplica::RowStateMap::~RowStateMap() {
   }
 }
 
-QueryFreshReplica::QueryFreshReplica(storage::Database* db, Options options,
+QueryFreshReplica::QueryFreshReplica(storage::Database* db,
+                                     const ProtocolOptions& options,
                                      LagTracker* lag)
-    : ReplicaBase(db, lag), options_(options) {}
+    : ReplicaBase(db, WithoutWorkers(options), lag) {}
 
 void QueryFreshReplica::Start(log::SegmentSource* source) {
   // Schema is fixed before replication starts (§2.2: DDL is out of scope).
@@ -160,10 +161,8 @@ void QueryFreshReplica::InstantiateAll(Timestamp ts) {
 }
 
 void QueryFreshReplica::WaitUntilCaughtUp() {
-  ReplicaBase::WaitUntilCaughtUp();
-  if (!options_.leave_lazy_after_catchup) {
-    InstantiateAll(kMaxTimestamp);
-  }
+  WaitUntilIndexed();
+  InstantiateAll(kMaxTimestamp);
 }
 
 }  // namespace c5::replica

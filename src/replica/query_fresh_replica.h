@@ -51,26 +51,25 @@ namespace c5::replica {
 //    charged to the reader.
 //  * WaitUntilCaughtUp additionally drains every pending redo list so that
 //    offline replays converge to the primary's exact state (used by the
-//    convergence tests and by state digests).
+//    convergence tests and by state digests). WaitUntilIndexed skips the
+//    drain, so reads keep instantiating lazily.
 class QueryFreshReplica : public ReplicaBase {
  public:
-  struct Options {
-    // If true, WaitUntilCaughtUp() leaves pending redo lists in place
-    // (reads still instantiate lazily). Used by the lazy-lag bench to
-    // measure deferred-execution cost; tests use the default full drain.
-    bool leave_lazy_after_catchup = false;
-  };
-
-  QueryFreshReplica(storage::Database* db, Options options,
-                    LagTracker* lag = nullptr);
+  // Runs no worker threads, whatever options.num_workers says.
+  explicit QueryFreshReplica(storage::Database* db,
+                             const ProtocolOptions& options = {},
+                             LagTracker* lag = nullptr);
   ~QueryFreshReplica() override { Stop(); }
 
   // Sizes the per-table row maps from the backup's schema, then starts the
   // ingest thread.
   void Start(log::SegmentSource* source) override;
-  // The shared wait, then (unless leave_lazy_after_catchup) drains every
-  // pending redo list.
+  // WaitUntilIndexed(), then drains every pending redo list.
   void WaitUntilCaughtUp() override;
+  // The shared caught-up wait alone: every record is indexed and visible,
+  // and the pending redo lists stay in place for reads to instantiate. The
+  // lazy-lag bench measures deferred-execution cost this way.
+  void WaitUntilIndexed() { ReplicaBase::WaitUntilCaughtUp(); }
   std::string name() const override { return "query-fresh"; }
 
   // Instantiates (replays) all of `row`'s pending writes with commit
@@ -180,8 +179,6 @@ class QueryFreshReplica : public ReplicaBase {
 
   // Drains every pending redo list up to `ts` (single caller thread).
   void InstantiateAll(Timestamp ts);
-
-  Options options_;
 
   // One RowStateMap per table; sized at Start() from the backup's schema.
   std::vector<std::unique_ptr<RowStateMap>> row_maps_;

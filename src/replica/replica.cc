@@ -5,23 +5,23 @@
 namespace c5::replica {
 
 void ReplicaBase::Start(log::SegmentSource* source) {
-  workers_running_.store(pipeline_.workers, std::memory_order_release);
+  workers_running_.store(options_.num_workers, std::memory_order_release);
   threads_.emplace_back([this, source] {
     SchedulerLoop(source);
     scheduler_done_.store(true, std::memory_order_release);
   });
-  for (int i = 0; i < pipeline_.workers; ++i) {
+  for (int i = 0; i < options_.num_workers; ++i) {
     threads_.emplace_back([this, i] {
       WorkerLoop(i);
       workers_running_.fetch_sub(1, std::memory_order_acq_rel);
     });
   }
-  if (pipeline_.workers > 0) {
+  if (options_.num_workers > 0) {
     threads_.emplace_back([this] {
       VisibilityLoop();
       visibility_done_.store(true, std::memory_order_release);
     });
-    if (pipeline_.gc_every > 0) {
+    if (options_.gc_every > 0) {
       threads_.emplace_back([this] { MaintenanceLoop(); });
     }
   }
@@ -39,7 +39,7 @@ void ReplicaBase::VisibilityLoop() {
     if (n > VisibleTimestamp()) PublishSnapshot(n);
     if (lag_ != nullptr) lag_->OnVisible(VisibleTimestamp());
     if (drained || shutdown_.load(std::memory_order_acquire)) break;
-    std::this_thread::sleep_for(pipeline_.snapshot_interval);
+    std::this_thread::sleep_for(options_.snapshot_interval);
   }
 }
 
@@ -50,7 +50,7 @@ void ReplicaBase::MaintenanceLoop() {
   constexpr int kMaxBackoff = 8;
   Timestamp last_horizon = kMaxTimestamp;  // GcHorizon() never returns it
   int backoff = 1;
-  int wait = pipeline_.gc_every;
+  int wait = options_.gc_every;
   while (true) {
     // A pass that began after the final publish collects at the final
     // horizon, so it is the last one.
@@ -67,7 +67,7 @@ void ReplicaBase::MaintenanceLoop() {
         // unmoved horizon has nothing new to truncate; reclaim only.
         db_->epochs().ReclaimSome();
       }
-      wait = pipeline_.gc_every * backoff;
+      wait = options_.gc_every * backoff;
       const auto ns = static_cast<std::uint64_t>(MonotonicNowNanos() - t0);
       stats_.gc_passes.fetch_add(1, std::memory_order_relaxed);
       stats_.gc_ns_total.fetch_add(ns, std::memory_order_relaxed);
@@ -78,12 +78,12 @@ void ReplicaBase::MaintenanceLoop() {
     if (done || shutdown_.load(std::memory_order_acquire)) break;
     // Ticks at the visibility loop's interval, so Stop() and the final pass
     // wait at most one interval.
-    std::this_thread::sleep_for(pipeline_.snapshot_interval);
+    std::this_thread::sleep_for(options_.snapshot_interval);
   }
 }
 
 void ReplicaBase::WaitUntilCaughtUp() {
-  // The contract (Replica) is that the VISIBLE snapshot covers the whole
+  // The contract is that the VISIBLE snapshot covers the whole
   // log at return, not merely that every write was applied: the visibility
   // loop publishes asynchronously after the workers finish. (Found by the
   // DST harness under TSan timing.)

@@ -1,14 +1,14 @@
-// Replica interface and the shared backup skeleton.
+// The shared backup skeleton and the one replica configuration.
 //
 // ReplicaBase owns every mechanism a backup needs besides its scheduling
 // rule, so a protocol implements only SchedulerLoop (and, with workers,
 // WorkerLoop, ApplyFloor and CloseQueues):
 //  * Thread lifecycle. Start() runs SchedulerLoop on one thread, WorkerLoop
-//    on Pipeline::workers threads and, for a protocol with workers, the
-//    visibility loop and (with Pipeline::gc_every > 0) the maintenance loop.
-//    Stop() sets the shutdown flag, calls CloseQueues() and joins. Every
-//    most-derived destructor calls Stop(), because the threads touch derived
-//    members.
+//    on ProtocolOptions::num_workers threads and, for a protocol with
+//    workers, the visibility loop and (with ProtocolOptions::gc_every > 0)
+//    the maintenance loop. Stop() sets the shutdown flag, calls
+//    CloseQueues() and joins. Every most-derived destructor calls Stop(),
+//    because the threads touch derived members.
 //  * Visibility loop. Each pass publishes ApplyFloor() as the apply floor,
 //    advances the snapshot through PublishSnapshot() when the floor passed
 //    it and reports VisibleTimestamp() to the LagTracker; it exits after the
@@ -94,68 +94,64 @@ struct ReplicaStats {
   std::atomic<std::uint64_t> gc_ns_max{0};
 };
 
-// A cloned concurrency control protocol: consumes the primary's log and
-// applies it to the backup database while serving monotonic-prefix-consistent
-// read-only transactions.
-//
-// Lifecycle: construct -> Start(source) -> [primary runs / offline replay]
-// -> WaitUntilCaughtUp() -> Stop(). Start spawns the protocol's threads
-// (scheduler, workers, snapshotter as applicable); they exit once `source`
-// returns nullptr and all writes are applied and visible.
-class Replica {
- public:
-  virtual ~Replica() = default;
-
-  virtual void Start(log::SegmentSource* source) = 0;
-
-  // Blocks until the log is exhausted, every write is applied, and the
-  // visibility watermark covers the whole log. Call before Stop().
-  virtual void WaitUntilCaughtUp() = 0;
-
-  // Joins all protocol threads. Idempotent.
-  virtual void Stop() = 0;
-
-  // MPC read point: read-only transactions reading at this timestamp observe
-  // a state that (a) reflects a contiguous prefix of the primary's log and
-  // (b) only advances (§2.3).
-  virtual Timestamp VisibleTimestamp() const = 0;
-
-  virtual storage::Database& db() = 0;
-  virtual ReplicaStats& stats() = 0;
-  virtual std::string name() const = 0;
-};
-
-// The threads ReplicaBase::Start() runs besides the scheduler, fixed at
-// construction.
-struct Pipeline {
-  // WorkerLoop(0 .. workers-1) threads. A protocol with workers applies out
-  // of log order, so it also gets the visibility loop; one without (serial
-  // replay, lazy ingest) publishes visibility from its scheduler thread.
-  int workers = 0;
-  // Sleep between visibility-loop passes.
-  std::chrono::microseconds snapshot_interval{100};
+// The one replica configuration. Every protocol constructor takes it and
+// core::MakeReplica passes it through unchanged; each protocol reads the
+// fields it uses.
+struct ProtocolOptions {
+  // WorkerLoop threads. A protocol with workers applies out of log order,
+  // so it also gets the visibility loop. Single-threaded replay and Query
+  // Fresh run none and publish visibility from their scheduler thread.
+  int num_workers = 4;
+  // Sleep between visibility-loop passes; for C5-MyRocks, the snapshot
+  // frequency I (§5.2).
+  std::chrono::microseconds snapshot_interval{200};
+  // C5-MyRocks: simulated cost of taking a RocksDB snapshot while writers
+  // are blocked (§5.2).
+  std::chrono::microseconds snapshot_cost{0};
   // With workers: collect garbage at GcHorizon() on the maintenance thread
   // every gc_every x snapshot_interval (backing off while walks truncate
   // nothing); 0 = never.
   int gc_every = 0;
+  // C5 and C5-MyRocks: initial capacity of the scheduler's flat row ->
+  // last-write-ts map. Pre-size it to the replayed log's row universe to
+  // keep rehash stalls off the single scheduler thread.
+  std::size_t scheduler_map_capacity = std::size_t{1} << 16;
 };
 
-// The shared backup skeleton (see the file comment): thread lifecycle,
-// visibility loop, caught-up wait and apply step, plus the visibility
-// watermark, snapshot read surface, reader registration for GC horizons
-// and the recovery visibility window.
-class ReplicaBase : public Replica {
+// A cloned concurrency control protocol: consumes the primary's log and
+// applies it to the backup database while serving monotonic-prefix-consistent
+// read-only transactions. This class is the shared backup skeleton (see the
+// file comment): thread lifecycle, visibility loop, caught-up wait and apply
+// step, plus the visibility watermark, snapshot read surface, reader
+// registration for GC horizons and the recovery visibility window.
+//
+// Lifecycle: construct -> Start(source) -> [primary runs / offline replay]
+// -> WaitUntilCaughtUp() -> Stop(). Start spawns the protocol's threads;
+// they exit once `source` returns nullptr and all writes are applied and
+// visible.
+class ReplicaBase {
  public:
-  explicit ReplicaBase(storage::Database* db, LagTracker* lag = nullptr,
-                       Pipeline pipeline = {})
-      : db_(db), lag_(lag), pipeline_(pipeline) {}
+  explicit ReplicaBase(storage::Database* db,
+                       const ProtocolOptions& options = {},
+                       LagTracker* lag = nullptr)
+      : db_(db), lag_(lag), options_(options) {}
+  virtual ~ReplicaBase() = default;
+  ReplicaBase(const ReplicaBase&) = delete;
+  ReplicaBase& operator=(const ReplicaBase&) = delete;
 
-  void Start(log::SegmentSource* source) override;
-  void WaitUntilCaughtUp() override;
-  void Stop() override;
+  virtual void Start(log::SegmentSource* source);
 
-  storage::Database& db() override { return *db_; }
-  ReplicaStats& stats() override { return stats_; }
+  // Blocks until the log is exhausted, every write is applied, and the
+  // visibility watermark covers the whole log. Call before Stop().
+  virtual void WaitUntilCaughtUp();
+
+  // Joins all protocol threads. Idempotent.
+  void Stop();
+
+  virtual std::string name() const = 0;
+
+  storage::Database& db() { return *db_; }
+  ReplicaStats& stats() { return stats_; }
 
   // Largest commit timestamp the scheduler has fully scheduled (monotone).
   Timestamp watermark() const {
@@ -167,8 +163,8 @@ class ReplicaBase : public Replica {
   // instance from every other one in a multi-shard fleet. name() identifies
   // the protocol; instance_id() identifies the node, so logs and DST failure
   // output can attribute a divergence to one replica of one shard group.
-  // Set once at construction time (core::MakeReplica applies
-  // ProtocolOptions::instance_id); not synchronized against concurrent use.
+  // Set once before Start (c5::BackupNode applies BackupOptions::id); not
+  // synchronized against concurrent use.
   void SetInstanceId(std::string id) { instance_id_ = std::move(id); }
   const std::string& instance_id() const { return instance_id_; }
 
@@ -177,7 +173,10 @@ class ReplicaBase : public Replica {
     return instance_id_.empty() ? name() : instance_id_ + "(" + name() + ")";
   }
 
-  Timestamp VisibleTimestamp() const override {
+  // MPC read point: read-only transactions reading at this timestamp
+  // observe a state that (a) reflects a contiguous prefix of the primary's
+  // log and (b) only advances (§2.3).
+  Timestamp VisibleTimestamp() const {
     return visible_ts_.load(std::memory_order_acquire);
   }
 
@@ -285,6 +284,14 @@ class ReplicaBase : public Replica {
   }
 
  protected:
+  // The options of a protocol that runs no worker threads (serial replay,
+  // lazy ingest): it publishes visibility from its scheduler thread, so it
+  // gets no visibility or maintenance loop either.
+  static ProtocolOptions WithoutWorkers(ProtocolOptions options) {
+    options.num_workers = 0;
+    return options;
+  }
+
   // ---- Protocol hooks -------------------------------------------------------
 
   // The scheduler thread's body: consumes `source` until it returns
@@ -502,6 +509,7 @@ class ReplicaBase : public Replica {
 
   storage::Database* db_;
   LagTracker* lag_;  // may be null
+  const ProtocolOptions options_;
   ReplicaStats stats_;
   txn::ActiveTxnTracker readers_;
   std::atomic<Timestamp> visible_ts_{0};
@@ -521,7 +529,6 @@ class ReplicaBase : public Replica {
   void VisibilityLoop();
   void MaintenanceLoop();
 
-  const Pipeline pipeline_;
   std::vector<std::thread> threads_;
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> scheduler_done_{false};

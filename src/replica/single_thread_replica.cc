@@ -3,9 +3,11 @@
 namespace c5::replica {
 
 void SingleThreadReplica::SchedulerLoop(log::SegmentSource* source) {
-  const auto guard = db_->epochs().Enter();
   ApplySampler sampler(this);
   while (log::LogSegment* seg = source->Next()) {
+    // One epoch guard per segment, never across Next(): a guard held while
+    // the source blocks would pin every version retired meanwhile.
+    const auto guard = db_->epochs().Enter();
     for (const log::LogRecord& rec : seg->records()) {
       ApplyRecord(rec, sampler);
       if (rec.last_in_txn) {

@@ -13,9 +13,11 @@ namespace c5::replica {
 // (Theorem 1 with backup parallelism 1).
 class SingleThreadReplica : public ReplicaBase {
  public:
+  // Runs no worker threads, whatever options.num_workers says.
   explicit SingleThreadReplica(storage::Database* db,
+                               const ProtocolOptions& options = {},
                                LagTracker* lag = nullptr)
-      : ReplicaBase(db, lag) {}
+      : ReplicaBase(db, WithoutWorkers(options), lag) {}
   ~SingleThreadReplica() override { Stop(); }
 
   std::string name() const override { return "single-threaded"; }

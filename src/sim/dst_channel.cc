@@ -68,7 +68,19 @@ log::LogSegment* DstChannel::Source::Next() {
   if ((pos_ - begin_) % 4 == 3) {
     std::this_thread::sleep_for(std::chrono::microseconds(20));
   }
-  return (*delivered_)[pos_++];
+  if (visible_ && pos_ + 1 == end_ && pos_ > begin_) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (visible_() < delivered_max_ &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
+  log::LogSegment* seg = (*delivered_)[pos_++];
+  if (!seg->empty()) {
+    delivered_max_ = std::max(delivered_max_, seg->MaxTimestamp());
+  }
+  return seg;
 }
 
 void DstChannel::Source::Release(std::uint64_t end_seq) {

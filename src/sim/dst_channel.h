@@ -19,6 +19,7 @@
 #define C5_SIM_DST_CHANNEL_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -98,6 +99,16 @@ class DstChannel {
     Source(const std::vector<log::LogSegment*>* delivered, std::size_t begin,
            std::size_t end);
 
+    // Holds back the range's last segment until `visible()` covers every
+    // segment delivered before it (at most 10 s). A replica publishes its
+    // apply floor before the visible timestamp it derives from it, so the
+    // scheduler's next NextSegment releases those segments: every run that
+    // delivers two segments or more releases, however fast the scheduler
+    // pulls.
+    void HoldLastUntilVisible(std::function<Timestamp()> visible) {
+      visible_ = std::move(visible);
+    }
+
     log::LogSegment* Next() override;
     void Release(std::uint64_t end_seq) override;
 
@@ -107,6 +118,8 @@ class DstChannel {
     std::size_t pos_;
     const std::size_t end_;
     std::size_t released_;  // delivered()[begin_, released_) are released
+    std::function<Timestamp()> visible_;  // empty: no hold
+    Timestamp delivered_max_ = 0;  // max timestamp delivered so far
   };
 
   Source MakeSource() const {

@@ -231,6 +231,12 @@ class Sampler {
   std::thread thread_;
 };
 
+// Every replica's worker count: the plan's replay_workers draw, when it made
+// one, overrides its num_workers draw.
+int ReplayWorkers(const DstPlan& plan) {
+  return plan.replay_workers > 0 ? plan.replay_workers : plan.num_workers;
+}
+
 // ---- Report plumbing -------------------------------------------------------
 
 void Absorb(const DstChannel& ch, DstReport* report) {
@@ -348,13 +354,16 @@ void CheckReplicaState(const std::string& who, DstPrimary& primary,
 // Appends violations for sampler-observed breaches (snapshot regression,
 // recovery-window exposure, scan ordering).
 Timestamp RunIncarnation(c5::BackupNode& node, const DstPlan& plan,
-                         log::SegmentSource* source, bool restart,
+                         DstChannel::Source* source, bool restart,
                          TableId table, std::uint64_t sampler_seed,
                          const std::string& who, const char* phase,
                          DstReport* report) {
   if (restart) {
     node.Restart(source);
   } else {
+    // A restart's recovery window holds the visible timestamp back, so only
+    // a fresh start waits for it.
+    source->HoldLastUntilVisible([&node] { return node.VisibleTimestamp(); });
     node.Start(source);
   }
   Sampler sampler(&node.reader(), table, plan.keyspace, sampler_seed);
@@ -417,8 +426,7 @@ void RunConvergenceReplica(const DstPlan& plan, ProtocolKind kind,
   c5::BackupOptions node_options;
   node_options.protocol = kind;
   node_options.id = who;
-  node_options.protocol_options.num_workers = plan.num_workers;
-  node_options.replay_workers = plan.replay_workers;
+  node_options.protocol_options.num_workers = ReplayWorkers(plan);
   node_options.protocol_options.snapshot_interval =
       std::chrono::microseconds(100);
   node_options.protocol_options.gc_every = plan.gc_every;
@@ -623,8 +631,7 @@ void RunPromotionScenario(const DstPlan& plan, DstPrimary& primary,
   c5::BackupOptions victim_options;
   victim_options.protocol = ProtocolKind::kC5;
   victim_options.id = "promotion/victim";
-  victim_options.protocol_options.num_workers = plan.num_workers;
-  victim_options.replay_workers = plan.replay_workers;
+  victim_options.protocol_options.num_workers = ReplayWorkers(plan);
   victim_options.protocol_options.snapshot_interval =
       std::chrono::microseconds(100);
   c5::BackupNode victim(victim_options);

@@ -86,7 +86,7 @@ struct DstPlan {
   bool reshard_abort = false;  // abort at the fence instead of committing
 
   // ---- Replay-worker sweep: overrides num_workers for every replica in
-  // the scenario when > 0 (the BackupOptions::replay_workers path). Drawn
+  // the scenario when > 0 (written into ProtocolOptions::num_workers). Drawn
   // from {1, 2, 4} so the partitioned-batch pipeline's epoch-batched
   // visibility is exercised at degenerate (1), default (2), and
   // oversubscribed (4, on small CI hosts) widths. ----

@@ -9,12 +9,19 @@
 
 #include "core/c5_myrocks_replica.h"
 #include "core/c5_replica.h"
+#include "core/protocol_factory.h"
 #include "log/segment_source.h"
 #include "tests/test_util.h"
 #include "workload/synthetic.h"
 
 namespace c5::core {
 namespace {
+
+// The 100 us snapshot interval these C5 tests were written against.
+ProtocolOptions C5Options(int workers) {
+  return {.num_workers = workers,
+          .snapshot_interval = std::chrono::microseconds(100)};
+}
 
 TEST(C5SchedulerTest, PrevTimestampsFormPerRowChains) {
   // After a C5 replay, every segment is preprocessed and prev_ts fields
@@ -24,7 +31,7 @@ TEST(C5SchedulerTest, PrevTimestampsFormPerRowChains) {
   storage::Database backup;
   workload::SyntheticWorkload::CreateTable(&backup);
   log::OfflineSegmentSource source(&run.log);
-  C5Replica replica(&backup, C5Replica::Options{.num_workers = 4});
+  C5Replica replica(&backup, C5Options(4));
   replica.Start(&source);
   replica.WaitUntilCaughtUp();
   replica.Stop();
@@ -58,7 +65,7 @@ TEST(C5WorkerTest, AdversarialLogNeverDefersUnderRowAffinity) {
     workload::SyntheticWorkload::CreateTable(&backup);
     run.log.ResetReplayState();
     log::OfflineSegmentSource source(&run.log);
-    C5Replica replica(&backup, C5Replica::Options{.num_workers = 4});
+    C5Replica replica(&backup, C5Options(4));
     replica.Start(&source);
     replica.WaitUntilCaughtUp();
     replica.Stop();
@@ -92,10 +99,10 @@ TEST(C5SnapshotTest, VisibleTimestampIsAlwaysAPrefixCompleteReadPoint) {
   workload::SyntheticWorkload::CreateTable(&backup);
   run.log.ResetReplayState();
   log::OfflineSegmentSource source(&run.log);
-  C5Replica replica(&backup, C5Replica::Options{
-                                 .num_workers = 4,
-                                 .snapshot_interval =
-                                     std::chrono::microseconds(50)});
+  C5Replica replica(&backup,
+                    ProtocolOptions{.num_workers = 4,
+                                    .snapshot_interval =
+                                        std::chrono::microseconds(50)});
   replica.Start(&source);
   Timestamp prev = 0;
   std::vector<Timestamp> samples;
@@ -144,10 +151,10 @@ TEST(C5GcTest, SnapshotterGcBoundsVersionCount) {
   run.log.ResetReplayState();
   log::OfflineSegmentSource source(&run.log);
   C5Replica replica(&backup,
-                    C5Replica::Options{.num_workers = 2,
-                                       .snapshot_interval =
-                                           std::chrono::microseconds(50),
-                                       .gc_every = 2});
+                    ProtocolOptions{.num_workers = 2,
+                                    .snapshot_interval =
+                                        std::chrono::microseconds(50),
+                                    .gc_every = 2});
   replica.Start(&source);
   replica.WaitUntilCaughtUp();
   replica.Stop();
@@ -177,7 +184,7 @@ TEST(C5MyRocksTest, BlockingSnapshotterStillConverges) {
   log::OfflineSegmentSource source(&run.log);
   C5MyRocksReplica replica(
       &backup,
-      C5MyRocksReplica::Options{
+      ProtocolOptions{
           .num_workers = 4,
           .snapshot_interval = std::chrono::microseconds(200),
           .snapshot_cost = std::chrono::microseconds(100)});
@@ -195,8 +202,10 @@ TEST(C5MyRocksTest, OneWorkerEqualsSingleThreadSemantics) {
   workload::SyntheticWorkload::CreateTable(&backup);
   run.log.ResetReplayState();
   log::OfflineSegmentSource source(&run.log);
-  C5MyRocksReplica replica(&backup,
-                           C5MyRocksReplica::Options{.num_workers = 1});
+  C5MyRocksReplica replica(
+      &backup,
+      ProtocolOptions{.num_workers = 1,
+                      .snapshot_interval = std::chrono::microseconds(10000)});
   replica.Start(&source);
   replica.WaitUntilCaughtUp();
   replica.Stop();
@@ -210,7 +219,7 @@ TEST(C5WatermarkTest, WatermarkTracksScheduledMax) {
   workload::SyntheticWorkload::CreateTable(&backup);
   run.log.ResetReplayState();
   log::OfflineSegmentSource source(&run.log);
-  C5Replica replica(&backup, C5Replica::Options{.num_workers = 2});
+  C5Replica replica(&backup, C5Options(2));
   replica.Start(&source);
   replica.WaitUntilCaughtUp();
   EXPECT_EQ(replica.watermark(), run.log.MaxTimestamp());
@@ -224,7 +233,7 @@ TEST(C5StressTest, ManyWorkersHighContention) {
     workload::SyntheticWorkload::CreateTable(&backup);
     run.log.ResetReplayState();
     log::OfflineSegmentSource source(&run.log);
-    C5Replica replica(&backup, C5Replica::Options{.num_workers = workers});
+    C5Replica replica(&backup, C5Options(workers));
     replica.Start(&source);
     replica.WaitUntilCaughtUp();
     replica.Stop();

@@ -746,11 +746,15 @@ TEST(ShardedClusterTest, RebalanceUnderLiveTrafficMatchesOracle) {
 
   // Closed-loop writers over disjoint key slices (no cross-thread conflicts,
   // so each thread's local oracle composes into the global truth). They run
-  // before, during, and after the migration.
+  // before, during, and after the migration. A writer whose write fails
+  // records the failure and stops; the main thread stops and joins every
+  // writer before it asserts anything, so no failure can hang the test.
   constexpr int kWriters = 2;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> total_writes{0};
+  std::atomic<int> failed_writers{0};
   std::array<std::map<Key, Value>, kWriters> oracles;
+  std::array<Status, kWriters> failures;
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
@@ -760,45 +764,56 @@ TEST(ShardedClusterTest, RebalanceUnderLiveTrafficMatchesOracle) {
         const Key key =
             (rng.Uniform(kKeyspace / kWriters)) * kWriters +
             static_cast<Key>(w);
+        Status s;
         if (rng.Uniform(5) == 0) {
-          ASSERT_TRUE(fleet
-                          .ExecuteWithRetry(
-                              t, key,
-                              [&](txn::Txn& txn) {
-                                const Status s = txn.Delete(t, key);
-                                return s.code() == StatusCode::kNotFound
-                                           ? Status::Ok()
-                                           : s;
-                              })
-                          .ok());
-          oracle.erase(key);
+          s = fleet.ExecuteWithRetry(t, key, [&](txn::Txn& txn) {
+            const Status d = txn.Delete(t, key);
+            return d.code() == StatusCode::kNotFound ? Status::Ok() : d;
+          });
+          if (s.ok()) oracle.erase(key);
         } else {
           const Value value = workload::EncodeIntValue(rng.Next());
-          ASSERT_TRUE(fleet
-                          .ExecuteWithRetry(t, key,
-                                            [&](txn::Txn& txn) {
-                                              return txn.Put(t, key, value);
-                                            })
-                          .ok());
-          oracle[key] = value;
+          s = fleet.ExecuteWithRetry(
+              t, key, [&](txn::Txn& txn) { return txn.Put(t, key, value); });
+          if (s.ok()) oracle[key] = value;
+        }
+        if (!s.ok()) {
+          failures[static_cast<std::size_t>(w)] = s;
+          failed_writers.fetch_add(1, std::memory_order_release);
+          return;
         }
         total_writes.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
+  // Waits until `n` writes landed; false once a writer failed or after 60 s.
+  const auto wait_for_writes = [&](std::uint64_t n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (total_writes.load(std::memory_order_acquire) < n) {
+      if (failed_writers.load(std::memory_order_acquire) > 0 ||
+          std::chrono::steady_clock::now() > deadline) {
+        return false;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  };
 
   // Let traffic build, migrate live, let traffic keep flowing post-cutover.
-  while (total_writes.load(std::memory_order_acquire) < 200) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
   MigrationReport report;
-  ASSERT_TRUE(fleet.Rebalance(plan, &report).ok());
-  const std::uint64_t at_cutover = total_writes.load(std::memory_order_acquire);
-  while (total_writes.load(std::memory_order_acquire) < at_cutover + 200) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  const bool warmed_up = wait_for_writes(200);
+  const Status rebalanced =
+      warmed_up ? fleet.Rebalance(plan, &report) : Status::Ok();
+  const bool flowed_after =
+      warmed_up && rebalanced.ok() &&
+      wait_for_writes(total_writes.load(std::memory_order_acquire) + 200);
   stop.store(true, std::memory_order_release);
   for (std::thread& th : writers) th.join();
+  for (const Status& f : failures) ASSERT_TRUE(f.ok()) << f.message();
+  ASSERT_TRUE(warmed_up) << "writers stalled before the migration";
+  ASSERT_TRUE(rebalanced.ok()) << rebalanced.message();
+  ASSERT_TRUE(flowed_after) << "writers stalled after the cutover";
 
   // The cutover installed a new epoch and actually moved data.
   EXPECT_EQ(report.epoch, 1u);

@@ -361,22 +361,20 @@ TEST(FailoverTest, PromotionDuringActiveReplayMatchesOracle) {
   const TableId table = workload::SyntheticWorkload::CreateTable(&backup);
   sim::DstChannel::Source source = channel.MakeSource();
   auto replica = MakeReplica(ProtocolKind::kC5, &backup, {.num_workers = 4});
-  auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get());
-  ASSERT_NE(base, nullptr);
 
   std::atomic<bool> stop{false};
   std::atomic<bool> monotonic{true};
   std::thread readers([&] {
     Timestamp last = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      base->ReadOnlyTxn([&](const c5::Snapshot& snap) {
+      replica->ReadOnlyTxn([&](const c5::Snapshot& snap) {
         if (snap.timestamp() < last) {
           monotonic.store(false, std::memory_order_relaxed);
         }
         last = snap.timestamp();
       });
       Value v;
-      (void)base->ReadAtVisible(table, workload::SyntheticWorkload::kHotKey,
+      (void)replica->ReadAtVisible(table, workload::SyntheticWorkload::kHotKey,
                                 &v);
     }
   });

@@ -49,8 +49,6 @@ class HtapScanTest : public ::testing::Test {
     options.snapshot_interval = std::chrono::microseconds(100);
     replica_ = core::MakeReplica(core::ProtocolKind::kC5, &backup_db_, options);
     replica_->Start(source_.get());
-    base_ = dynamic_cast<replica::ReplicaBase*>(replica_.get());
-    ASSERT_NE(base_, nullptr);
   }
 
   void TearDown() override {
@@ -87,8 +85,7 @@ class HtapScanTest : public ::testing::Test {
   std::unique_ptr<log::OnlineLogCollector> collector_;
   std::unique_ptr<txn::TwoPhaseLockingEngine> engine_;
   std::unique_ptr<log::ChannelSegmentSource> source_;
-  std::unique_ptr<replica::Replica> replica_;
-  replica::ReplicaBase* base_ = nullptr;
+  std::unique_ptr<replica::ReplicaBase> replica_;
 };
 
 TEST_F(HtapScanTest, ScanBoundariesOnBackup) {
@@ -100,7 +97,7 @@ TEST_F(HtapScanTest, ScanBoundariesOnBackup) {
   Delete(500);
   Drain();
 
-  base_->ReadOnlyTxn([&](const Snapshot& snap) {
+  replica_->ReadOnlyTxn([&](const Snapshot& snap) {
     // Scan from 0 returns key 0 first; the deleted key is skipped.
     std::vector<Key> keys;
     std::vector<std::uint64_t> values;
@@ -138,7 +135,7 @@ TEST_F(HtapScanTest, ScanAllocationsAreConstantInMatchCount) {
   for (Key k = 0; k < kWide; ++k) Put(k, k);
   Drain();
 
-  base_->ReadOnlyTxn([&](const Snapshot& snap) {
+  replica_->ReadOnlyTxn([&](const Snapshot& snap) {
     // Warm any lazily-initialized read-path state outside the measurement.
     std::uint64_t sink = 0;
     for (auto it = snap.Scan(table_, 0, 8); it.Valid(); it.Next()) {
@@ -173,7 +170,7 @@ TEST_F(HtapScanTest, AggregatePushdownMatchesClientSideFold) {
   Delete(101);
   Drain();
 
-  base_->ReadOnlyTxn([&](const Snapshot& snap) {
+  replica_->ReadOnlyTxn([&](const Snapshot& snap) {
     const Key lo = 50, hi = 400;
     std::uint64_t want_rows = 0, want_sum = 0;
     std::uint64_t want_min = ~std::uint64_t{0}, want_max = 0;

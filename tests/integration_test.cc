@@ -51,8 +51,6 @@ TEST_P(OnlineReplicationTest, LivePrimaryStreamsToReplicaWithReaders) {
                                              std::chrono::microseconds(100)},
                          &lag);
   rep->Start(&source);
-  auto* base = dynamic_cast<replica::ReplicaBase*>(rep.get());
-  ASSERT_NE(base, nullptr);
 
   // Read-only clients hammering the backup during replication.
   std::atomic<bool> stop_readers{false};
@@ -62,8 +60,8 @@ TEST_P(OnlineReplicationTest, LivePrimaryStreamsToReplicaWithReaders) {
     Rng rng(reader_seed);
     while (!stop_readers.load()) {
       Value v;
-      (void)base->ReadAtVisible(table, workload::SyntheticWorkload::kHotKey,
-                                &v);
+      (void)rep->ReadAtVisible(table, workload::SyntheticWorkload::kHotKey,
+                               &v);
       reads.fetch_add(1);
     }
   });

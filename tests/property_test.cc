@@ -240,8 +240,6 @@ TEST_P(FaultInjectionTest, ConvergesAndHoldsMpcUnderJitterAndStall) {
   });
 
   auto replica = MakeReplica(kind, &backup, {.num_workers = 4});
-  auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get());
-  ASSERT_NE(base, nullptr);
 
   std::atomic<bool> stop{false};
   std::atomic<bool> violation{false};
@@ -252,7 +250,7 @@ TEST_P(FaultInjectionTest, ConvergesAndHoldsMpcUnderJitterAndStall) {
       // Snapshot reads work for every protocol, lazy ones included: Get
       // runs Query Fresh's deferred instantiation through the
       // PrepareRowRead hook.
-      base->ReadOnlyTxn([&](const c5::Snapshot& snap) {
+      replica->ReadOnlyTxn([&](const c5::Snapshot& snap) {
         const Timestamp ts = snap.timestamp();
         if (ts < last_ts) violation.store(true);
         last_ts = ts;

@@ -22,12 +22,6 @@ namespace {
 
 using replica::QueryFreshReplica;
 
-QueryFreshReplica::Options LazyOptions() {
-  QueryFreshReplica::Options o;
-  o.leave_lazy_after_catchup = true;
-  return o;
-}
-
 // After ingest finishes, the visibility watermark covers the whole log but
 // NO writes have executed: Query Fresh "keeps up" on ingest by construction
 // because execution is deferred to readers. This is the paper's §9 critique
@@ -40,9 +34,9 @@ TEST(QueryFreshTest, IngestAdvancesVisibilityWithoutExecuting) {
   run.log.ResetReplayState();
   log::OfflineSegmentSource source(&run.log);
 
-  QueryFreshReplica replica(&backup, LazyOptions());
+  QueryFreshReplica replica(&backup);
   replica.Start(&source);
-  replica.WaitUntilCaughtUp();
+  replica.WaitUntilIndexed();
 
   EXPECT_EQ(replica.VisibleTimestamp(), run.log.MaxTimestamp());
   EXPECT_EQ(replica.stats().applied_writes.load(), 0u)
@@ -61,9 +55,9 @@ TEST(QueryFreshTest, ReadInstantiatesOnlyTheTouchedRow) {
   run.log.ResetReplayState();
   log::OfflineSegmentSource source(&run.log);
 
-  QueryFreshReplica replica(&backup, LazyOptions());
+  QueryFreshReplica replica(&backup);
   replica.Start(&source);
-  replica.WaitUntilCaughtUp();
+  replica.WaitUntilIndexed();
 
   // Count the hot row's writes in the log (the adversarial workload updates
   // key 0 once per transaction, plus the initial load).
@@ -94,9 +88,9 @@ TEST(QueryFreshTest, ReadsAloneConvergeToPrimaryState) {
   run.log.ResetReplayState();
   log::OfflineSegmentSource source(&run.log);
 
-  QueryFreshReplica replica(&backup, LazyOptions());
+  QueryFreshReplica replica(&backup);
   replica.Start(&source);
-  replica.WaitUntilCaughtUp();
+  replica.WaitUntilIndexed();
 
   for (std::size_t s = 0; s < run.log.NumSegments(); ++s) {
     for (const auto& rec : run.log.segment(s)->records()) {
@@ -132,7 +126,7 @@ TEST(QueryFreshTest, FixedSnapshotReadsAreAtomic) {
   storage::Database backup;
   workload::SyntheticWorkload::CreateTable(&backup);
   log::OfflineSegmentSource source(&log);
-  QueryFreshReplica replica(&backup, LazyOptions());
+  QueryFreshReplica replica(&backup);
 
   std::atomic<bool> stop{false};
   std::atomic<bool> violation{false};
@@ -156,7 +150,7 @@ TEST(QueryFreshTest, FixedSnapshotReadsAreAtomic) {
   });
 
   replica.Start(&source);
-  replica.WaitUntilCaughtUp();
+  replica.WaitUntilIndexed();
   stop.store(true, std::memory_order_release);
   reader.join();
   replica.Stop();
@@ -178,9 +172,9 @@ TEST(QueryFreshTest, ConcurrentReadersOfOneHotRowAgree) {
   run.log.ResetReplayState();
   log::OfflineSegmentSource source(&run.log);
 
-  QueryFreshReplica replica(&backup, LazyOptions());
+  QueryFreshReplica replica(&backup);
   replica.Start(&source);
-  replica.WaitUntilCaughtUp();  // backlog fully pending
+  replica.WaitUntilIndexed();  // backlog fully pending
 
   constexpr int kReaders = 8;
   std::vector<Value> results(kReaders);
@@ -231,9 +225,9 @@ TEST(QueryFreshTest, LazyInstantiationAppliesDeletes) {
   storage::Database backup;
   workload::SyntheticWorkload::CreateTable(&backup);
   log::OfflineSegmentSource source(&log);
-  QueryFreshReplica replica(&backup, LazyOptions());
+  QueryFreshReplica replica(&backup);
   replica.Start(&source);
-  replica.WaitUntilCaughtUp();
+  replica.WaitUntilIndexed();
 
   Value v;
   EXPECT_EQ(replica.ReadAtVisible(table, kKey, &v).code(),

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 
 #include "api/snapshot.h"
@@ -139,14 +140,12 @@ TEST_P(ReplicaParamTest, ReadAtVisibleFindsReplicatedRows) {
   replica->Start(&source);
   replica->WaitUntilCaughtUp();
 
-  auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get());
-  ASSERT_NE(base, nullptr);
   // Every key in the log must be readable at the final snapshot.
   std::uint64_t found = 0;
   for (std::size_t s = 0; s < run.log.NumSegments(); ++s) {
     for (const auto& rec : run.log.segment(s)->records()) {
       Value v;
-      if (base->ReadAtVisible(table, rec.key, &v).ok()) ++found;
+      if (replica->ReadAtVisible(table, rec.key, &v).ok()) ++found;
     }
   }
   EXPECT_EQ(found, run.log.NumRecords());
@@ -163,14 +162,12 @@ TEST_P(ReplicaParamTest, SamplesApplyLatencyAndStopsIdempotently) {
   run.log.ResetReplayState();
   log::OfflineSegmentSource source(&run.log);
   auto replica = MakeReplica(kind(), &backup, Options());
-  auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get());
-  ASSERT_NE(base, nullptr);
   replica->Start(&source);
   replica->WaitUntilCaughtUp();
   replica->Stop();
   replica->Stop();
   if (kind() != ProtocolKind::kQueryFresh) {
-    EXPECT_GT(base->ApplyLatencySnapshot().count(), 0u);
+    EXPECT_GT(replica->ApplyLatencySnapshot().count(), 0u);
   }
   EXPECT_EQ(replica->stats().applied_writes.load(), run.log.NumRecords());
   replica.reset();
@@ -216,8 +213,6 @@ TEST_P(ReplicaParamTest, MonotonicPrefixConsistencyDuringReplay) {
   workload::SyntheticWorkload::CreateTable(&backup);
   log::OfflineSegmentSource source(&log);
   auto replica = MakeReplica(kind(), &backup, Options());
-  auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get());
-  ASSERT_NE(base, nullptr);
 
   std::atomic<bool> stop{false};
   std::atomic<bool> violation{false};
@@ -225,7 +220,7 @@ TEST_P(ReplicaParamTest, MonotonicPrefixConsistencyDuringReplay) {
     std::uint64_t last_seen = 0;
     Timestamp last_ts = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      base->ReadOnlyTxn([&](const c5::Snapshot& snap) {
+      replica->ReadOnlyTxn([&](const c5::Snapshot& snap) {
         const Timestamp ts = snap.timestamp();
         if (ts < last_ts) violation.store(true);  // snapshot went backwards
         last_ts = ts;
@@ -252,7 +247,7 @@ TEST_P(ReplicaParamTest, MonotonicPrefixConsistencyDuringReplay) {
 
   // Final state: both pair rows at 400.
   Value v;
-  ASSERT_TRUE(base->ReadAtVisible(table, kA, &v).ok());
+  ASSERT_TRUE(replica->ReadAtVisible(table, kA, &v).ok());
   EXPECT_EQ(workload::DecodeIntValue(v), 400u);
 }
 
@@ -279,31 +274,67 @@ const ProtocolKind kProtocolsWithWorkers[] = {
 };
 
 class ReclaimWhileReplayingTest
-    : public ::testing::TestWithParam<ProtocolKind> {};
+    : public ::testing::TestWithParam<ProtocolKind> {
+ protected:
+  static constexpr Key kKeys = 16;
+
+  // A small keyspace overwritten many times, so replay retires a version
+  // per write.
+  static log::Log OverwriteLog() {
+    auto primary = test::Primary::Mvtso();
+    const TableId table =
+        workload::SyntheticWorkload::CreateTable(&primary->db);
+    for (std::uint64_t n = 0; n < 2000; ++n) {
+      const Status s = primary->engine->ExecuteWithRetry([&](txn::Txn& txn) {
+        for (Key k = 0; k < 4; ++k) {
+          const Status st = txn.Put(table, (n * 4 + k) % kKeys,
+                                    workload::EncodeIntValue(n));
+          if (!st.ok()) return st;
+        }
+        return Status::Ok();
+      });
+      EXPECT_TRUE(s.ok());
+    }
+    return primary->collector->Coalesce();
+  }
+
+  // Waits (bounded) until the replica is visible up to the source's gate,
+  // `collect` has left about one version per row and at most
+  // `max_retired` retired items wait to be freed, then checks that it got
+  // there.
+  static void ExpectReclaimedAtGate(replica::ReplicaBase& replica,
+                                    Timestamp gated_ts,
+                                    std::size_t max_retired,
+                                    const std::function<bool()>& collect) {
+    storage::Database& backup = replica.db();
+    const auto versions_per_row = [&backup] {
+      const auto guard = backup.epochs().Enter();
+      const storage::Table& t = backup.table(0);
+      return static_cast<double>(t.CountVersionsApprox()) /
+             static_cast<double>(std::max<RowId>(t.NumRows(), 1));
+    };
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (std::chrono::steady_clock::now() < deadline &&
+           !(replica.VisibleTimestamp() >= gated_ts && collect() &&
+             backup.epochs().RetiredCountApprox() <= max_retired &&
+             versions_per_row() < 1.5)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GE(replica.VisibleTimestamp(), gated_ts);
+    EXPECT_LE(backup.epochs().RetiredCountApprox(), max_retired)
+        << "retired versions were not reclaimed while the replica ran";
+    EXPECT_LT(versions_per_row(), 1.5);
+  }
+};
 
 // Garbage collection must free memory while the replay workers are alive,
 // not only once they exit: a worker that held an epoch guard for its whole
-// life pinned every retired version, so the retired list only grew. A small
-// keyspace is overwritten many times; the source then stalls before its
-// last segment, with every worker idle but running.
+// life pinned every retired version, so the retired list only grew. The
+// source stalls before its last segment, with every worker idle but
+// running.
 TEST_P(ReclaimWhileReplayingTest, FreesRetiredVersionsWhileWorkersRun) {
-  constexpr Key kKeys = 16;
-  constexpr std::uint64_t kTxns = 2000;
-  auto primary = test::Primary::Mvtso();
-  const TableId table =
-      workload::SyntheticWorkload::CreateTable(&primary->db);
-  for (std::uint64_t n = 0; n < kTxns; ++n) {
-    const Status s = primary->engine->ExecuteWithRetry([&](txn::Txn& txn) {
-      for (Key k = 0; k < 4; ++k) {
-        const Status st = txn.Put(table, (n * 4 + k) % kKeys,
-                                  workload::EncodeIntValue(n));
-        if (!st.ok()) return st;
-      }
-      return Status::Ok();
-    });
-    ASSERT_TRUE(s.ok());
-  }
-  log::Log log = primary->collector->Coalesce();
+  log::Log log = OverwriteLog();
   ASSERT_GE(log.NumSegments(), 2u);
   const Timestamp gated_ts = log.segment(log.NumSegments() - 2)->MaxTimestamp();
 
@@ -317,28 +348,11 @@ TEST_P(ReclaimWhileReplayingTest, FreesRetiredVersionsWhileWorkersRun) {
   auto replica = MakeReplica(GetParam(), &backup, options);
   replica->Start(&source);
 
-  const auto versions_per_row = [&backup, table] {
-    const auto guard = backup.epochs().Enter();
-    const storage::Table& t = backup.table(table);
-    return static_cast<double>(t.CountVersionsApprox()) /
-           static_cast<double>(std::max<RowId>(t.NumRows(), 1));
-  };
-  // Caught up to the gate, then a few GC passes: chains shrink to about one
-  // version per row, and everything retired is freed. (A pass counts itself
-  // after it has collected, so wait for the counter too.)
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (std::chrono::steady_clock::now() < deadline &&
-         !(replica->VisibleTimestamp() >= gated_ts &&
-           backup.epochs().RetiredCountApprox() <= kKeys &&
-           versions_per_row() < 1.5 &&
-           replica->stats().gc_passes.load() > 0)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE(replica->VisibleTimestamp(), gated_ts);
-  EXPECT_LE(backup.epochs().RetiredCountApprox(), kKeys)
-      << "retired versions were not reclaimed while the workers ran";
-  EXPECT_LT(versions_per_row(), 1.5);
+  // The maintenance thread collects. A pass counts itself after it has
+  // collected, so wait for the counter too.
+  ExpectReclaimedAtGate(*replica, gated_ts, kKeys, [&replica] {
+    return replica->stats().gc_passes.load() > 0;
+  });
   EXPECT_GT(replica->stats().gc_passes.load(), 0u);
 
   source.Open();
@@ -357,6 +371,35 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// Single-threaded replay runs no maintenance thread, but a caller that
+// collects on its database must still free what it retires while the
+// scheduler thread waits on its source: that thread holds an epoch guard
+// per segment, never across Next().
+TEST_F(ReclaimWhileReplayingTest, SingleThreadFreesRetiredVersionsWhileStalled) {
+  log::Log log = OverwriteLog();
+  ASSERT_GE(log.NumSegments(), 2u);
+  const Timestamp gated_ts = log.segment(log.NumSegments() - 2)->MaxTimestamp();
+
+  storage::Database backup;
+  workload::SyntheticWorkload::CreateTable(&backup);
+  log::GatedSegmentSource source(&log, log.NumSegments() - 1);
+  auto replica = MakeReplica(ProtocolKind::kSingleThread, &backup, {});
+  replica->Start(&source);
+
+  // The test thread collects and reclaims; with no guard held anywhere,
+  // everything it retired is freed.
+  ExpectReclaimedAtGate(*replica, gated_ts, 0, [&] {
+    backup.CollectGarbage(replica->GcHorizon());
+    backup.epochs().ReclaimSome();
+    return true;
+  });
+
+  source.Open();
+  replica->WaitUntilCaughtUp();
+  replica->Stop();
+  EXPECT_EQ(replica->stats().applied_writes.load(), log.NumRecords());
+}
 
 // The unconstrained-KuaFu diagnostic still applies every write and
 // terminates; it just may not converge to the primary's state.

@@ -35,8 +35,8 @@ struct TwoBackupWorld {
   storage::Database fast_db;
   storage::Database slow_db;
   TableId table = 0;
-  std::unique_ptr<replica::Replica> fast;
-  std::unique_ptr<replica::Replica> slow;
+  std::unique_ptr<ReplicaBase> fast;
+  std::unique_ptr<ReplicaBase> slow;
   std::unique_ptr<log::OfflineSegmentSource> fast_source;
   std::unique_ptr<log::GatedSegmentSource> slow_source;
   log::Log slow_log;  // a second copy so the two replays do not share
@@ -75,8 +75,8 @@ struct TwoBackupWorld {
     fast->WaitUntilCaughtUp();  // fast is fully caught up
     // slow is stalled at its gate.
 
-    set.Add(dynamic_cast<ReplicaBase*>(fast.get()));
-    set.Add(dynamic_cast<ReplicaBase*>(slow.get()));
+    set.Add(fast.get());
+    set.Add(slow.get());
   }
 
   void ReleaseSlow() {
@@ -233,8 +233,8 @@ TEST(SessionTest, MonotonicReadsAcrossLiveBackups) {
   b->Start(&src_b);
 
   BackupSet set;
-  set.Add(dynamic_cast<ReplicaBase*>(a.get()));
-  set.Add(dynamic_cast<ReplicaBase*>(b.get()));
+  set.Add(a.get());
+  set.Add(b.get());
 
   std::atomic<bool> stop{false};
   std::atomic<bool> violation{false};
@@ -276,8 +276,8 @@ TEST(SessionTest, NoTokenRoundRobinDoesRegress) {
   // fast is caught up, slow is gated at half: alternating raw reads of a
   // key that changes between the two positions would regress. Demonstrate
   // with visibility timestamps (deterministic, no timing dependence).
-  auto* fast = dynamic_cast<ReplicaBase*>(world.fast.get());
-  auto* slow = dynamic_cast<ReplicaBase*>(world.slow.get());
+  ReplicaBase* fast = world.fast.get();
+  ReplicaBase* slow = world.slow.get();
   EXPECT_GT(fast->VisibleTimestamp(), slow->VisibleTimestamp())
       << "precondition: backups at different lag";
 
@@ -332,17 +332,14 @@ TEST(SessionTest, MixedProtocolFleetServesConsistently) {
   log::OfflineSegmentSource src_eager(&log_a);
   log::OfflineSegmentSource src_lazy(&log_b);
   auto eager = MakeReplica(ProtocolKind::kC5, &db_eager, {.num_workers = 2});
-  replica::QueryFreshReplica::Options lazy_opts;
-  lazy_opts.leave_lazy_after_catchup = true;  // stays lazy: reads must
-                                              // instantiate on demand
-  replica::QueryFreshReplica lazy(&db_lazy, lazy_opts);
+  replica::QueryFreshReplica lazy(&db_lazy);
   eager->Start(&src_eager);
   lazy.Start(&src_lazy);
   eager->WaitUntilCaughtUp();
-  lazy.WaitUntilCaughtUp();
+  lazy.WaitUntilIndexed();  // stays lazy: reads must instantiate on demand
 
   BackupSet set;
-  set.Add(dynamic_cast<ReplicaBase*>(eager.get()));
+  set.Add(eager.get());
   set.Add(&lazy);
 
   ClientSession session(&set, {.policy = RoutingPolicy::kTokenRouted});

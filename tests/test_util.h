@@ -126,19 +126,18 @@ struct Primary {
   std::unique_ptr<log::PerThreadLogCollector> collector;
   std::unique_ptr<txn::Engine> engine;
 
-  static std::unique_ptr<Primary> Mvtso() {
+  static std::unique_ptr<Primary> Make(txn::EngineKind kind) {
     auto p = std::make_unique<Primary>();
     p->collector = std::make_unique<log::PerThreadLogCollector>(256);
-    p->engine = std::make_unique<txn::MvtsoEngine>(&p->db, p->collector.get(),
-                                                   &p->clock);
+    p->engine =
+        txn::MakeEngine(kind, &p->db, p->collector.get(), &p->clock);
     return p;
   }
+  static std::unique_ptr<Primary> Mvtso() {
+    return Make(txn::EngineKind::kMvtso);
+  }
   static std::unique_ptr<Primary> Tpl() {
-    auto p = std::make_unique<Primary>();
-    p->collector = std::make_unique<log::PerThreadLogCollector>(256);
-    p->engine = std::make_unique<txn::TwoPhaseLockingEngine>(
-        &p->db, p->collector.get(), &p->clock);
-    return p;
+    return Make(txn::EngineKind::kTwoPhaseLocking);
   }
 };
 

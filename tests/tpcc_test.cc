@@ -376,11 +376,9 @@ TEST_F(TpccFullMixTest, FullMixReplicatesAndStockLevelRunsOnBackup) {
   replica->WaitUntilCaughtUp();
 
   // The paper's read path: read-only analytics on the backup's snapshot.
-  auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get());
-  ASSERT_NE(base, nullptr);
   for (int i = 0; i < 10; ++i) {
     std::uint32_t low = 0;
-    EXPECT_TRUE(RunStockLevelOnBackup(*base, rng, cfg_, 1, &low).ok());
+    EXPECT_TRUE(RunStockLevelOnBackup(*replica, rng, cfg_, 1, &low).ok());
   }
   replica->Stop();
   EXPECT_EQ(test::StateDigest(db_, kMaxTimestamp),
@@ -411,8 +409,6 @@ TEST_F(TpccFullMixTest, AnalyticalQueriesOnBackupMatchPrimaryOracle) {
                                    core::ProtocolOptions{.num_workers = 4});
   replica->Start(&source);
   replica->WaitUntilCaughtUp();
-  auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get());
-  ASSERT_NE(base, nullptr);
 
   // Whole-warehouse low-stock count vs a point-read fold on the primary.
   for (const std::uint32_t threshold : {0u, 12u, 1000000u}) {
@@ -426,7 +422,7 @@ TEST_F(TpccFullMixTest, AnalyticalQueriesOnBackupMatchPrimaryOracle) {
       }
     }
     std::uint64_t got = 0;
-    ASSERT_TRUE(CountLowStockOnBackup(*base, 1, threshold, &got).ok());
+    ASSERT_TRUE(CountLowStockOnBackup(*replica, 1, threshold, &got).ok());
     EXPECT_EQ(got, want) << "threshold " << threshold;
   }
 
@@ -456,7 +452,7 @@ TEST_F(TpccFullMixTest, AnalyticalQueriesOnBackupMatchPrimaryOracle) {
     }
     std::uint64_t lines = 0, qty = 0;
     ASSERT_TRUE(
-        DistrictOrderLineVolumeOnBackup(*base, 1, d, &lines, &qty).ok());
+        DistrictOrderLineVolumeOnBackup(*replica, 1, d, &lines, &qty).ok());
     EXPECT_EQ(lines, want_lines) << "district " << d;
     EXPECT_EQ(qty, want_qty) << "district " << d;
   }
@@ -486,8 +482,6 @@ TEST(TpccAnalyticalLiveTest, AnalyticsStayConsistentWhileReplayStreams) {
   auto replica =
       core::MakeReplica(core::ProtocolKind::kC5, &backup_db, options);
   replica->Start(&source);
-  auto* base = dynamic_cast<replica::ReplicaBase*>(replica.get());
-  ASSERT_NE(base, nullptr);
 
   std::atomic<bool> done{false};
   std::thread writer([&] {
@@ -504,12 +498,12 @@ TEST(TpccAnalyticalLiveTest, AnalyticsStayConsistentWhileReplayStreams) {
   while (!done.load(std::memory_order_acquire)) {
     std::uint64_t lines = 0, qty = 0;
     ASSERT_TRUE(
-        DistrictOrderLineVolumeOnBackup(*base, 1, 1, &lines, &qty).ok());
+        DistrictOrderLineVolumeOnBackup(*replica, 1, 1, &lines, &qty).ok());
     EXPECT_GE(lines, last_lines)
         << "order-line count went backwards across snapshots";
     last_lines = lines;
     std::uint64_t low = 0;
-    ASSERT_TRUE(CountLowStockOnBackup(*base, 1, 1000000u, &low).ok());
+    ASSERT_TRUE(CountLowStockOnBackup(*replica, 1, 1000000u, &low).ok());
     EXPECT_LE(low, cfg.items) << "aggregate saw more stock rows than exist";
     ++probes;
   }
@@ -538,7 +532,7 @@ TEST(TpccAnalyticalLiveTest, AnalyticsStayConsistentWhileReplayStreams) {
   }
   std::uint64_t lines = 0, qty = 0;
   ASSERT_TRUE(
-      DistrictOrderLineVolumeOnBackup(*base, 1, 1, &lines, &qty).ok());
+      DistrictOrderLineVolumeOnBackup(*replica, 1, 1, &lines, &qty).ok());
   EXPECT_EQ(lines, want_lines);
   EXPECT_GE(lines, last_lines);
 
