@@ -33,7 +33,7 @@ MixResult RunMix(bool payment_mix, bool optimized, std::uint64_t txns,
   cfg.items = 2000;
   cfg.optimized = optimized;
   // Pre-sizes the indexes from the schema cardinalities (no rehash stalls).
-  workload::tpcc::CreateTables(&primary->db, cfg);
+  workload::tpcc::CreateTables(&primary->db);
   workload::tpcc::Load(*primary->engine, cfg);
   // Drop the load phase from the replicated log: coalesce and discard.
   (void)primary->collector.Coalesce();
@@ -49,8 +49,8 @@ MixResult RunMix(bool payment_mix, bool optimized, std::uint64_t txns,
       });
 
   log::Log log = primary->collector.Coalesce();
-  auto schema = [cfg](storage::Database* db) {
-    workload::tpcc::CreateTables(db, cfg);
+  auto schema = [](storage::Database* db) {
+    workload::tpcc::CreateTables(db);
   };
   // Note: replicated backups start from an empty database and the log holds
   // only the benchmark transactions (the load phase was excluded), exactly

@@ -159,8 +159,7 @@ int Run(int argc, char** argv) {
   // the ordered index is maintained by the apply path, exactly as in
   // production HTAP serving.
   auto primary = OfflinePrimary::Tpl();
-  const TableId table =
-      primary->db.CreateTable("kv", /*expected_keys=*/table_keys);
+  const TableId table = primary->db.CreateTable("kv");
   for (std::uint64_t k = 0; k < table_keys; k += writes_per_txn) {
     const Status s = primary->engine->ExecuteWithRetry([&](txn::Txn& txn) {
       for (std::uint32_t i = 0; i < writes_per_txn && k + i < table_keys;
@@ -179,7 +178,7 @@ int Run(int argc, char** argv) {
   log::Log log = primary->collector.Coalesce();
 
   storage::Database backup;
-  backup.CreateTable("kv", /*expected_keys=*/table_keys);
+  backup.CreateTable("kv");
   log::OfflineSegmentSource source(&log);
   core::ProtocolOptions options;
   options.num_workers = DefaultWorkers();

@@ -77,7 +77,7 @@ void BM_TryInstallIfPrev(benchmark::State& state) {
 BENCHMARK(BM_TryInstallIfPrev);
 
 void BM_HashIndexInsert(benchmark::State& state) {
-  index::HashIndex idx(1 << 16);
+  index::HashIndex idx;
   Key key = 0;
   for (auto _ : state) {
     idx.Insert(key, key);
@@ -88,7 +88,7 @@ void BM_HashIndexInsert(benchmark::State& state) {
 BENCHMARK(BM_HashIndexInsert);
 
 void BM_HashIndexLookupHit(benchmark::State& state) {
-  index::HashIndex idx(1 << 16);
+  index::HashIndex idx;
   constexpr Key kN = 100000;
   for (Key k = 0; k < kN; ++k) idx.Insert(k, k);
   Rng rng(1);

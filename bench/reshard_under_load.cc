@@ -83,7 +83,7 @@ RunResult Run(const RunParams& p, int workers) {
   options.WithShards(2).WithRouterSeed(0xC5'5EEDull);
   options.shard.WithBackups(1).WithWorkers(workers);
   ShardedCluster fleet(options);
-  const TableId table = fleet.CreateTable("kv", p.keyspace);
+  const TableId table = fleet.CreateTable("kv");
   fleet.Start();
 
   // Seed every key so the migration copies real rows, not an empty set.

@@ -138,7 +138,7 @@ ConfigResult RunConfig(std::size_t shards, std::uint64_t total_writes,
     for (int rep = 0; rep < reps; ++rep) {
       const bench::ReplayResult r = bench::ReplayLog(
           core::ProtocolKind::kC5, logs[s],
-          [](storage::Database* db) { db->CreateTable("kv", kKeys); }, workers,
+          [](storage::Database* db) { db->CreateTable("kv"); }, workers,
           options);
       if (rep == 0 || r.seconds < best.seconds) best = r;
     }

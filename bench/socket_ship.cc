@@ -26,8 +26,8 @@ namespace {
 bench::ReplayResult ReplayFromSource(log::SegmentSource* source,
                                      int workers) {
   storage::Database backup;
-  for (const auto& [name, expected] : workload::SeededSchema()) {
-    backup.CreateTable(name, expected);
+  for (const std::string& name : workload::SeededSchema()) {
+    backup.CreateTable(name);
   }
   auto replica = core::MakeReplica(core::ProtocolKind::kC5, &backup,
                                    {.num_workers = workers});

@@ -39,8 +39,7 @@ void RunOnce(core::ProtocolKind kind, int seconds) {
       .WithSegmentRecords(256)
       .AddBackup({.protocol = kind, .lag = &lag});
   Cluster cluster(options);
-  const TableId table =
-      cluster.CreateTable("synthetic", /*expected_keys=*/1 << 16);
+  const TableId table = cluster.CreateTable("synthetic");
   cluster.Start();
 
   workload::SyntheticWorkload wl(table, {.inserts_per_txn = 16,

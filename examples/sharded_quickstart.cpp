@@ -32,7 +32,7 @@ int main() {
   options.WithShards(2).WithRouterSeed(7);
   options.shard.WithBackups(1, core::ProtocolKind::kC5).WithWorkers(2);
   ShardedCluster fleet(options);
-  const TableId t = fleet.CreateTable("kv", kKeyspace);
+  const TableId t = fleet.CreateTable("kv");
   fleet.Start();
 
   // --- Closed-loop clients per shard (workload::RunShardedClosedLoop): each

@@ -34,9 +34,7 @@ int main() {
                       .WithEngine(ha::EngineKind::kTwoPhaseLocking)
                       .WithBackups(1, core::ProtocolKind::kC5MyRocks)
                       .WithWorkers(4));
-  for (const auto& spec : TableSpecs(&cfg)) {
-    cluster.CreateTable(spec.name, spec.expected_keys);
-  }
+  for (const auto& spec : TableSpecs(nullptr)) cluster.CreateTable(spec.name);
   cluster.Start();
 
   std::printf("loading TPC-C (W=%u, D=%u, C=%u, I=%u)...\n", cfg.warehouses,

@@ -96,7 +96,7 @@ cmake --build "${build_dir}-c5bench" -j "$jobs" --target c5bench
 # and the GC-every-pass DST sweep (dst_test).
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
   --repeat until-fail:20 \
-  -R 'replica|dst|epoch|property|failover|session|net|cluster|ordered_index|tpcc|checkpoint|c5_core|integration|query_fresh|engine|two_phase_locking'
+  -R 'replica|dst|epoch|property|failover|session|net|cluster|ordered_index|hash_index|tpcc|checkpoint|c5_core|integration|query_fresh|engine|two_phase_locking'
 "$repo_root/scripts/bench.sh" --quick "$build_dir"
 
 run_static_lane
@@ -122,24 +122,29 @@ run_static_lane
 # ordered_index_test (lock-free skiplist readers racing CAS-linking writers)
 # and htap_scan_test (streaming Scan/Aggregate over a live replica) join the
 # concurrency-sensitive lane set: TSan checks the reader/writer memory
-# ordering, ASan the inline-tower arena lifetimes. The DST ordered-index
-# oracle runs inside dst_test in every lane.
+# ordering, ASan the inline-tower arena lifetimes. hash_index_test joins it
+# too: its shards start at 8 slots and double while readers probe, so TSan
+# checks the shard lock covers every Grow() and ASan that no probe touches a
+# freed slot array. The DST ordered-index oracle runs inside dst_test in
+# every lane.
 tsan_dir="${build_dir}-tsan"
 cmake -B "$tsan_dir" -S "$repo_root" -DC5_SANITIZE=thread >/dev/null
 cmake --build "$tsan_dir" -j "$jobs" --target dst_test cluster_test net_test \
-  ordered_index_test htap_scan_test epoch_test replica_test
+  ordered_index_test hash_index_test htap_scan_test epoch_test replica_test
 C5_DST_SEED_COUNT=16 "$tsan_dir/dst_test"
 "$tsan_dir/epoch_test"
 "$tsan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*'
 "$tsan_dir/cluster_test"
 "$tsan_dir/net_test"
 "$tsan_dir/ordered_index_test"
+"$tsan_dir/hash_index_test"
 "$tsan_dir/htap_scan_test"
 
 asan_dir="${build_dir}-asan"
 cmake -B "$asan_dir" -S "$repo_root" -DC5_SANITIZE=address >/dev/null
 cmake --build "$asan_dir" -j "$jobs" --target dst_test wire_test cluster_test \
-  net_test ordered_index_test htap_scan_test epoch_test replica_test
+  net_test ordered_index_test hash_index_test htap_scan_test epoch_test \
+  replica_test
 C5_DST_SEED_COUNT=16 "$asan_dir/dst_test"
 "$asan_dir/epoch_test"
 "$asan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*'
@@ -147,6 +152,7 @@ C5_DST_SEED_COUNT=16 "$asan_dir/dst_test"
 "$asan_dir/cluster_test"
 "$asan_dir/net_test"
 "$asan_dir/ordered_index_test"
+"$asan_dir/hash_index_test"
 "$asan_dir/htap_scan_test"
 
 ubsan_dir="${build_dir}-ubsan"

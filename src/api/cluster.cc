@@ -30,8 +30,8 @@ std::string BackupNode::id() const {
   return options_.id.empty() ? core::ToString(options_.protocol) : options_.id;
 }
 
-TableId BackupNode::CreateTable(std::string name, std::size_t expected_keys) {
-  return db_.CreateTable(std::move(name), expected_keys);
+TableId BackupNode::CreateTable(std::string name) {
+  return db_.CreateTable(std::move(name));
 }
 
 Status BackupNode::RestoreFromCheckpoint(const std::string& path) {
@@ -152,10 +152,10 @@ std::vector<ClusterOptions::BackupSpec> Cluster::ResolvedSpecs() const {
   return specs;
 }
 
-TableId Cluster::CreateTable(std::string name, std::size_t expected_keys) {
+TableId Cluster::CreateTable(std::string name, std::size_t /*ignored*/) {
   assert(!started_ && "schema setup precedes Start (DDL is out of scope)");
-  schema_.emplace_back(name, expected_keys);
-  return primary_db_.CreateTable(std::move(name), expected_keys);
+  schema_.push_back(name);
+  return primary_db_.CreateTable(std::move(name));
 }
 
 void Cluster::Start() {
@@ -229,9 +229,7 @@ void Cluster::Start() {
     bo.lag = specs[i].lag;
     bo.id = options_.id + "/backup" + std::to_string(i);
     nodes_.push_back(std::make_unique<BackupNode>(std::move(bo)));
-    for (const auto& [name, expected] : schema_) {
-      nodes_.back()->CreateTable(name, expected);
-    }
+    for (const std::string& name : schema_) nodes_.back()->CreateTable(name);
     shipping_->lanes.push_back({});
     Shipping::Lane& lane = shipping_->lanes.back();
     if (specs[i].via_socket) {

@@ -94,7 +94,7 @@ class BackupNode {
 
   // Schema setup; call before Start (table ids must mirror the primary's
   // creation order — the log addresses tables by id).
-  TableId CreateTable(std::string name, std::size_t expected_keys = 0);
+  TableId CreateTable(std::string name);
 
   // Rebuilds the database from a checkpoint file (storage/checkpoint.h).
   // Call after CreateTable and before the first Start; the node then reads
@@ -293,7 +293,10 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   // Schema setup (primary + every backup). Call before Start.
-  TableId CreateTable(std::string name, std::size_t expected_keys = 0);
+  // The second parameter is ignored (indexes size themselves from what they
+  // hold); it stays only so the frozen c5bench sources compile, and goes with
+  // the next change to the benchmark.
+  TableId CreateTable(std::string name, std::size_t /*ignored*/ = 0);
 
   // Brings the cluster up: primary engine, one shipping channel per backup,
   // backup protocol threads, background flusher.
@@ -459,7 +462,7 @@ class Cluster {
   Status RunOnPrimary(const txn::TxnFn& fn, Timestamp* commit_ts, bool retry);
 
   ClusterOptions options_;
-  std::vector<std::pair<std::string, std::size_t>> schema_;
+  std::vector<std::string> schema_;
 
   // Primary. taps_ precedes tee_/engine_: it must outlive both (the tee
   // holds a pointer to it; engine worker threads log through the tee).

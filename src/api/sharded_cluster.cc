@@ -92,14 +92,13 @@ ShardedCluster::ShardedCluster(ShardedClusterOptions options)
 ShardedCluster::~ShardedCluster() { Shutdown(); }
 
 TableId ShardedCluster::CreateTable(std::string name,
-                                    std::size_t expected_keys,
                                     ShardRouter::PartitionFn partition) {
   assert(!started_ && "schema setup precedes Start (DDL is out of scope)");
   // Table ids match across shards by creation order — the façade creates on
   // every shard, so they cannot drift.
   TableId id = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const TableId got = shards_[i]->CreateTable(name, expected_keys);
+    const TableId got = shards_[i]->CreateTable(name);
     if (i == 0) {
       id = got;
     } else {
@@ -568,21 +567,28 @@ Status ShardedCluster::Rebalance(const MigrationPlan& plan,
       if (rec.commit_ts <= seen) continue;
       seen = rec.commit_ts;
       Timestamp commit = 0;
+      bool wrote = false;
       const bool is_delete = rec.op == OpType::kDelete;
       const Status st = dest.ExecuteWithRetry(
           [&](txn::Txn& txn) {
+            wrote = true;
             if (!is_delete) {
               return txn.Put(rec.table, rec.key, Value(rec.value.view()));
             }
             const Status ds = txn.Delete(rec.table, rec.key);
             // Deleting a key the destination never saw (created and deleted
             // entirely inside the tail, delete delivered first) is the
-            // desired final state, not an error.
-            return ds.code() == StatusCode::kNotFound ? Status::Ok() : ds;
+            // desired final state, not an error. That transaction writes
+            // nothing, so it is never logged and no backup ever covers its
+            // timestamp: it must not raise dest_cover, or the cutover waits
+            // forever once no later destination write arrives.
+            if (ds.code() != StatusCode::kNotFound) return ds;
+            wrote = false;
+            return Status::Ok();
           },
           &commit);
       if (!st.ok()) return st;
-      dest_cover = std::max(dest_cover, commit);
+      if (wrote) dest_cover = std::max(dest_cover, commit);
       ++local.tail_records;
     }
     return Status::Ok();

@@ -129,7 +129,7 @@ class ShardedCluster {
   // TPC-C keys route by the warehouse id they encode —
   // workload::tpcc::ConfigureShardRouter registers the whole schema at
   // once through router()). Call before Start.
-  TableId CreateTable(std::string name, std::size_t expected_keys = 0,
+  TableId CreateTable(std::string name,
                       ShardRouter::PartitionFn partition = nullptr);
 
   void Start();

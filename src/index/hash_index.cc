@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 
 #include "common/bits.h"
 
@@ -22,32 +21,20 @@ HashIndex::HashIndex(std::size_t initial_capacity_per_shard, int shard_count) {
   }
 }
 
-void HashIndex::Shard::Grow() { RehashLocked(slots.size() * 2); }
-
-void HashIndex::Shard::RehashLocked(std::size_t new_capacity) {
+void HashIndex::Shard::Grow() {
+  // The fresh array holds no duplicates and no tombstones, so each live slot
+  // goes to the first empty slot of its probe sequence: no key compare, no
+  // tombstone tracking, no load-factor test.
   std::vector<Slot> old = std::move(slots);
-  slots.assign(new_capacity, Slot{});
-  size = 0;
-  occupied = 0;
+  slots.assign(old.size() * 2, Slot{});
+  const std::size_t mask = slots.size() - 1;
   for (const Slot& s : old) {
-    if (s.key != kEmpty && s.key != kTombstone) {
-      InsertLocked(s.key, s.row, s.ts, Mode::kKeepExisting);
-    }
+    if (s.key == kEmpty || s.key == kTombstone) continue;
+    std::size_t idx = HashIndex::HashKey(s.key) & mask;
+    while (slots[idx].key != kEmpty) idx = (idx + 1) & mask;
+    slots[idx] = s;
   }
-}
-
-void HashIndex::Reserve(std::size_t expected_keys) {
-  // Per-shard capacity such that the expected load stays under ~50%, well
-  // below the 75% Grow() trigger even with hash skew across shards.
-  const std::size_t per_shard =
-      (expected_keys + static_cast<std::size_t>(shard_count_) - 1) /
-      static_cast<std::size_t>(shard_count_);
-  const std::size_t target = NextPow2(per_shard < 4 ? 8 : per_shard * 2);
-  for (int i = 0; i < shard_count_; ++i) {
-    Shard& shard = shards_[i];
-    SpinLockGuard lock(shard.lock);
-    if (shard.slots.size() < target) shard.RehashLocked(target);
-  }
+  occupied = size;
 }
 
 bool HashIndex::Shard::InsertLocked(std::uint64_t stored_key, RowId row,

@@ -31,9 +31,14 @@ namespace c5::index {
 // must still resolve the key to the row and then observe the tombstone (or
 // live version) appropriate for that timestamp. Erase() exists for tests and
 // for workloads that recycle keys.
+//
+// Shards size themselves from what they hold: each starts at
+// `initial_capacity_per_shard` slots (8 by default) and doubles when an
+// insert would pass 75% load, so an index costs memory in proportion to its
+// keys, not to a guessed cardinality.
 class HashIndex {
  public:
-  explicit HashIndex(std::size_t initial_capacity_per_shard = 1024,
+  explicit HashIndex(std::size_t initial_capacity_per_shard = 8,
                      int shard_count = 128);
 
   HashIndex(const HashIndex&) = delete;
@@ -55,15 +60,15 @@ class HashIndex {
   // the same key converge to the newest row.
   bool UpsertIfNewer(Key key, RowId row, Timestamp ts);
 
-  // Takes the shard's spinlock even though it only reads. This is
-  // deliberate, not an oversight: Grow() reallocates the shard's slot vector
-  // in place, so a lock-free reader could chase a dangling slots pointer
-  // mid-probe. Making reads lock-free would require epoch-protecting the
-  // slot arrays (retire-and-republish on grow), which buys nothing here: the
-  // lock is uncontended in the hot paths (replay workers only Upsert, and
-  // reads hash to 128 shards), and Reserve() lets workloads that know their
-  // key universe eliminate Grow() entirely — which is also what keeps the
-  // lock hold times at a handful of instructions.
+  // Takes the shard's spinlock even though it only reads: Grow() replaces
+  // the shard's slot array in place, and shards grow throughout a table's
+  // life (every doubling from 8 slots up), so a lock-free reader could chase
+  // a freed array mid-probe. Making reads lock-free would require
+  // epoch-protecting the slot arrays (retire-and-republish on grow), which
+  // buys little here: the lock is uncontended in the hot paths (replay
+  // workers only Upsert, and reads hash to 128 shards), a probe holds it for
+  // a handful of instructions, and a Grow() of a shard holding n keys blocks
+  // only that shard's readers for one O(n) copy.
   std::optional<RowId> Lookup(Key key) const;
 
   // Lookup that also reports the binding's timestamp (0 for bindings made
@@ -72,12 +77,6 @@ class HashIndex {
 
   // Removes the entry. Returns false if absent.
   bool Erase(Key key);
-
-  // Grows every shard so ~`expected_keys` total entries fit below the load
-  // factor without any further Grow() (i.e. no rehash stalls mid-benchmark).
-  // Existing entries are preserved; never shrinks. Thread-safe, but meant
-  // for schema-setup time (it takes each shard lock in turn).
-  void Reserve(std::size_t expected_keys);
 
   std::size_t Size() const;
 
@@ -123,8 +122,8 @@ class HashIndex {
     std::size_t size C5_GUARDED_BY(lock) = 0;      // live entries
     std::size_t occupied C5_GUARDED_BY(lock) = 0;  // live + tombstones
 
+    // Doubles the slot array, dropping tombstones.
     void Grow() C5_REQUIRES(lock);
-    void RehashLocked(std::size_t new_capacity) C5_REQUIRES(lock);
     bool InsertLocked(std::uint64_t stored_key, RowId row, Timestamp ts,
                       Mode mode) C5_REQUIRES(lock);
     const Slot* FindLocked(std::uint64_t stored_key) const C5_REQUIRES(lock);

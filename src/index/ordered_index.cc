@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <new>
-#include <vector>
 
 namespace c5::index {
 
@@ -165,26 +164,6 @@ bool OrderedIndex::Erase(Key key) {
   n->ts.store(0, std::memory_order_release);
   size_.fetch_sub(1, std::memory_order_acq_rel);
   return true;
-}
-
-void OrderedIndex::Reserve(std::size_t expected_keys) {
-  // Warm the arena: allocate-and-release enough dummy storage that the slab
-  // freelist covers ~expected_keys nodes, so the measured insert phase of a
-  // benchmark performs no system allocation. Average node: 1.33 levels.
-  const std::size_t node_bytes = sizeof(Node) + sizeof(std::atomic<Node*>) / 2;
-  std::size_t total = expected_keys * node_bytes;
-  std::vector<std::pair<void*, std::size_t>> warm;
-  while (total > 0) {
-    const std::size_t chunk =
-        total < SlabArena::kMaxAlloc ? total : SlabArena::kMaxAlloc;
-    void* p = arena_.Allocate(chunk);
-    if (p == nullptr) break;
-    warm.emplace_back(p, chunk);
-    total -= chunk;
-  }
-  for (const auto& [p, chunk] : warm) {
-    SlabArena::Release(p, chunk);
-  }
 }
 
 OrderedIndex::Cursor OrderedIndex::Seek(Key lo, Key hi) const {

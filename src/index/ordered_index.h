@@ -106,11 +106,6 @@ class OrderedIndex {
   // later Insert/Upsert*). Returns false if absent or already erased.
   bool Erase(Key key);
 
-  // Parity with HashIndex::Reserve. A skiplist has no rehash to pre-empt —
-  // inserts never relocate existing nodes — so this only pre-faults arena
-  // capacity for ~`expected_keys` nodes; it never blocks readers.
-  void Reserve(std::size_t expected_keys);
-
   // Live (non-erased) bindings.
   std::size_t Size() const {
     return size_.load(std::memory_order_acquire);

@@ -93,7 +93,7 @@ void SetupPrimary(const DstPlan& plan, DstPrimary* p) {
   p->engine = txn::MakeEngine(plan.use_2pl ? txn::EngineKind::kTwoPhaseLocking
                                            : txn::EngineKind::kMvtso,
                               &p->db, p->collector.get(), &p->clock);
-  p->table = p->db.CreateTable("dst", 1u << 12);
+  p->table = p->db.CreateTable("dst");
 }
 
 // The per-client Rng streams for one primary's workload. Streams persist
@@ -447,7 +447,7 @@ void RunConvergenceReplica(const DstPlan& plan, ProtocolKind kind,
   }
 
   auto node = std::make_unique<c5::BackupNode>(node_options);
-  node->CreateTable("dst", 1u << 12);
+  node->CreateTable("dst");
   who = node->reader().DisplayName();  // id as the replica itself declares it
 
   const bool crash = allow_crash && plan.crash &&
@@ -484,7 +484,7 @@ void RunConvergenceReplica(const DstPlan& plan, ProtocolKind kind,
         return;
       }
       auto restored = std::make_unique<c5::BackupNode>(node_options);
-      restored->CreateTable("dst", 1u << 12);
+      restored->CreateTable("dst");
       const Status l = restored->RestoreFromCheckpoint(path);
       std::filesystem::remove(path);
       if (!l.ok()) {
@@ -635,7 +635,7 @@ void RunPromotionScenario(const DstPlan& plan, DstPrimary& primary,
   victim_options.protocol_options.snapshot_interval =
       std::chrono::microseconds(100);
   c5::BackupNode victim(victim_options);
-  victim.CreateTable("dst", 1u << 12);
+  victim.CreateTable("dst");
   DstChannel::Source source = channel.MakeSource();
   const Timestamp applied = RunIncarnation(
       victim, plan, &source, /*restart=*/false, primary.table,
@@ -673,7 +673,7 @@ void RunPromotionScenario(const DstPlan& plan, DstPrimary& primary,
   // Oracle: a single-thread replica replays the SAME prefix plus the
   // promoted node's log, serially. Post-promotion state must match.
   c5::BackupNode oracle({.protocol = ProtocolKind::kSingleThread});
-  oracle.CreateTable("dst", 1u << 12);
+  oracle.CreateTable("dst");
   log::PrefixSegmentSource prefix_source(&primary.log, prefix);
   log::OfflineSegmentSource new_source(&new_log);
   ha::ChainedSegmentSource chained({&prefix_source, &new_source});

@@ -245,19 +245,22 @@ bool CheckLogicalSnapshotOracle(storage::Database& db, const log::Log& log,
         for (std::size_t s = 0; s < log.NumSegments(); ++s) {
           for (const log::LogRecord& rec : log.segment(s)->records()) {
             if (rec.table != table || rec.key != key) continue;
-            *detail += " " + std::to_string(rec.commit_ts) +
-                       (rec.op == OpType::kDelete
-                            ? "D"
-                            : rec.op == OpType::kInsert ? "I" : "U") +
-                       "r" + std::to_string(rec.row);
+            *detail += ' ';
+            *detail += std::to_string(rec.commit_ts);
+            *detail += rec.op == OpType::kDelete   ? 'D'
+                       : rec.op == OpType::kInsert ? 'I'
+                                                   : 'U';
+            *detail += 'r';
+            *detail += std::to_string(rec.row);
           }
         }
         *detail += "; db chain:";
         for (const storage::Version* c =
                  db.table(table).ReadLatestCommitted(expect.bound_row);
              c != nullptr; c = c->Next()) {
-          *detail += " " + std::to_string(c->write_ts) +
-                     (c->deleted ? "D" : "");
+          *detail += ' ';
+          *detail += std::to_string(c->write_ts);
+          if (c->deleted) *detail += 'D';
         }
       }
       return false;

@@ -2,14 +2,10 @@
 
 namespace c5::storage {
 
-TableId Database::CreateTable(std::string name, std::size_t expected_keys) {
+TableId Database::CreateTable(std::string name) {
   tables_.push_back(std::make_unique<Table>(std::move(name)));
   indexes_.push_back(std::make_unique<index::HashIndex>());
   ordered_indexes_.push_back(std::make_unique<index::OrderedIndex>());
-  if (expected_keys > 0) {
-    indexes_.back()->Reserve(expected_keys);
-    ordered_indexes_.back()->Reserve(expected_keys);
-  }
   return static_cast<TableId>(tables_.size() - 1);
 }
 

@@ -31,12 +31,12 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  // Creates a table (and its index); returns its id. Not thread-safe against
-  // concurrent DDL (schema setup happens before execution starts).
-  // `expected_keys` > 0 pre-sizes the index shards so the workload never
-  // pays a rehash stall mid-run (see HashIndex::Reserve); workloads with
-  // known cardinalities (TPC-C schema) should pass it.
-  TableId CreateTable(std::string name, std::size_t expected_keys = 0);
+  // Creates a table (and its indexes); returns its id. Not thread-safe
+  // against concurrent DDL (schema setup happens before execution starts).
+  // Both indexes start empty and small and grow with the keys they bind
+  // (HashIndex shards double from 8 slots; the OrderedIndex takes one arena
+  // node per key), so a table costs memory in proportion to its contents.
+  TableId CreateTable(std::string name);
 
   Table& table(TableId id) { return *tables_[id]; }
   const Table& table(TableId id) const { return *tables_[id]; }

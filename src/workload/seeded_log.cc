@@ -62,9 +62,7 @@ log::Log BuildSeededLog(const SeededLogSpec& spec) {
   log::PerThreadLogCollector collector(spec.segment_capacity);
   txn::MvtsoEngine engine(&db, &collector, &clock);
   TableId table = 0;
-  for (const auto& [name, expected] : SeededSchema()) {
-    table = db.CreateTable(name, expected);
-  }
+  for (const std::string& name : SeededSchema()) table = db.CreateTable(name);
 
   std::vector<Rng> rngs;
   rngs.reserve(static_cast<std::size_t>(spec.clients));

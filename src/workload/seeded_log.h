@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "log/log_segment.h"
@@ -36,9 +35,7 @@ struct SeededLogSpec {
 
 // The schema the seeded log addresses (table ids match by creation order —
 // apply to the primary AND to every backup replaying the log).
-inline std::vector<std::pair<std::string, std::size_t>> SeededSchema() {
-  return {{"seeded", std::size_t{1} << 12}};
-}
+inline std::vector<std::string> SeededSchema() { return {"seeded"}; }
 
 // Runs the spec's workload on a private in-memory primary and returns the
 // coalesced log. Same spec, same log — across processes and runs.

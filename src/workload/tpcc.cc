@@ -27,8 +27,8 @@ void FillName(char* dst, std::size_t n, const char* prefix,
 
 }  // namespace
 
-std::array<TableSpec, kNumTables> TableSpecs(const TpccConfig* config) {
-  std::array<TableSpec, kNumTables> specs = {{
+std::array<TableSpec, kNumTables> TableSpecs(const TpccConfig* /*config*/) {
+  return {{
       {"warehouse", 0},
       {"district", 0},
       {"customer", 0},
@@ -39,53 +39,15 @@ std::array<TableSpec, kNumTables> TableSpecs(const TpccConfig* config) {
       {"item", 0},
       {"stock", 0},
   }};
-  if (config != nullptr) {
-    const std::uint64_t w = config->warehouses;
-    const std::uint64_t d = w * config->districts_per_warehouse;
-    const std::uint64_t c = d * config->customers_per_district;
-    // Index cardinalities from the schema (loaded rows), plus headroom for
-    // the grown tables: history/new_order/order accrue one row per
-    // transaction and order_line ~10, so reserve a few benchmark-runs'
-    // worth above the load.
-    const std::uint64_t expected[kNumTables] = {
-        /*warehouse=*/w,
-        /*district=*/d,
-        /*customer=*/c,
-        /*history=*/c * 4,
-        /*new_order=*/c * 4,
-        /*order=*/c * 4,
-        /*order_line=*/c * 16,
-        /*item=*/config->items,
-        /*stock=*/w * config->items,
-    };
-    for (TableId i = 0; i < kNumTables; ++i) {
-      specs[i].expected_keys = expected[i];
-    }
-  }
-  return specs;
 }
 
-namespace {
-
-void CreateTablesImpl(storage::Database* db, const TpccConfig* config) {
-  const auto specs = TableSpecs(config);
+void CreateTables(storage::Database* db) {
+  const auto specs = TableSpecs(nullptr);
   for (TableId i = 0; i < kNumTables; ++i) {
-    const TableId id = db->CreateTable(specs[i].name, specs[i].expected_keys);
+    const TableId id = db->CreateTable(specs[i].name);
     (void)id;
     assert(id == i && "TPC-C tables must be created in TableIdx order");
   }
-}
-
-}  // namespace
-
-void CreateTables(storage::Database* db) {
-  // No pre-sizing: small-config tests and tools should not pay full-scale
-  // index reservations. Benchmarks pass their config to the overload below.
-  CreateTablesImpl(db, nullptr);
-}
-
-void CreateTables(storage::Database* db, const TpccConfig& config) {
-  CreateTablesImpl(db, &config);
 }
 
 namespace {

@@ -290,6 +290,93 @@ TEST(HashIndexTest, ConcurrentReadersDuringInserts) {
   for (auto& r : readers) r.join();
 }
 
+TEST(HashIndexTest, ReadersSeeStableBindingsWhileShardsGrow) {
+  // Shards start at 8 slots and double under concurrent UpsertIfNewer: 2^15
+  // keys over 4 shards is ~8192 keys a shard, 11 doublings (8 -> 16384
+  // slots). One writer binds each key's old incarnation in ascending key
+  // order, the other its new incarnation in descending order, and each
+  // publishes how far it got. Readers probe only keys already bound: the key
+  // must be present through every Grow(), its binding must be one of the
+  // two incarnations, and its timestamp must never go backwards.
+  constexpr Key kKeys = Key{1} << 15;
+  constexpr int kReaders = 2;
+  const auto old_ts = [](Key k) -> Timestamp { return 1 + k; };
+  const auto new_ts = [](Key k) -> Timestamp { return 1'000'000 + k; };
+  const std::uint64_t base_seed = test::TestSeed(123);  // main thread only
+  for (int round = 0; round < 4; ++round) {
+    HashIndex idx(/*initial_capacity_per_shard=*/8, /*shard_count=*/4);
+    std::atomic<Key> ascending_done{0};       // keys [0, this) are bound
+    std::atomic<Key> descending_from{kKeys};  // keys [this, kKeys) are bound
+    std::atomic<int> writers_left{2};
+    std::atomic<std::uint64_t> missing{0}, foreign{0}, backwards{0};
+
+    std::thread old_writer([&] {
+      for (Key k = 0; k < kKeys; ++k) {
+        idx.UpsertIfNewer(k, /*row=*/k, old_ts(k));
+        ascending_done.store(k + 1, std::memory_order_release);
+      }
+      writers_left.fetch_sub(1);
+    });
+    std::thread new_writer([&] {
+      for (Key k = kKeys; k-- > 0;) {
+        idx.UpsertIfNewer(k, /*row=*/kKeys + k, new_ts(k));
+        descending_from.store(k, std::memory_order_release);
+      }
+      writers_left.fetch_sub(1);
+    });
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        Rng rng(base_seed + static_cast<std::uint64_t>(round * kReaders + r));
+        std::vector<Timestamp> last_ts(kKeys, 0);
+        while (writers_left.load() > 0) {
+          const Key lo_end = ascending_done.load(std::memory_order_acquire);
+          const Key hi_begin = descending_from.load(std::memory_order_acquire);
+          const Key bound = lo_end + (kKeys - hi_begin);
+          if (bound == 0) continue;
+          Key k = rng.Uniform(bound);
+          if (k >= lo_end) k = hi_begin + (k - lo_end);
+          if (rng.Uniform(2) == 0) {
+            const auto row = idx.Lookup(k);
+            if (!row.has_value()) {
+              missing.fetch_add(1);
+            } else if (*row != k && *row != kKeys + k) {
+              foreign.fetch_add(1);
+            }
+            continue;
+          }
+          const auto got = idx.LookupWithTs(k);
+          if (!got.has_value()) {
+            missing.fetch_add(1);
+            continue;
+          }
+          const auto [row, ts] = *got;
+          if (!(row == k && ts == old_ts(k)) &&
+              !(row == kKeys + k && ts == new_ts(k))) {
+            foreign.fetch_add(1);
+          }
+          if (ts < last_ts[k]) backwards.fetch_add(1);
+          last_ts[k] = ts;
+        }
+      });
+    }
+    old_writer.join();
+    new_writer.join();
+    for (auto& t : readers) t.join();
+
+    EXPECT_EQ(missing.load(), 0u) << "round " << round;
+    EXPECT_EQ(foreign.load(), 0u) << "round " << round;
+    EXPECT_EQ(backwards.load(), 0u) << "round " << round;
+    EXPECT_EQ(idx.Size(), kKeys);
+    for (Key k = 0; k < kKeys; ++k) {
+      const auto got = idx.LookupWithTs(k);
+      ASSERT_TRUE(got.has_value()) << "key " << k;
+      ASSERT_EQ(got->first, kKeys + k) << "key " << k;
+      ASSERT_EQ(got->second, new_ts(k)) << "key " << k;
+    }
+  }
+}
+
 class HashIndexShardParamTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(HashIndexShardParamTest, WorksWithVariousShardCounts) {

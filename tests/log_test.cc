@@ -215,7 +215,7 @@ TEST_P(CollectorRetentionTest, RetainedSegmentsStayBounded) {
   constexpr RowId kRows = 512;
   OnlineLogCollector collector(/*segment_records=*/16);
   storage::Database db;
-  db.CreateTable("t", kRows);
+  db.CreateTable("t");
   auto source = collector.MakeSource(&collector.channel());
   auto replica = core::MakeReplica(GetParam(), &db, {.num_workers = 2});
   replica->Start(source.get());

@@ -2,9 +2,9 @@
 // with HashIndex (Insert / Upsert / UpsertIfNewer / Erase), streaming cursor
 // boundary cases over the +2-sentinel-compatible keyspace, concurrent
 // UpsertIfNewer convergence under shuffled apply orders, and the
-// Reserve/no-rehash contract (readers are never invalidated mid-insert —
-// a skiplist has no rehash, and this battery proves iteration stays sane
-// while writers run).
+// no-rehash contract (readers are never invalidated mid-insert — a skiplist
+// has no rehash, and this battery proves iteration stays sane while writers
+// run).
 
 #include <gtest/gtest.h>
 
@@ -337,26 +337,6 @@ TEST(OrderedIndexTest, ConcurrentTowerHeightRaisesLinkEveryLevel) {
       }
     }
   }
-}
-
-// Reserve is a warm-up, never a rehash: it must not disturb existing
-// bindings or concurrent readers (a skiplist never relocates nodes, so a
-// mid-bench Reserve is always safe — unlike a hash table's rehash stall).
-TEST(OrderedIndexTest, ReserveIsNonDisruptive) {
-  OrderedIndex idx;
-  for (Key k = 0; k < 1000; ++k) idx.Insert(k, k);
-  auto cursor = idx.Seek(100, 900);  // live cursor across the Reserve
-  ASSERT_TRUE(cursor.Valid());
-  EXPECT_EQ(cursor.key(), 100u);
-  idx.Reserve(1u << 20);
-  // The pre-Reserve cursor still walks the same nodes.
-  std::size_t n = 0;
-  for (; cursor.Valid(); cursor.Next()) ++n;
-  EXPECT_EQ(n, 800u);
-  for (Key k = 0; k < 1000; ++k) {
-    ASSERT_EQ(idx.Lookup(k).value(), k);
-  }
-  EXPECT_EQ(idx.Size(), 1000u);
 }
 
 }  // namespace

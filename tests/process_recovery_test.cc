@@ -116,8 +116,8 @@ TEST(ProcessRecoveryTest, KillAndRestartServerMidStreamResumesBitForBit) {
   std::uint64_t want = 0;
   {
     storage::Database db;
-    for (const auto& [name, expected] : workload::SeededSchema()) {
-      db.CreateTable(name, expected);
+    for (const std::string& name : workload::SeededSchema()) {
+      db.CreateTable(name);
     }
     log::OfflineSegmentSource offline(&log);
     auto replica =
@@ -143,8 +143,8 @@ TEST(ProcessRecoveryTest, KillAndRestartServerMidStreamResumesBitForBit) {
   net::SocketSegmentSource source(std::move(so));
 
   storage::Database db;
-  for (const auto& [name, expected] : workload::SeededSchema()) {
-    db.CreateTable(name, expected);
+  for (const std::string& name : workload::SeededSchema()) {
+    db.CreateTable(name);
   }
   auto replica =
       core::MakeReplica(core::ProtocolKind::kC5, &db, {.num_workers = 4});

@@ -155,8 +155,8 @@ int RunLive(const Args& args) {
   options.WithSegmentRecords(args.spec.segment_capacity);
   c5::Cluster cluster(options);
   c5::TableId table = 0;
-  for (const auto& [name, expected] : c5::workload::SeededSchema()) {
-    table = cluster.CreateTable(name, expected);
+  for (const std::string& name : c5::workload::SeededSchema()) {
+    table = cluster.CreateTable(name);
   }
   cluster.Start();
   AnnouncePort(cluster.server_port());
