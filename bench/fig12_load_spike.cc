@@ -8,12 +8,11 @@
 // hours of lag during the spike and take as long again to drain it;
 // C5(-MyRocks) stays within seconds.
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "replica/lag_tracker.h"
-#include "workload/synthetic.h"
+#include "bench/online_harness.h"
 
 namespace c5 {
 namespace {
@@ -29,107 +28,34 @@ struct TimePoint {
 std::vector<TimePoint> RunSpike(ProtocolKind kind, int clients, int workers,
                                 std::uint64_t base_tps,
                                 std::uint64_t spike_tps, double phase_secs) {
-  storage::Database primary_db, backup_db;
-  const TableId table =
-      workload::SyntheticWorkload::CreateTable(&primary_db);
-  workload::SyntheticWorkload::CreateTable(&backup_db);
-
-  TxnClock clock;
-  log::OnlineLogCollector collector(/*segment_records=*/256);
-  txn::TwoPhaseLockingEngine engine(&primary_db, &collector, &clock);
-  collector.SetReleaseHorizon([&engine] { return engine.LogHorizon(); });
-
-  replica::LagTracker lag(/*sample_every=*/16);
-  log::ChannelSegmentSource source(&collector.channel());
-  core::ProtocolOptions options;
-  options.num_workers = workers;
-  options.snapshot_interval = std::chrono::microseconds(2000);
-  auto rep = core::MakeReplica(kind, &backup_db, options, &lag);
-  rep->Start(&source);
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> rate{base_tps};
-  std::atomic<std::uint64_t> commits{0};
-
-  std::thread flusher([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      collector.Flush();
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
-    }
-  });
-
-  std::vector<std::thread> writers;
-  for (int c = 0; c < clients; ++c) {
-    writers.emplace_back([&, c] {
-      std::uint64_t seq = 0;
-      std::uint64_t done_in_window = 0;
-      Stopwatch window;
-      while (!stop.load(std::memory_order_acquire)) {
-        const Status s = engine.ExecuteWithRetry([&](txn::Txn& txn) {
-          for (int i = 0; i < 8; ++i) {
-            const Key k = (std::uint64_t{1} << 63) |
-                          (static_cast<std::uint64_t>(c) << 40) | (seq + i);
-            const Status st =
-                txn.Insert(table, k, workload::EncodeIntValue(seq + i));
-            if (!st.ok()) return st;
-          }
-          return Status::Ok();
-        });
-        if (s.ok()) {
-          seq += 8;
-          lag.RecordCommit(clock.Latest());
-          commits.fetch_add(1, std::memory_order_relaxed);
-          ++done_in_window;
-        }
-        // Rate throttle against the current (possibly spiking) target.
-        const double per_client =
-            static_cast<double>(rate.load(std::memory_order_relaxed)) /
-            clients;
-        while (window.ElapsedSeconds() <
-                   static_cast<double>(done_in_window) / per_client &&
-               !stop.load(std::memory_order_acquire)) {
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
-        if (window.ElapsedSeconds() > 1.0) {
-          window.Restart();
-          done_in_window = 0;
-        }
-      }
-    });
-  }
+  bench::OnlineConfig config;
+  config.protocol = kind;
+  config.write_clients = clients;
+  config.workers = workers;
+  config.snapshot_interval = std::chrono::microseconds(2000);
+  config.inserts_per_txn = 8;
+  config.write_tps = base_tps;
+  bench::OnlineHarness harness(config);
 
   // Phase schedule: baseline, spike, recovery — sampled every phase/8.
   std::vector<TimePoint> series;
   Stopwatch total;
   std::uint64_t last_commits = 0;
   double last_t = 0;
-  auto sample = [&]() {
-    const double t = total.ElapsedSeconds();
-    const std::uint64_t c_now = commits.load();
-    TimePoint tp;
-    tp.t_seconds = t;
-    tp.write_tps =
-        static_cast<double>(c_now - last_commits) / (t - last_t + 1e-9);
-    tp.lag_ms = static_cast<double>(lag.CurrentLagNanos()) / 1e6;
-    last_commits = c_now;
-    last_t = t;
-    series.push_back(tp);
-  };
   const auto phase = std::chrono::duration<double>(phase_secs);
   for (int phase_idx = 0; phase_idx < 3; ++phase_idx) {
-    rate.store(phase_idx == 1 ? spike_tps : base_tps);
+    harness.SetWriteRate(phase_idx == 1 ? spike_tps : base_tps);
     for (int i = 0; i < 8; ++i) {
       std::this_thread::sleep_for(phase / 8);
-      sample();
+      const double t = total.ElapsedSeconds();
+      const std::uint64_t c_now = harness.commits();
+      series.push_back(
+          {t, static_cast<double>(c_now - last_commits) / (t - last_t + 1e-9),
+           static_cast<double>(harness.lag().CurrentLagNanos()) / 1e6});
+      last_commits = c_now;
+      last_t = t;
     }
   }
-
-  stop.store(true, std::memory_order_release);
-  for (auto& w : writers) w.join();
-  flusher.join();
-  collector.Finish();
-  rep->WaitUntilCaughtUp();
-  rep->Stop();
   return series;
 }
 

@@ -16,6 +16,7 @@
 
 #include <cstdio>
 
+#include "api/snapshot.h"
 #include "bench/bench_util.h"
 #include "log/segment_source.h"
 #include "replica/query_fresh_replica.h"
@@ -109,12 +110,12 @@ void PartB() {
     qf.WaitUntilIndexed();
     Value v;
     Stopwatch first;
-    (void)qf.ReadAtVisible(qf_table, workload::SyntheticWorkload::kHotKey,
-                           &v);
+    (void)qf.OpenSnapshot().Get(qf_table,
+                                workload::SyntheticWorkload::kHotKey, &v);
     const double first_ms = first.ElapsedSeconds() * 1e3;
     Stopwatch second;
-    (void)qf.ReadAtVisible(qf_table, workload::SyntheticWorkload::kHotKey,
-                           &v);
+    (void)qf.OpenSnapshot().Get(qf_table,
+                                workload::SyntheticWorkload::kHotKey, &v);
     const double second_us = second.ElapsedSeconds() * 1e6;
     qf.Stop();
 
@@ -128,8 +129,8 @@ void PartB() {
     c5->Start(&c5_source);
     c5->WaitUntilCaughtUp();
     Stopwatch c5_read;
-    (void)c5->ReadAtVisible(c5_table, workload::SyntheticWorkload::kHotKey,
-                            &v);
+    (void)c5->OpenSnapshot().Get(c5_table,
+                                 workload::SyntheticWorkload::kHotKey, &v);
     const double c5_us = c5_read.ElapsedSeconds() * 1e6;
     c5->Stop();
 

@@ -49,9 +49,13 @@ FleetResult RunFleet(std::uint64_t txns, Key hot_key, int policy) {
       .WithSegmentRecords(256)
       .AddBackup({.protocol = core::ProtocolKind::kC5})
       .AddBackup({.protocol = core::ProtocolKind::kC5,
-                  .ship_delay = std::chrono::microseconds(300)})
+                  .ship_delay = [](std::size_t) {
+                    return std::chrono::microseconds(300);
+                  }})
       .AddBackup({.protocol = core::ProtocolKind::kC5,
-                  .ship_delay = std::chrono::microseconds(900)});
+                  .ship_delay = [](std::size_t) {
+                    return std::chrono::microseconds(900);
+                  }});
   Cluster cluster(options);
   const TableId table = cluster.CreateTable("kv");
   cluster.Start();

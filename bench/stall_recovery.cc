@@ -14,39 +14,16 @@
 // baseline lag, peak lag after the stall, and drain time (release ->
 // lag < 2x baseline).
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <thread>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "log/log_collector.h"
-#include "log/segment_source.h"
-#include "replica/lag_tracker.h"
-#include "txn/two_phase_locking_engine.h"
-#include "workload/synthetic.h"
+#include "bench/online_harness.h"
 
 namespace c5 {
 namespace {
-
-// Blocks delivery (after popping from the channel) while paused: models a
-// stalled shipping link with the segment already durable on the primary.
-class PausableSource : public log::SegmentSource {
- public:
-  PausableSource(log::SegmentSource* inner, std::atomic<bool>* paused)
-      : inner_(inner), paused_(paused) {}
-
-  log::LogSegment* Next() override {
-    while (paused_->load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    return inner_->Next();
-  }
-
- private:
-  log::SegmentSource* inner_;
-  std::atomic<bool>* paused_;
-};
 
 struct StallResult {
   double baseline_ms = 0;   // median lag before the stall
@@ -56,75 +33,26 @@ struct StallResult {
 
 StallResult RunStall(core::ProtocolKind kind, int stall_ms,
                      std::uint64_t write_tps) {
-  storage::Database primary_db, backup_db;
-  const TableId table =
-      workload::SyntheticWorkload::CreateTable(&primary_db);
-  workload::SyntheticWorkload::CreateTable(&backup_db);
-
-  TxnClock clock;
-  log::OnlineLogCollector collector(/*segment_records=*/256);
-  txn::TwoPhaseLockingEngine engine(&primary_db, &collector, &clock);
-  collector.SetReleaseHorizon([&engine] { return engine.LogHorizon(); });
-
-  replica::LagTracker lag(/*sample_every=*/4);
-  log::ChannelSegmentSource channel(&collector.channel());
+  // While paused, the backup's delivery blocks after taking the next
+  // segment off its channel: a stalled shipping link, with the segment
+  // already durable on the primary.
   std::atomic<bool> paused{false};
-  PausableSource source(&channel, &paused);
-
-  core::ProtocolOptions options;
-  options.num_workers = bench::DefaultWorkers();
-  options.snapshot_interval = std::chrono::microseconds(2000);
-  auto rep = core::MakeReplica(kind, &backup_db, options, &lag);
-  rep->Start(&source);
-
-  std::atomic<bool> stop_flusher{false};
-  std::thread flusher([&] {
-    while (!stop_flusher.load(std::memory_order_acquire)) {
-      collector.Flush();
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
+  bench::OnlineConfig config;
+  config.protocol = kind;
+  config.write_clients = bench::DefaultClients();
+  config.workers = bench::DefaultWorkers();
+  config.snapshot_interval = std::chrono::microseconds(2000);
+  config.write_tps = write_tps;
+  config.ship_delay = [&paused](std::size_t) {
+    while (paused.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
-  });
+    return std::chrono::microseconds(0);
+  };
+  bench::OnlineHarness harness(config);
 
-  // Paced write clients.
-  const int clients = bench::DefaultClients();
-  std::atomic<bool> stop_writers{false};
-  std::vector<std::thread> writers;
-  for (int c = 0; c < clients; ++c) {
-    writers.emplace_back([&, c] {
-      std::uint64_t seq = 0;
-      std::uint64_t done = 0;
-      const double per_client =
-          static_cast<double>(write_tps) / clients;
-      Stopwatch sw;
-      while (!stop_writers.load(std::memory_order_acquire)) {
-        const std::uint64_t base_seq = seq;
-        const Status s = engine.ExecuteWithRetry([&](txn::Txn& txn) {
-          for (std::uint32_t i = 0; i < 4; ++i) {
-            const Key k = (std::uint64_t{1} << 63) |
-                          (static_cast<std::uint64_t>(c) << 40) |
-                          (base_seq + i);
-            const Status st =
-                txn.Insert(table, k, workload::EncodeIntValue(base_seq + i));
-            if (!st.ok()) return st;
-          }
-          return Status::Ok();
-        });
-        if (s.ok()) {
-          seq = base_seq + 4;
-          lag.RecordCommit(clock.Latest());
-          ++done;
-        }
-        const double expected = static_cast<double>(done) / per_client;
-        while (sw.ElapsedSeconds() < expected &&
-               !stop_writers.load(std::memory_order_acquire)) {
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-        }
-      }
-    });
-  }
-
-  auto gauge_ms = [&lag] {
-    return static_cast<double>(lag.CurrentLagNanos()) * 1e-6;
+  auto gauge_ms = [&harness] {
+    return static_cast<double>(harness.lag().CurrentLagNanos()) * 1e-6;
   };
 
   StallResult result;
@@ -155,14 +83,6 @@ StallResult RunStall(core::ProtocolKind kind, int stall_ms,
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-
-  stop_writers.store(true, std::memory_order_release);
-  for (auto& w : writers) w.join();
-  stop_flusher.store(true, std::memory_order_release);
-  flusher.join();
-  collector.Finish();
-  rep->WaitUntilCaughtUp();
-  rep->Stop();
   return result;
 }
 

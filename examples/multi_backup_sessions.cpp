@@ -23,7 +23,9 @@ int main() {
       .WithSegmentRecords(64)
       .AddBackup({.protocol = core::ProtocolKind::kC5})
       .AddBackup({.protocol = core::ProtocolKind::kC5,
-                  .ship_delay = std::chrono::microseconds(10000)});
+                  .ship_delay = [](std::size_t) {
+                    return std::chrono::microseconds(10000);
+                  }});
   Cluster cluster(options);
   const TableId posts = cluster.CreateTable("posts");
   cluster.Start();

@@ -242,10 +242,9 @@ void Cluster::Start() {
       lane.channel_source = shipping_->collector.MakeSource(claim_channel());
       lane.source = lane.channel_source.get();
     }
-    if (specs[i].ship_delay.count() > 0) {
-      const auto delay = specs[i].ship_delay;
+    if (specs[i].ship_delay) {
       lane.delayed = std::make_unique<log::DelayedSegmentSource>(
-          lane.source, [delay](std::size_t) { return delay; });
+          lane.source, specs[i].ship_delay);
       lane.source = lane.delayed.get();
     }
     nodes_.back()->Start(lane.source);
@@ -282,21 +281,28 @@ Status Cluster::RunOnPrimary(const txn::TxnFn& fn, Timestamp* commit_ts,
   // cover. 2PL assigns its LSN only at commit (timestamp() reads
   // kInvalidTimestamp in the body); there clock.Latest() IS a live upper
   // bound, because LSNs are drawn exclusively by committing write
-  // transactions, every one of which is logged.
+  // transactions, every one of which is logged. A transaction without
+  // writes is not logged at all, so its own MVTSO timestamp is never
+  // covered: it reports 0.
   Timestamp attempt_ts = kInvalidTimestamp;
+  bool wrote = false;
   // A named lambda, not a txn::TxnFn: TxnFn is a non-owning view, and a view
   // initialized from a lambda temporary would dangle past this statement.
-  const auto wrapped = [&fn, &attempt_ts](txn::Txn& txn) {
+  const auto wrapped = [&fn, &attempt_ts, &wrote](txn::Txn& txn) {
     const Status s = fn(txn);
     attempt_ts = txn.timestamp();
+    wrote = txn.has_writes();
     return s;
   };
   const Status s = retry ? e->ExecuteWithRetry(wrapped) : e->Execute(wrapped);
-  if (s.ok()) {
-    *commit_ts = attempt_ts != kInvalidTimestamp
-                     ? attempt_ts
-                     : (promoted_ != nullptr ? promoted_->clock.Latest()
-                                             : clock_.Latest());
+  if (!s.ok()) return s;
+  if (!wrote) {
+    *commit_ts = 0;
+  } else if (attempt_ts != kInvalidTimestamp) {
+    *commit_ts = attempt_ts;
+  } else {
+    *commit_ts = promoted_ != nullptr ? promoted_->clock.Latest()
+                                      : clock_.Latest();
   }
   return s;
 }

@@ -209,8 +209,10 @@ struct ClusterOptions {
   struct BackupSpec {
     core::ProtocolKind protocol = core::ProtocolKind::kC5;
     // Injected per-segment delivery delay (lag experiments: a congested
-    // link, a distant region).
-    std::chrono::microseconds ship_delay{0};
+    // link, a distant region): called with each delivered segment's index
+    // before the backup sees it; the backup waits for what it returns and
+    // for as long as the call blocks. Empty: no delay.
+    log::DelayedSegmentSource::DelayFn ship_delay;
     replica::LagTracker* lag = nullptr;
     // Feed this backup through the ship server over real loopback TCP
     // instead of an in-process channel (implies a server even when
@@ -235,7 +237,7 @@ struct ClusterOptions {
     return *this;
   }
   ClusterOptions& AddBackup(BackupSpec spec) {
-    backups.push_back(spec);
+    backups.push_back(std::move(spec));
     return *this;
   }
   ClusterOptions& WithWorkers(int n) {
@@ -308,9 +310,9 @@ class Cluster {
   // *commit_ts (optional) receives a timestamp covering the transaction's
   // writes — the committed transaction's own timestamp where the engine
   // exposes it (MVTSO), else a live upper bound (2PL's commit LSN clock) —
-  // suitable for ClientSession::OnWrite. Meaningful for transactions that
-  // WROTE: a read-only transaction's timestamp may lie above everything
-  // logged, so don't feed it to OnWrite (there is nothing to read back).
+  // suitable for ClientSession::OnWrite. A transaction that wrote nothing
+  // is never logged, so no backup would ever cover a timestamp of its own:
+  // it receives 0, which every backup covers.
   Status Execute(const txn::TxnFn& fn, Timestamp* commit_ts = nullptr);
   Status ExecuteWithRetry(const txn::TxnFn& fn, Timestamp* commit_ts = nullptr);
 

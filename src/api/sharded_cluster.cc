@@ -567,11 +567,9 @@ Status ShardedCluster::Rebalance(const MigrationPlan& plan,
       if (rec.commit_ts <= seen) continue;
       seen = rec.commit_ts;
       Timestamp commit = 0;
-      bool wrote = false;
       const bool is_delete = rec.op == OpType::kDelete;
       const Status st = dest.ExecuteWithRetry(
           [&](txn::Txn& txn) {
-            wrote = true;
             if (!is_delete) {
               return txn.Put(rec.table, rec.key, Value(rec.value.view()));
             }
@@ -579,16 +577,12 @@ Status ShardedCluster::Rebalance(const MigrationPlan& plan,
             // Deleting a key the destination never saw (created and deleted
             // entirely inside the tail, delete delivered first) is the
             // desired final state, not an error. That transaction writes
-            // nothing, so it is never logged and no backup ever covers its
-            // timestamp: it must not raise dest_cover, or the cutover waits
-            // forever once no later destination write arrives.
-            if (ds.code() != StatusCode::kNotFound) return ds;
-            wrote = false;
-            return Status::Ok();
+            // nothing and reports no commit timestamp (0).
+            return ds.code() == StatusCode::kNotFound ? Status::Ok() : ds;
           },
           &commit);
       if (!st.ok()) return st;
-      if (wrote) dest_cover = std::max(dest_cover, commit);
+      dest_cover = std::max(dest_cover, commit);  // 0: nothing written
       ++local.tail_records;
     }
     return Status::Ok();

@@ -121,11 +121,3 @@ AggResult Snapshot::Aggregate(TableId table, Key lo, Key hi,
 }
 
 }  // namespace c5
-
-namespace c5::replica {
-
-Status ReplicaBase::ReadAtVisible(TableId table, Key key, Value* out) {
-  return OpenSnapshot().Get(table, key, out);
-}
-
-}  // namespace c5::replica

@@ -24,7 +24,7 @@
 // are scoped RAII handles returned through guaranteed copy elision
 // (`Snapshot s = replica.OpenSnapshot();` works; storing them in containers
 // does not). Opening one is allocation-free: point reads through
-// ReadAtVisible stay off the heap, preserving the replay/read hot-path
+// OpenSnapshot().Get stay off the heap, preserving the replay/read hot-path
 // discipline (docs/PERFORMANCE.md). Open handles hold back garbage
 // collection — scope them tightly on GC-enabled replicas.
 
@@ -187,12 +187,6 @@ class Snapshot {
 namespace c5::replica {
 
 inline c5::Snapshot ReplicaBase::OpenSnapshot() { return c5::Snapshot(this); }
-
-template <typename Fn>
-void ReplicaBase::ReadOnlyTxn(Fn&& fn) {
-  const c5::Snapshot snap = OpenSnapshot();
-  fn(snap);
-}
 
 }  // namespace c5::replica
 

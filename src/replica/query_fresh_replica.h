@@ -75,7 +75,7 @@ class QueryFreshReplica : public ReplicaBase {
   // Instantiates (replays) all of `row`'s pending writes with commit
   // timestamps <= ts. Exposed so multi-key read-only transactions can
   // pre-instantiate their read sets. The caller must hold an epoch guard
-  // for this database (ReadOnlyTxn provides one), as installs read the
+  // for this database (an open c5::Snapshot holds one), as installs read the
   // row's version chain.
   void InstantiateRow(TableId table, RowId row, Timestamp ts);
 

@@ -46,8 +46,7 @@
 //
 // The read surface (point get, multi-get, ordered scan) is c5::Snapshot
 // (api/snapshot.h), an RAII handle combining the epoch guard, reader
-// registration, and the pinned visible timestamp. ReadAtVisible and
-// ReadOnlyTxn below are thin wrappers over it.
+// registration, and the pinned visible timestamp.
 
 #ifndef C5_REPLICA_REPLICA_H_
 #define C5_REPLICA_REPLICA_H_
@@ -211,16 +210,6 @@ class ReplicaBase {
   // snapshots may be open concurrently ("read-only transactions are executed
   // by a separate set of threads", §4). Defined in api/snapshot.h.
   c5::Snapshot OpenSnapshot();
-
-  // Point-read convenience: OpenSnapshot().Get(...). Returns kNotFound for
-  // keys absent (or deleted) at the snapshot. Defined in api/snapshot.cc.
-  Status ReadAtVisible(TableId table, Key key, Value* out);
-
-  // Multi-key read-only transaction at one stable snapshot. `fn` receives
-  // the open c5::Snapshot. Callers include api/snapshot.h (which defines
-  // this template after the Snapshot class).
-  template <typename Fn>
-  void ReadOnlyTxn(Fn&& fn);
 
   // Safe GC horizon for the backup: nothing at or below min(active reader
   // snapshots, current snapshot) may lose its newest-committed-below version.

@@ -190,6 +190,8 @@ class BufferedTxn : public Txn {
     return Status::Ok();
   }
 
+  bool has_writes() const final { return !writes_.empty(); }
+
  protected:
   BufferedTxn(storage::Database& db, WriteSet& writes)
       : db_(db), writes_(writes) {}

@@ -57,6 +57,10 @@ class Txn {
   // The transaction's timestamp (MVTSO: its multi-version timestamp; 2PL:
   // assigned only at commit, so kInvalidTimestamp during the body).
   virtual Timestamp timestamp() const = 0;
+
+  // Whether the body has buffered any write so far. A transaction that
+  // commits without one is never logged.
+  virtual bool has_writes() const = 0;
 };
 
 // A transaction body. Returning OK requests commit; kCancelled requests an

@@ -576,16 +576,13 @@ Status RunStockLevelOnBackup(replica::ReplicaBase& replica, Rng& rng,
       rng.UniformRange(1, config.districts_per_warehouse));
   const std::uint32_t threshold =
       static_cast<std::uint32_t>(rng.UniformRange(10, 20));
-  Status result = Status::Ok();
   // One Snapshot = one stable read point for the whole query; Get also runs
   // lazy protocols' deferred instantiation, so Query Fresh backups pay
   // their §9 read-path cost here too.
-  replica.ReadOnlyTxn([&](const c5::Snapshot& snap) {
-    result = StockLevelBody(
-        [&snap](TableId t, Key k, Value* out) { return snap.Get(t, k, out); },
-        config, w, d, threshold, low_stock);
-  });
-  return result;
+  const c5::Snapshot snap = replica.OpenSnapshot();
+  return StockLevelBody(
+      [&snap](TableId t, Key k, Value* out) { return snap.Get(t, k, out); },
+      config, w, d, threshold, low_stock);
 }
 
 Status CountLowStockOnBackup(replica::ReplicaBase& replica, std::uint32_t w,
@@ -598,9 +595,7 @@ Status CountLowStockOnBackup(replica::ReplicaBase& replica, std::uint32_t w,
   spec.field_offset = offsetof(StockRow, s_quantity);
   spec.field_width = sizeof(StockRow::s_quantity);
   spec.filter_below = threshold;
-  replica.ReadOnlyTxn([&](const c5::Snapshot& snap) {
-    *low = snap.Aggregate(kStock, lo, hi, spec).rows;
-  });
+  *low = replica.OpenSnapshot().Aggregate(kStock, lo, hi, spec).rows;
   return Status::Ok();
 }
 
@@ -612,12 +607,11 @@ Status DistrictOrderLineVolumeOnBackup(replica::ReplicaBase& replica,
   const Key lo = OrderLineKey(w, d, 0, 0);
   const Key hi = OrderLineKey(w, d + 1, 0, 0);
   std::uint64_t n = 0, qty = 0;
-  replica.ReadOnlyTxn([&](const c5::Snapshot& snap) {
-    for (auto it = snap.Scan(kOrderLine, lo, hi); it.Valid(); it.Next()) {
-      ++n;
-      qty += FromValue<OrderLineRow>(it.value()).ol_quantity;
-    }
-  });
+  const c5::Snapshot snap = replica.OpenSnapshot();
+  for (auto it = snap.Scan(kOrderLine, lo, hi); it.Valid(); it.Next()) {
+    ++n;
+    qty += FromValue<OrderLineRow>(it.value()).ol_quantity;
+  }
   if (lines != nullptr) *lines = n;
   if (total_quantity != nullptr) *total_quantity = qty;
   return Status::Ok();

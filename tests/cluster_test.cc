@@ -187,15 +187,23 @@ TEST(ClusterTest, SnapshotPinsItsStateWhileTheBackupAdvances) {
 }
 
 TEST(ClusterTest, SessionReadsAcrossBackupsHonorTheToken) {
-  // SLOW backup sits behind a shipping delay; a session whose token covers
-  // the client's last write must route around it — and batch/range session
-  // reads land on one covering snapshot.
+  // SLOW backup sits behind a shipping delay that holds every segment while
+  // `held` is set; a session whose token covers the client's last write
+  // must route around it — and batch/range session reads land on one
+  // covering snapshot.
+  std::atomic<bool> held{true};
   ClusterOptions options;
   options.WithWorkers(2)
       .WithSegmentRecords(32)
       .AddBackup({.protocol = core::ProtocolKind::kC5})
       .AddBackup({.protocol = core::ProtocolKind::kC5,
-                  .ship_delay = std::chrono::microseconds(5000)});
+                  .ship_delay = [&held](std::size_t) {
+                    while (held.load(std::memory_order_acquire)) {
+                      std::this_thread::sleep_for(
+                          std::chrono::microseconds(100));
+                    }
+                    return std::chrono::microseconds(5000);
+                  }});
   Cluster cluster(options);
   const TableId t = cluster.CreateTable("kv");
   cluster.Start();
@@ -223,9 +231,48 @@ TEST(ClusterTest, SessionReadsAcrossBackupsHonorTheToken) {
   EXPECT_EQ(page.front().first, 190u);
   EXPECT_EQ(page.back().first, 199u);
 
-  // Every read was served by a backup covering the token — which the
-  // laggard cannot have been at first read.
+  // Every read was served by a backup covering the token — never the held
+  // laggard, which has not seen a single segment.
   EXPECT_GT(session.stats().reads_per_backup[0], 0u);
+  EXPECT_EQ(session.stats().reads_per_backup[1], 0u);
+  EXPECT_LT(cluster.backup(1).VisibleTimestamp(), last_commit);
+
+  // Released, the laggard drains the whole log.
+  held.store(false, std::memory_order_release);
+  cluster.WaitForBackups();
+  EXPECT_GE(cluster.backup(1).VisibleTimestamp(), last_commit);
+  cluster.Shutdown();
+}
+
+TEST(ClusterTest, NoWriteTransactionTimestampNeverStallsASession) {
+  // An MVTSO transaction that writes nothing draws a timestamp but is never
+  // logged; with no later write, no backup ever reaches that timestamp, so
+  // the commit timestamp it reports must not hold a session's read back.
+  Cluster cluster(ClusterOptions{}
+                      .WithEngine(ha::EngineKind::kMvtso)
+                      .WithWorkers(2)
+                      .WithSessionWaitTimeout(std::chrono::seconds(2)));
+  const TableId t = cluster.CreateTable("kv");
+  cluster.Start();
+
+  Timestamp wrote = 0;
+  ASSERT_TRUE(PutInt(cluster, t, 1, 10, &wrote).ok());
+  Timestamp ts = 0;
+  ASSERT_TRUE(cluster
+                  .ExecuteWithRetry(
+                      [&](txn::Txn& txn) {
+                        Value v;
+                        return txn.Read(t, 1, &v);
+                      },
+                      &ts)
+                  .ok());
+
+  auto session = cluster.OpenSession();
+  session.OnWrite(wrote);
+  session.OnWrite(ts);
+  Value v;
+  ASSERT_TRUE(session.Read(t, 1, &v).ok());
+  EXPECT_EQ(workload::DecodeIntValue(v), 10u);
   cluster.Shutdown();
 }
 

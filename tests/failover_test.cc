@@ -367,15 +367,14 @@ TEST(FailoverTest, PromotionDuringActiveReplayMatchesOracle) {
   std::thread readers([&] {
     Timestamp last = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      replica->ReadOnlyTxn([&](const c5::Snapshot& snap) {
-        if (snap.timestamp() < last) {
-          monotonic.store(false, std::memory_order_relaxed);
-        }
-        last = snap.timestamp();
-      });
+      const c5::Snapshot snap = replica->OpenSnapshot();
+      if (snap.timestamp() < last) {
+        monotonic.store(false, std::memory_order_relaxed);
+      }
+      last = snap.timestamp();
       Value v;
-      (void)replica->ReadAtVisible(table, workload::SyntheticWorkload::kHotKey,
-                                &v);
+      (void)replica->OpenSnapshot().Get(
+          table, workload::SyntheticWorkload::kHotKey, &v);
     }
   });
 

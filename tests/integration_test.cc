@@ -60,8 +60,8 @@ TEST_P(OnlineReplicationTest, LivePrimaryStreamsToReplicaWithReaders) {
     Rng rng(reader_seed);
     while (!stop_readers.load()) {
       Value v;
-      (void)rep->ReadAtVisible(table, workload::SyntheticWorkload::kHotKey,
-                               &v);
+      (void)rep->OpenSnapshot().Get(
+          table, workload::SyntheticWorkload::kHotKey, &v);
       reads.fetch_add(1);
     }
   });

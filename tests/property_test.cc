@@ -250,20 +250,19 @@ TEST_P(FaultInjectionTest, ConvergesAndHoldsMpcUnderJitterAndStall) {
       // Snapshot reads work for every protocol, lazy ones included: Get
       // runs Query Fresh's deferred instantiation through the
       // PrepareRowRead hook.
-      replica->ReadOnlyTxn([&](const c5::Snapshot& snap) {
-        const Timestamp ts = snap.timestamp();
-        if (ts < last_ts) violation.store(true);
-        last_ts = ts;
-        if (ts == 0) return;
-        Value va, vb;
-        const std::uint64_t a =
-            snap.Get(table, kA, &va).ok() ? workload::DecodeIntValue(va) : 0;
-        const std::uint64_t b =
-            snap.Get(table, kB, &vb).ok() ? workload::DecodeIntValue(vb) : 0;
-        if (a != b) violation.store(true);
-        if (a < last_seen) violation.store(true);
-        last_seen = a;
-      });
+      const c5::Snapshot snap = replica->OpenSnapshot();
+      const Timestamp ts = snap.timestamp();
+      if (ts < last_ts) violation.store(true);
+      last_ts = ts;
+      if (ts == 0) continue;
+      Value va, vb;
+      const std::uint64_t a =
+          snap.Get(table, kA, &va).ok() ? workload::DecodeIntValue(va) : 0;
+      const std::uint64_t b =
+          snap.Get(table, kB, &vb).ok() ? workload::DecodeIntValue(vb) : 0;
+      if (a != b) violation.store(true);
+      if (a < last_seen) violation.store(true);
+      last_seen = a;
     }
   });
 

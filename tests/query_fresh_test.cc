@@ -71,7 +71,8 @@ TEST(QueryFreshTest, ReadInstantiatesOnlyTheTouchedRow) {
 
   Value v;
   ASSERT_TRUE(
-      replica.ReadAtVisible(table, workload::SyntheticWorkload::kHotKey, &v)
+      replica.OpenSnapshot()
+          .Get(table, workload::SyntheticWorkload::kHotKey, &v)
           .ok());
   EXPECT_EQ(replica.stats().applied_writes.load(), hot_writes);
   EXPECT_EQ(replica.PendingBacklog(), run.log.NumRecords() - hot_writes);
@@ -95,7 +96,7 @@ TEST(QueryFreshTest, ReadsAloneConvergeToPrimaryState) {
   for (std::size_t s = 0; s < run.log.NumSegments(); ++s) {
     for (const auto& rec : run.log.segment(s)->records()) {
       Value v;
-      EXPECT_TRUE(replica.ReadAtVisible(table, rec.key, &v).ok());
+      EXPECT_TRUE(replica.OpenSnapshot().Get(table, rec.key, &v).ok());
     }
   }
   EXPECT_EQ(replica.PendingBacklog(), 0u);
@@ -135,17 +136,16 @@ TEST(QueryFreshTest, FixedSnapshotReadsAreAtomic) {
     while (!stop.load(std::memory_order_acquire)) {
       // Snapshot::Get drains each row's pending redo list through the
       // PrepareRowRead hook before reading — the multi-key lazy read path.
-      replica.ReadOnlyTxn([&](const c5::Snapshot& snap) {
-        if (snap.timestamp() == 0) return;
-        Value va, vb;
-        const std::uint64_t a =
-            snap.Get(table, kA, &va).ok() ? workload::DecodeIntValue(va) : 0;
-        const std::uint64_t b =
-            snap.Get(table, kB, &vb).ok() ? workload::DecodeIntValue(vb) : 0;
-        if (a != b) violation.store(true);
-        if (a < last_seen) violation.store(true);
-        last_seen = a;
-      });
+      const c5::Snapshot snap = replica.OpenSnapshot();
+      if (snap.timestamp() == 0) continue;
+      Value va, vb;
+      const std::uint64_t a =
+          snap.Get(table, kA, &va).ok() ? workload::DecodeIntValue(va) : 0;
+      const std::uint64_t b =
+          snap.Get(table, kB, &vb).ok() ? workload::DecodeIntValue(vb) : 0;
+      if (a != b) violation.store(true);
+      if (a < last_seen) violation.store(true);
+      last_seen = a;
     }
   });
 
@@ -157,7 +157,7 @@ TEST(QueryFreshTest, FixedSnapshotReadsAreAtomic) {
   EXPECT_FALSE(violation.load());
 
   Value v;
-  ASSERT_TRUE(replica.ReadAtVisible(table, kA, &v).ok());
+  ASSERT_TRUE(replica.OpenSnapshot().Get(table, kA, &v).ok());
   EXPECT_EQ(workload::DecodeIntValue(v), 300u);
 }
 
@@ -182,7 +182,7 @@ TEST(QueryFreshTest, ConcurrentReadersOfOneHotRowAgree) {
   readers.reserve(kReaders);
   for (int i = 0; i < kReaders; ++i) {
     readers.emplace_back([&, i] {
-      const Status s = replica.ReadAtVisible(
+      const Status s = replica.OpenSnapshot().Get(
           table, workload::SyntheticWorkload::kHotKey, &results[i]);
       ASSERT_TRUE(s.ok());
     });
@@ -230,7 +230,7 @@ TEST(QueryFreshTest, LazyInstantiationAppliesDeletes) {
   replica.WaitUntilIndexed();
 
   Value v;
-  EXPECT_EQ(replica.ReadAtVisible(table, kKey, &v).code(),
+  EXPECT_EQ(replica.OpenSnapshot().Get(table, kKey, &v).code(),
             StatusCode::kNotFound);
   EXPECT_EQ(replica.PendingBacklog(), 0u);
   replica.Stop();

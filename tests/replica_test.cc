@@ -129,7 +129,7 @@ TEST_P(ReplicaParamTest, EmptyLogCompletes) {
   EXPECT_EQ(replica->stats().applied_writes.load(), 0u);
 }
 
-TEST_P(ReplicaParamTest, ReadAtVisibleFindsReplicatedRows) {
+TEST_P(ReplicaParamTest, SnapshotGetFindsReplicatedRows) {
   auto run = test::RunSyntheticPrimary(false, 2, 100, 2);
   storage::Database backup;
   const TableId table = workload::SyntheticWorkload::CreateTable(&backup);
@@ -145,7 +145,7 @@ TEST_P(ReplicaParamTest, ReadAtVisibleFindsReplicatedRows) {
   for (std::size_t s = 0; s < run.log.NumSegments(); ++s) {
     for (const auto& rec : run.log.segment(s)->records()) {
       Value v;
-      if (replica->ReadAtVisible(table, rec.key, &v).ok()) ++found;
+      if (replica->OpenSnapshot().Get(table, rec.key, &v).ok()) ++found;
     }
   }
   EXPECT_EQ(found, run.log.NumRecords());
@@ -220,20 +220,19 @@ TEST_P(ReplicaParamTest, MonotonicPrefixConsistencyDuringReplay) {
     std::uint64_t last_seen = 0;
     Timestamp last_ts = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      replica->ReadOnlyTxn([&](const c5::Snapshot& snap) {
-        const Timestamp ts = snap.timestamp();
-        if (ts < last_ts) violation.store(true);  // snapshot went backwards
-        last_ts = ts;
-        if (ts == 0) return;
-        Value va, vb;
-        const std::uint64_t a =
-            snap.Get(table, kA, &va).ok() ? workload::DecodeIntValue(va) : 0;
-        const std::uint64_t b =
-            snap.Get(table, kB, &vb).ok() ? workload::DecodeIntValue(vb) : 0;
-        if (a != b) violation.store(true);        // torn transaction
-        if (a < last_seen) violation.store(true);  // regression
-        last_seen = a;
-      });
+      const c5::Snapshot snap = replica->OpenSnapshot();
+      const Timestamp ts = snap.timestamp();
+      if (ts < last_ts) violation.store(true);  // snapshot went backwards
+      last_ts = ts;
+      if (ts == 0) continue;
+      Value va, vb;
+      const std::uint64_t a =
+          snap.Get(table, kA, &va).ok() ? workload::DecodeIntValue(va) : 0;
+      const std::uint64_t b =
+          snap.Get(table, kB, &vb).ok() ? workload::DecodeIntValue(vb) : 0;
+      if (a != b) violation.store(true);        // torn transaction
+      if (a < last_seen) violation.store(true);  // regression
+      last_seen = a;
     }
   });
 
@@ -247,7 +246,7 @@ TEST_P(ReplicaParamTest, MonotonicPrefixConsistencyDuringReplay) {
 
   // Final state: both pair rows at 400.
   Value v;
-  ASSERT_TRUE(replica->ReadAtVisible(table, kA, &v).ok());
+  ASSERT_TRUE(replica->OpenSnapshot().Get(table, kA, &v).ok());
   EXPECT_EQ(workload::DecodeIntValue(v), 400u);
 }
 

@@ -269,7 +269,7 @@ TEST(SessionTest, MonotonicReadsAcrossLiveBackups) {
 
 // Control experiment: WITHOUT a session token, alternating between backups
 // at different lag does observe regressions (this is the §2.3 problem the
-// session layer exists to solve). Uses raw ReadAtVisible round-robin.
+// session layer exists to solve). Uses raw snapshot reads round-robin.
 TEST(SessionTest, NoTokenRoundRobinDoesRegress) {
   TwoBackupWorld world(/*txns_per_client=*/200);
 
@@ -301,7 +301,7 @@ TEST(SessionTest, NoTokenRoundRobinDoesRegress) {
 
 // Sessions are protocol-agnostic: a fleet mixing an eager backup (C5) with
 // a lazy one (Query Fresh) still provides the session guarantees — the
-// lazy backup's ReadAtVisible instantiates on demand, and its ingest-time
+// lazy backup's snapshot reads instantiate on demand, and its ingest-time
 // visibility makes it eligible early.
 TEST(SessionTest, MixedProtocolFleetServesConsistently) {
   auto primary = test::Primary::Mvtso();
