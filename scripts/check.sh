@@ -92,11 +92,12 @@ cmake --build "${build_dir}-c5bench" -j "$jobs" --target c5bench
 # Stress lane: the concurrency-heavy suites, all at once, 20 times over (or
 # until the first failure). A race that fires one run in ten shows up here
 # as a red lane instead of a "flaky" test. It includes the epoch limbo
-# buckets (epoch_test), reclamation while replay workers run (replica_test)
-# and the GC-every-pass DST sweep (dst_test).
+# buckets (epoch_test), reclamation while replay workers run (replica_test),
+# the GC-every-pass DST sweep (dst_test) and every protocol's segment
+# releases against a live collector (log_test).
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
   --repeat until-fail:20 \
-  -R 'replica|dst|epoch|property|failover|session|net|cluster|ordered_index|hash_index|tpcc|checkpoint|c5_core|integration|query_fresh|engine|two_phase_locking'
+  -R 'replica|dst|epoch|property|failover|session|net|cluster|ordered_index|hash_index|tpcc|checkpoint|c5_core|integration|query_fresh|engine|two_phase_locking|log_test'
 "$repo_root/scripts/bench.sh" --quick "$build_dir"
 
 run_static_lane
@@ -126,12 +127,16 @@ run_static_lane
 # too: its shards start at 8 slots and double while readers probe, so TSan
 # checks the shard lock covers every Grow() and ASan that no probe touches a
 # freed slot array. The DST ordered-index oracle runs inside dst_test in
-# every lane.
+# every lane. log_test's retention cases run every protocol against a
+# collector that really frees released lanes: ASan catches a premature
+# release as a use-after-free, TSan a release racing a worker's read.
 tsan_dir="${build_dir}-tsan"
 cmake -B "$tsan_dir" -S "$repo_root" -DC5_SANITIZE=thread >/dev/null
 cmake --build "$tsan_dir" -j "$jobs" --target dst_test cluster_test net_test \
-  ordered_index_test hash_index_test htap_scan_test epoch_test replica_test
+  ordered_index_test hash_index_test htap_scan_test epoch_test replica_test \
+  log_test
 C5_DST_SEED_COUNT=16 "$tsan_dir/dst_test"
+"$tsan_dir/log_test" --gtest_filter='*Retention*'
 "$tsan_dir/epoch_test"
 "$tsan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*'
 "$tsan_dir/cluster_test"
@@ -144,8 +149,9 @@ asan_dir="${build_dir}-asan"
 cmake -B "$asan_dir" -S "$repo_root" -DC5_SANITIZE=address >/dev/null
 cmake --build "$asan_dir" -j "$jobs" --target dst_test wire_test cluster_test \
   net_test ordered_index_test hash_index_test htap_scan_test epoch_test \
-  replica_test
+  replica_test log_test
 C5_DST_SEED_COUNT=16 "$asan_dir/dst_test"
+"$asan_dir/log_test" --gtest_filter='*Retention*'
 "$asan_dir/epoch_test"
 "$asan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*'
 "$asan_dir/wire_test"

@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "common/clock.h"
-#include "common/flat_map.h"
 #include "common/spin_lock.h"
 
 namespace c5::core {
@@ -35,24 +34,9 @@ void C5MyRocksReplica::TxnDispatchQueue::PushBatch(const TxnUnit* txns,
 }
 
 std::optional<C5MyRocksReplica::TxnUnit>
-C5MyRocksReplica::TxnDispatchQueue::Pop(int worker,
-                                        bool completed_all_prior) {
-  // A floor reset (completion declared) must land even if the pop waits or
-  // the queue is closed: a stale floor would pin MinUnapplied below work
-  // that is already fully applied, stalling the snapshot boundary forever.
+C5MyRocksReplica::TxnDispatchQueue::Pop(int worker) {
   // In-flight transitions happen under the same mutex as the pop, so
   // MinUnapplied never misses a transaction in transit.
-  // Takes the guarded vector as a parameter (not via captured `this`) so the
-  // thread-safety analysis sees the access happen at the locked call site.
-  const auto mark = [&completed_all_prior](std::vector<Timestamp>& inflight,
-                                           int w, Timestamp ts) {
-    if (completed_all_prior) {
-      inflight[w] = ts;
-    } else {
-      // min(): the worker's floor may already sit at an older open txn.
-      inflight[w] = std::min(inflight[w], ts);
-    }
-  };
   // Spin phase: wakeup latency dominates when the queue oscillates around
   // empty at high transaction rates, so poll before sleeping. The size hint
   // keeps spinners off the mutex while the queue is empty. The budget is
@@ -65,19 +49,16 @@ C5MyRocksReplica::TxnDispatchQueue::Pop(int worker,
         TxnUnit txn = queue_.front();
         queue_.pop_front();
         size_hint_.fetch_sub(1, std::memory_order_release);
-        mark(inflight_, worker, txn.commit_ts);
+        inflight_[worker] = std::min(inflight_[worker], txn.commit_ts);
         return txn;
       }
     } else if ((spin & 255) == 0) {
       MutexLock lock(mu_);
-      if (completed_all_prior) inflight_[worker] = kMaxTimestamp;
-      completed_all_prior = false;
       if (closed_ && queue_.empty()) return std::nullopt;
     }
     CpuRelax();
   }
   MutexLock lock(mu_);
-  if (completed_all_prior) inflight_[worker] = kMaxTimestamp;
   waiters_++;
   // Explicit loop (not a predicate lambda): the thread-safety analysis
   // must see the guarded reads performed while mu_ is held.
@@ -130,38 +111,30 @@ Timestamp C5MyRocksReplica::TxnDispatchQueue::MinUnapplied() const {
 C5MyRocksReplica::C5MyRocksReplica(storage::Database* db,
                                    const replica::ProtocolOptions& options,
                                    replica::LagTracker* lag)
-    : ReplicaBase(db, options, lag), dispatch_(options.num_workers) {}
+    : ReplicaBase(db, options, lag),
+      dispatch_(options.num_workers),
+      last_write_ts_(options.scheduler_map_capacity) {}
 
-void C5MyRocksReplica::SchedulerLoop(log::SegmentSource* source) {
-  // Same embedded-FIFO preprocessing as C5Replica (§5.1 leverages the
-  // existing row-based log; the per-row ordering metadata is identical),
-  // through the same pre-sized flat map.
-  FlatMap<Timestamp> last_write_ts(options_.scheduler_map_capacity);
-  std::vector<TxnUnit> batch;  // one segment's transactions, reused
+void C5MyRocksReplica::Schedule(log::LogSegment& seg) {
+  std::size_t txn_start = 0;
+  auto& records = seg.records();
+  batch_.clear();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    log::LogRecord& rec = records[i];
+    StampPrevTs(last_write_ts_, rec);
 
-  while (log::LogSegment* seg = NextSegment(source)) {
-    std::size_t txn_start = 0;
-    auto& records = seg->records();
-    batch.clear();
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      log::LogRecord& rec = records[i];
-      StampPrevTs(last_write_ts, rec);
-
-      if (rec.last_in_txn) {
-        // Collect the transaction in commit order (§5.1: the scheduler
-        // "puts the transaction's first write in the scheduler queue"; the
-        // worker follows the chain of the transaction's writes).
-        batch.push_back(TxnUnit{&records[txn_start], i - txn_start + 1,
-                                rec.commit_ts});
-        txn_start = i + 1;
-      }
+    if (rec.last_in_txn) {
+      // Collect the transaction in commit order (§5.1: the scheduler
+      // "puts the transaction's first write in the scheduler queue"; the
+      // worker follows the chain of the transaction's writes).
+      batch_.push_back(TxnUnit{&records[txn_start], i - txn_start + 1,
+                               rec.commit_ts});
+      txn_start = i + 1;
     }
-    // Whole segment under one queue mutex acquisition / one wakeup.
-    dispatch_.PushBatch(batch.data(), batch.size());
-    seg->MarkPreprocessed();
-    AdvanceWatermark(*seg);
   }
-  dispatch_.Close();
+  // Whole segment under one queue mutex acquisition / one wakeup.
+  dispatch_.PushBatch(batch_.data(), batch_.size());
+  seg.MarkPreprocessed();
 }
 
 void C5MyRocksReplica::WorkerLoop(int idx) {
@@ -199,15 +172,13 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
   // defer. Samples latency from `t0` when >= 0.
   auto try_apply = [&](const log::LogRecord& rec,
                        std::int64_t t0) -> bool {
-    storage::Table& table = db_->table(rec.table);
     // The write becomes actionable once the row reaches (or passes, after
-    // a checkpoint resume) its predecessor position. Poll with plain
-    // loads; CAS attempts in a wait path would ping-pong the row's cache
-    // line and slow the very predecessor being waited for.
-    if (table.NewestVisibleTimestamp(rec.row) < rec.prev_ts ||
-        table.TryInstallIfPrev(rec.row, rec.prev_ts, rec.commit_ts,
-                               rec.value, rec.op == OpType::kDelete) ==
-            storage::PrevInstall::kNotReady) {
+    // a checkpoint resume) its predecessor position. TryInstallIfPrev
+    // checks that with a plain load before any CAS, so polling here never
+    // ping-pongs the row's cache line against the predecessor's install.
+    if (db_->table(rec.table).TryInstallIfPrev(
+            rec.row, rec.prev_ts, rec.commit_ts, rec.value,
+            rec.op == OpType::kDelete) == storage::PrevInstall::kNotReady) {
       return false;
     }
     stats_.applied_writes.fetch_add(1, std::memory_order_relaxed);
@@ -258,9 +229,6 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
     }
   };
 
-  // Set by the fast path below; folds "everything I popped is applied"
-  // into the next Pop's mutex acquisition instead of a separate SetFloor.
-  bool completed_prior = false;
   while (true) {
     // One epoch guard per iteration (a sweep and at most one popped
     // transaction), dropped before any wait: Pop blocks, and the stall
@@ -274,10 +242,8 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
     // nothing is open (nothing to sweep while we wait).
     std::optional<TxnUnit> txn_opt =
         open.size() < kMaxOpen
-            ? (open.empty() ? dispatch_.Pop(idx, completed_prior)
-                            : dispatch_.TryPop(idx))
+            ? (open.empty() ? dispatch_.Pop(idx) : dispatch_.TryPop(idx))
             : std::nullopt;
-    completed_prior = false;
     if (!txn_opt.has_value()) {
       if (open.empty()) break;  // Pop drained a closed queue: done
       // Window stalled on predecessors owned by other workers. A real (if

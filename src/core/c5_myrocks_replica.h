@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "replica/replica.h"
@@ -74,15 +75,11 @@ class C5MyRocksReplica : public replica::ReplicaBase {
     // (hundreds of thousands of syscalls/s), which on an oversubscribed
     // host comes straight out of the primary's CPU budget.
     void PushBatch(const TxnUnit* txns, std::size_t count);
-    // Blocks; returns nullopt when closed and drained. With
-    // `completed_all_prior` the worker declares everything it previously
-    // popped fully applied, so its floor is RESET to the popped transaction
-    // (or kMaxTimestamp while it waits / at close) under the pop mutex —
-    // completion and next-pop in one mutex acquisition, the per-transaction
-    // fast path. Without it the floor only LOWERS (min), for a worker whose
-    // window still holds older open transactions. Either way MinUnapplied
-    // never misses a transaction in transit.
-    std::optional<TxnUnit> Pop(int worker, bool completed_all_prior = false);
+    // Blocks; returns nullopt when closed and drained. The popped
+    // transaction only LOWERS the worker's floor (min), under the pop mutex,
+    // so MinUnapplied never misses a transaction in transit; a worker
+    // raises its floor itself, through SetFloor, once its work completes.
+    std::optional<TxnUnit> Pop(int worker);
     // Non-blocking Pop for a worker that still has open transactions (its
     // floor stays put — popped transactions are newer than anything open).
     std::optional<TxnUnit> TryPop(int worker);
@@ -105,7 +102,8 @@ class C5MyRocksReplica : public replica::ReplicaBase {
     alignas(64) std::atomic<std::size_t> size_hint_{0};
   };
 
-  void SchedulerLoop(log::SegmentSource* source) override;
+  // prev_ts stamping and transaction dispatch (scheduler thread).
+  void Schedule(log::LogSegment& seg) override;
   void WorkerLoop(int idx) override;
   void CloseQueues() override { dispatch_.Close(); }
 
@@ -120,6 +118,12 @@ class C5MyRocksReplica : public replica::ReplicaBase {
   void PublishSnapshot(Timestamp n) override;
 
   TxnDispatchQueue dispatch_;
+  // Scheduler-thread state: the same embedded-FIFO preprocessing as
+  // C5Replica (§5.1 leverages the existing row-based log; the per-row
+  // ordering metadata is identical), through the same pre-sized flat map,
+  // and one segment's transactions, reused across segments.
+  FlatMap<Timestamp> last_write_ts_;
+  std::vector<TxnUnit> batch_;
   // Snapshot barrier (§5.2): while active, workers must not install writes
   // with timestamps greater than barrier_ts_. kMaxTimestamp = inactive.
   alignas(64) std::atomic<Timestamp> barrier_ts_{kMaxTimestamp};

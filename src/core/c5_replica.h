@@ -18,11 +18,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/spin_lock.h"
 #include "common/thread_annotations.h"
 #include "common/spsc_queue.h"
@@ -39,13 +39,12 @@ namespace c5::core {
 // then PARTITIONS each segment's records by scheduler key (a hash of the
 // row's name) into one batch per worker. Row affinity is the load-balancing
 // AND ordering story: every write of a row lands on the same worker in log
-// order, so a worker never waits on a predecessor owned by a peer — the
-// deferred queue below survives only as a defensive fallback.
+// order, so a worker never waits on a predecessor owned by a peer.
 //
 // Workers: apply their batch's records in order; a write is safe to execute
 // iff the newest version of its row carries exactly prev_timestamp (with row
-// affinity that always holds; anything else is deferred to a worker-local
-// FIFO re-checked at batch boundaries). Visibility is EPOCH-BATCHED: a
+// affinity that always holds; a miss would be waited out in place, under
+// the batch's c'). Visibility is EPOCH-BATCHED: a
 // worker publishes c' = (smallest timestamp it might still execute) - 1
 // once per batch — a local epoch bump — instead of once per record. The
 // published c' can only lag the true per-worker floor, never exceed it, so
@@ -107,7 +106,8 @@ class C5Replica : public replica::ReplicaBase {
     std::atomic<std::uint64_t> cpu_ns{0};
   };
 
-  void SchedulerLoop(log::SegmentSource* source) override;
+  // prev_ts stamping and row-affinity partitioning (scheduler thread).
+  void Schedule(log::LogSegment& seg) override;
   void WorkerLoop(int idx) override;
   void CloseQueues() override;
 
@@ -129,16 +129,20 @@ class C5Replica : public replica::ReplicaBase {
   };
   void FlushCounts(LocalCounts& counts);
 
-  // Attempts one deferred-queue sweep; returns true if progress was made.
-  bool RetryDeferred(std::deque<const log::LogRecord*>& deferred,
-                     LocalCounts& counts);
-
-  // Applies one record if its predecessor is in place. Returns false to
-  // defer. Row-slot creation and index maintenance are idempotent and happen
-  // on first attempt.
+  // Applies one record if its predecessor is in place; returns false if it
+  // is not. The caller has bound the row (EnsureRowBound).
   bool TryApply(const log::LogRecord& rec, LocalCounts& counts);
 
   std::vector<std::unique_ptr<WorkerState>> workers_;
+
+  // Scheduler-thread state. Row name -> timestamp of the last write seen
+  // for it: the entire §7.2 scheduler state, since the per-row FIFOs are
+  // embedded in the log via prev_timestamp. A pre-sized flat map keeps the
+  // single scheduler thread off the allocator and out of node-based
+  // pointer chasing — one cache line per record in the common case.
+  FlatMap<Timestamp> last_write_ts_;
+  // The segment being scheduled: one batch per worker, or nullptr.
+  std::vector<Batch*> out_;
 
   // Batch pool: the scheduler acquires, workers release. Locked once per
   // batch on each side; batch_storage_ owns every batch ever created.

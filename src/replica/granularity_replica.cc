@@ -44,47 +44,38 @@ std::uint64_t GranularityReplica::KeyFor(const log::LogRecord& rec) const {
   return RowName(rec.table, rec.row);
 }
 
-void GranularityReplica::SchedulerLoop(log::SegmentSource* source) {
-  std::uint64_t seq = 0;
-  std::vector<KeyQueue*> batch;
-  batch.reserve(kHandoffBatch);
-  while (log::LogSegment* seg = source->Next()) {
-    for (const log::LogRecord& rec : seg->records()) {
-      const std::uint64_t key = KeyFor(rec);
-      auto& slot = queues_[key];
-      if (slot == nullptr) slot = std::make_unique<KeyQueue>();
-      KeyQueue* kq = slot.get();
+void GranularityReplica::Schedule(log::LogSegment& seg) {
+  for (const log::LogRecord& rec : seg.records()) {
+    const std::uint64_t key = KeyFor(rec);
+    auto& slot = queues_[key];
+    if (slot == nullptr) slot = std::make_unique<KeyQueue>();
+    KeyQueue* kq = slot.get();
 
-      outstanding_writes_.fetch_add(1, std::memory_order_acq_rel);
-      bool enqueue_kq = false;
-      {
-        SpinLockGuard lock(kq->mu);
-        kq->writes.push_back(WriteRef{&rec, seq});
-        // If the queue is not (and will not become) visible to workers, its
-        // new head is eligible: hand the queue to the scheduler queue.
-        if (!kq->in_sched_queue) {
-          kq->in_sched_queue = true;
-          enqueue_kq = true;
-        }
+    outstanding_writes_.fetch_add(1, std::memory_order_acq_rel);
+    bool enqueue_kq = false;
+    {
+      SpinLockGuard lock(kq->mu);
+      kq->writes.push_back(WriteRef{&rec, seq_});
+      // If the queue is not (and will not become) visible to workers, its
+      // new head is eligible: hand the queue to the scheduler queue.
+      if (!kq->in_sched_queue) {
+        kq->in_sched_queue = true;
+        enqueue_kq = true;
       }
-      if (enqueue_kq) {
-        batch.push_back(kq);
-        if (batch.size() >= kHandoffBatch) {
-          sched_queue_.Push(std::move(batch));
-          batch.clear();
-          batch.reserve(kHandoffBatch);
-        }
-      }
-      ++seq;
     }
-    if (!batch.empty()) {
-      sched_queue_.Push(std::move(batch));
-      batch.clear();
-      batch.reserve(kHandoffBatch);
+    if (enqueue_kq) {
+      handoff_.push_back(kq);
+      if (handoff_.size() >= kHandoffBatch) PushHandoff();
     }
-    AdvanceWatermark(*seg);
+    ++seq_;
   }
-  FinishWrites(1);  // the scheduler's hold
+  if (!handoff_.empty()) PushHandoff();
+}
+
+void GranularityReplica::PushHandoff() {
+  sched_queue_.Push(std::move(handoff_));
+  handoff_.clear();
+  handoff_.reserve(kHandoffBatch);
 }
 
 void GranularityReplica::WorkerLoop(int /*idx*/) {

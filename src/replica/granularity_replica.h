@@ -75,7 +75,12 @@ class GranularityReplica : public ReplicaBase {
 
   std::uint64_t KeyFor(const log::LogRecord& rec) const;
 
-  void SchedulerLoop(log::SegmentSource* source) override;
+  // Appends each write to its key queue and hands newly eligible key
+  // queues to the workers.
+  void Schedule(log::LogSegment& seg) override;
+  // Drops the scheduler's hold, so the scheduler queue closes once every
+  // scheduled write is applied.
+  void EndOfLog() override { FinishWrites(1); }
   void WorkerLoop(int idx) override;
   void CloseQueues() override { sched_queue_.Close(); }
   // The last transaction of the contiguous applied prefix.
@@ -84,6 +89,9 @@ class GranularityReplica : public ReplicaBase {
   // Drops `n` outstanding writes; the drop that reaches zero closes the
   // scheduler queue, so the workers exit.
   void FinishWrites(std::uint64_t n);
+
+  // Hands the pending handoff batch to the scheduler queue.
+  void PushHandoff();
 
   // Handoff batching: the logical scheduler queue hands off one eligible
   // key queue per entry (§4.1), but moving them one at a time through a
@@ -102,6 +110,11 @@ class GranularityReplica : public ReplicaBase {
 
   MpmcQueue<std::vector<KeyQueue*>> sched_queue_;
   PrefixTracker prefix_;
+
+  // Scheduler-thread state: the next write's sequence number (the
+  // PrefixTracker's index) and the key queues not yet handed off.
+  std::uint64_t seq_ = 0;
+  std::vector<KeyQueue*> handoff_;
 
   // Scheduled but unapplied writes, plus one held by the scheduler until
   // the log ends, so the count reaches zero exactly once.

@@ -1,6 +1,5 @@
 #include "replica/kuafu_replica.h"
 
-#include <unordered_map>
 #include <unordered_set>
 
 namespace c5::replica {
@@ -9,57 +8,46 @@ KuaFuReplica::KuaFuReplica(storage::Database* db, bool unconstrained,
                            const ProtocolOptions& options, LagTracker* lag)
     : ReplicaBase(db, options, lag), unconstrained_(unconstrained) {}
 
-void KuaFuReplica::SchedulerLoop(log::SegmentSource* source) {
-  // Per-row last-writer map. Transaction-granularity dependency rule (§3.1):
-  // "if W(T1) ∩ W(T2) != ∅ and T1 ≺ T2, then all of T1's writes execute
-  // before any of T2's." Last-writer edges enforce exactly this: per-row
-  // edges chain all writers of the row in log order.
-  std::unordered_map<std::uint64_t, TxnNode*> last_writer;
-  std::uint64_t txn_index = 0;
-
-  TxnNode* open = nullptr;
-  while (log::LogSegment* seg = source->Next()) {
-    for (const log::LogRecord& rec : seg->records()) {
-      if (open == nullptr) {
-        nodes_.push_back(std::make_unique<TxnNode>());
-        open = nodes_.back().get();
-        open->txn_index = txn_index;
-      }
-      open->records.push_back(&rec);
-      if (!rec.last_in_txn) continue;
-
-      // Close the transaction: wire dependencies, then release the
-      // scheduler's readiness hold.
-      open->commit_ts = rec.commit_ts;
-      outstanding_txns_.fetch_add(1, std::memory_order_acq_rel);
-      if (!unconstrained_) {
-        std::unordered_set<TxnNode*> parents;
-        for (const log::LogRecord* r : open->records) {
-          auto it = last_writer.find(RowName(r->table, r->row));
-          if (it != last_writer.end() && it->second != open) {
-            parents.insert(it->second);
-          }
-          last_writer[RowName(r->table, r->row)] = open;
-        }
-        // Count each edge BEFORE the parent can see the child: a parent
-        // completing between TryAddChild and the increment would otherwise
-        // release the child early and MaybeReady below would push it a
-        // second time, finishing one transaction twice and closing the
-        // ready queue with dependents still waiting.
-        for (TxnNode* parent : parents) {
-          open->deps.fetch_add(1, std::memory_order_acq_rel);
-          if (!parent->TryAddChild(open)) {
-            open->deps.fetch_sub(1, std::memory_order_acq_rel);
-          }
-        }
-      }
-      MaybeReady(open);  // removes the scheduler's +1 hold
-      ++txn_index;
-      open = nullptr;
+void KuaFuReplica::Schedule(log::LogSegment& seg) {
+  TxnNode* open = nullptr;  // transactions never span segments
+  for (const log::LogRecord& rec : seg.records()) {
+    if (open == nullptr) {
+      nodes_.push_back(std::make_unique<TxnNode>());
+      open = nodes_.back().get();
+      open->txn_index = txn_index_;
     }
-    AdvanceWatermark(*seg);
+    open->records.push_back(&rec);
+    if (!rec.last_in_txn) continue;
+
+    // Close the transaction: wire dependencies, then release the
+    // scheduler's readiness hold.
+    open->commit_ts = rec.commit_ts;
+    outstanding_txns_.fetch_add(1, std::memory_order_acq_rel);
+    if (!unconstrained_) {
+      std::unordered_set<TxnNode*> parents;
+      for (const log::LogRecord* r : open->records) {
+        auto it = last_writer_.find(RowName(r->table, r->row));
+        if (it != last_writer_.end() && it->second != open) {
+          parents.insert(it->second);
+        }
+        last_writer_[RowName(r->table, r->row)] = open;
+      }
+      // Count each edge BEFORE the parent can see the child: a parent
+      // completing between TryAddChild and the increment would otherwise
+      // release the child early and MaybeReady below would push it a
+      // second time, finishing one transaction twice and closing the
+      // ready queue with dependents still waiting.
+      for (TxnNode* parent : parents) {
+        open->deps.fetch_add(1, std::memory_order_acq_rel);
+        if (!parent->TryAddChild(open)) {
+          open->deps.fetch_sub(1, std::memory_order_acq_rel);
+        }
+      }
+    }
+    MaybeReady(open);  // removes the scheduler's +1 hold
+    ++txn_index_;
+    open = nullptr;
   }
-  FinishTxn();  // the scheduler's hold
 }
 
 void KuaFuReplica::WorkerLoop(int /*idx*/) {
@@ -94,6 +82,9 @@ void KuaFuReplica::WorkerLoop(int /*idx*/) {
       sampler.End(t0);
     }
     ReleaseDependents(node);
+    // Drop the record pointers before the prefix can cover them: once
+    // marked, the segment loop may release the records they point into.
+    std::vector<const log::LogRecord*>().swap(node->records);
     prefix_.Mark(node->txn_index, node->commit_ts);
     FinishTxn();
   }

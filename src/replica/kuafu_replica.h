@@ -6,6 +6,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/mpmc_queue.h"
@@ -51,8 +52,8 @@ class KuaFuReplica : public ReplicaBase {
 
  private:
   struct TxnNode {
-    // Records of this transaction (pointers into log segments, which outlive
-    // the replica's threads).
+    // Records of this transaction: pointers into log segments, freed once
+    // the transaction is applied, before the segment loop may release them.
     std::vector<const log::LogRecord*> records;
     std::uint64_t txn_index = 0;
     Timestamp commit_ts = kInvalidTimestamp;
@@ -75,7 +76,11 @@ class KuaFuReplica : public ReplicaBase {
     }
   };
 
-  void SchedulerLoop(log::SegmentSource* source) override;
+  // Builds the segment's transactions and their dependency edges.
+  void Schedule(log::LogSegment& seg) override;
+  // Drops the scheduler's hold, so the ready queue closes once every
+  // scheduled transaction is applied.
+  void EndOfLog() override { FinishTxn(); }
   void WorkerLoop(int idx) override;
   void CloseQueues() override { ready_.Close(); }
   // The last transaction of the contiguous applied prefix.
@@ -102,6 +107,13 @@ class KuaFuReplica : public ReplicaBase {
 
   // All nodes, owned; appended only by the scheduler.
   std::deque<std::unique_ptr<TxnNode>> nodes_;
+
+  // Scheduler-thread state. Per-row last-writer map. Transaction-granularity
+  // dependency rule (§3.1): "if W(T1) ∩ W(T2) != ∅ and T1 ≺ T2, then all of
+  // T1's writes execute before any of T2's." Last-writer edges enforce
+  // exactly this: per-row edges chain all writers of the row in log order.
+  std::unordered_map<std::uint64_t, TxnNode*> last_writer_;
+  std::uint64_t txn_index_ = 0;  // next transaction's index in log order
 
   // Scheduled but unapplied transactions, plus one held by the scheduler
   // until the log ends, so the count reaches zero exactly once.

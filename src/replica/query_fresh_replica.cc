@@ -57,46 +57,43 @@ void QueryFreshReplica::Start(log::SegmentSource* source) {
   ReplicaBase::Start(source);
 }
 
-void QueryFreshReplica::SchedulerLoop(log::SegmentSource* source) {
-  while (log::LogSegment* seg = source->Next()) {
-    for (const log::LogRecord& rec : seg->records()) {
-      storage::Table& table = db_->table(rec.table);
-      table.EnsureRow(rec.row);
-      RowState* state = row_maps_[rec.table]->GetOrCreate(rec.row);
-      // Query Fresh maintains indirection eagerly so readers can resolve
-      // keys before any row data is instantiated. A row's first record can
-      // carry any op (coalesced insert+delete, update after an aborted
-      // insert), so the row's first pending record always binds; version
-      // chains are lazily built here, so "row has state" is "row has
-      // pending or applied records", not a chain probe
-      // (see ReplicaBase::EnsureRowBound).
-      if (rec.op != OpType::kUpdate ||
-          state->appended.load(std::memory_order_relaxed) == 0) {
-        db_->BindIfNewer(rec.table, rec.key, rec.row, rec.commit_ts);
-      }
-      PendingNode* node = arena_.New();
-      node->rec = &rec;
-      node->next = nullptr;
-      {
-        SpinLockGuard lock(state->mu);
-        if (state->tail == nullptr) {
-          state->head = node;
-        } else {
-          state->tail->next = node;
-        }
-        state->tail = node;
-        state->appended.fetch_add(1, std::memory_order_release);
-      }
-      backlog_.fetch_add(1, std::memory_order_acq_rel);
-      if (rec.last_in_txn) {
-        // Visibility advances at indexing time: a read arriving now WOULD
-        // see this transaction (after paying its deferred execution).
-        stats_.applied_txns.fetch_add(1, std::memory_order_relaxed);
-        PublishVisible(rec.commit_ts);
-        if (lag_ != nullptr) lag_->OnVisible(rec.commit_ts);
-      }
+void QueryFreshReplica::Schedule(log::LogSegment& seg) {
+  for (const log::LogRecord& rec : seg.records()) {
+    storage::Table& table = db_->table(rec.table);
+    table.EnsureRow(rec.row);
+    RowState* state = row_maps_[rec.table]->GetOrCreate(rec.row);
+    // Query Fresh maintains indirection eagerly so readers can resolve
+    // keys before any row data is instantiated. A row's first record can
+    // carry any op (coalesced insert+delete, update after an aborted
+    // insert), so the row's first pending record always binds; version
+    // chains are lazily built here, so "row has state" is "row has
+    // pending or applied records", not a chain probe
+    // (see ReplicaBase::EnsureRowBound).
+    if (rec.op != OpType::kUpdate ||
+        state->appended.load(std::memory_order_relaxed) == 0) {
+      db_->BindIfNewer(rec.table, rec.key, rec.row, rec.commit_ts);
     }
-    AdvanceWatermark(*seg);
+    PendingNode* node = arena_.New();
+    node->rec = &rec;
+    node->next = nullptr;
+    {
+      SpinLockGuard lock(state->mu);
+      if (state->tail == nullptr) {
+        state->head = node;
+      } else {
+        state->tail->next = node;
+      }
+      state->tail = node;
+      state->appended.fetch_add(1, std::memory_order_release);
+    }
+    backlog_.fetch_add(1, std::memory_order_acq_rel);
+    if (rec.last_in_txn) {
+      // Visibility advances at indexing time: a read arriving now WOULD
+      // see this transaction (after paying its deferred execution).
+      stats_.applied_txns.fetch_add(1, std::memory_order_relaxed);
+      PublishVisible(rec.commit_ts);
+      if (lag_ != nullptr) lag_->OnVisible(rec.commit_ts);
+    }
   }
 }
 

@@ -174,8 +174,12 @@ class QueryFreshReplica : public ReplicaBase {
     SpinLock grow_mu_{LockRank::kStorage};
   };
 
-  // The ingest thread.
-  void SchedulerLoop(log::SegmentSource* source) override;
+  // The ingest step: indexes the segment's records into pending redo lists.
+  void Schedule(log::LogSegment& seg) override;
+  // Nothing is ever released: the redo lists point into every delivered
+  // record until a read instantiates it, so Query Fresh keeps the whole log
+  // by design (§9: the log IS the database).
+  Timestamp ApplyFloor() override { return kInvalidTimestamp; }
 
   // Drains every pending redo list up to `ts` (single caller thread).
   void InstantiateAll(Timestamp ts);

@@ -7,7 +7,7 @@ namespace c5::replica {
 void ReplicaBase::Start(log::SegmentSource* source) {
   workers_running_.store(options_.num_workers, std::memory_order_release);
   threads_.emplace_back([this, source] {
-    SchedulerLoop(source);
+    SegmentLoop(source);
     scheduler_done_.store(true, std::memory_order_release);
   });
   for (int i = 0; i < options_.num_workers; ++i) {
@@ -25,6 +25,55 @@ void ReplicaBase::Start(log::SegmentSource* source) {
       threads_.emplace_back([this] { MaintenanceLoop(); });
     }
   }
+}
+
+void ReplicaBase::SegmentLoop(log::SegmentSource* source) {
+  while (log::LogSegment* seg = NextSegment(source)) {
+    Schedule(*seg);
+    AdvanceWatermark(*seg);
+    // Without workers the segment is applied (or indexed) by now and no
+    // visibility loop runs, so the floor is published here.
+    if (options_.num_workers == 0) {
+      apply_floor_.store(ApplyFloor(), std::memory_order_release);
+    }
+  }
+  EndOfLog();
+}
+
+void ReplicaBase::AdvanceWatermark(const log::LogSegment& seg) {
+  if (!seg.empty() &&
+      seg.MaxTimestamp() > watermark_.load(std::memory_order_relaxed)) {
+    watermark_.store(seg.MaxTimestamp(), std::memory_order_release);
+  }
+}
+
+log::LogSegment* ReplicaBase::NextSegment(log::SegmentSource* source) {
+  if (!in_use_.empty()) {
+    const Timestamp floor = apply_floor_.load(std::memory_order_acquire);
+    std::uint64_t end = 0;
+    std::uint64_t released = 0;
+    while (!in_use_.empty() && in_use_.front().key <= floor) {
+      end = std::max(end, in_use_.front().end_seq);
+      in_use_.pop_front();
+      ++released;
+    }
+    if (released > 0) {
+      // A segment still in use keeps its records below end_seq pinned.
+      if (!in_use_.empty()) end = std::min(end, in_use_.front().base_seq);
+      if (end > released_end_) {
+        source->Release(end);
+        released_end_ = end;
+      }
+      stats_.released_segments.fetch_add(released, std::memory_order_relaxed);
+    }
+  }
+  log::LogSegment* seg = source->Next();
+  if (seg != nullptr && !seg->empty()) {
+    last_key_ = std::max(seg->MaxTimestamp(), last_key_ + 1);
+    in_use_.push_back(
+        InUse{seg->base_seq(), seg->base_seq() + seg->size(), last_key_});
+  }
+  return seg;
 }
 
 void ReplicaBase::VisibilityLoop() {

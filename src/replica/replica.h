@@ -1,14 +1,20 @@
 // The shared backup skeleton and the one replica configuration.
 //
 // ReplicaBase owns every mechanism a backup needs besides its scheduling
-// rule, so a protocol implements only SchedulerLoop (and, with workers,
-// WorkerLoop, ApplyFloor and CloseQueues):
-//  * Thread lifecycle. Start() runs SchedulerLoop on one thread, WorkerLoop
-//    on ProtocolOptions::num_workers threads and, for a protocol with
-//    workers, the visibility loop and (with ProtocolOptions::gc_every > 0)
-//    the maintenance loop. Stop() sets the shutdown flag, calls
-//    CloseQueues() and joins. Every most-derived destructor calls Stop(),
-//    because the threads touch derived members.
+// rule, so a protocol implements only Schedule and ApplyFloor (and, with
+// workers, WorkerLoop and CloseQueues):
+//  * Thread lifecycle. Start() runs the segment loop on one scheduler
+//    thread, WorkerLoop on ProtocolOptions::num_workers threads and, for a
+//    protocol with workers, the visibility loop and (with
+//    ProtocolOptions::gc_every > 0) the maintenance loop. Stop() sets the
+//    shutdown flag, calls CloseQueues() and joins. Every most-derived
+//    destructor calls Stop(), because the threads touch derived members.
+//  * Segment loop. The scheduler thread takes each segment from
+//    NextSegment, hands it to Schedule, then advances watermark(); a
+//    protocol without workers also publishes ApplyFloor() as the apply
+//    floor after each segment. EndOfLog() runs once the source is drained.
+//    Every protocol therefore releases the log it has applied
+//    (log/segment_source.h).
 //  * Visibility loop. Each pass publishes ApplyFloor() as the apply floor,
 //    advances the snapshot through PublishSnapshot() when the floor passed
 //    it and reports VisibleTimestamp() to the LagTracker; it exits after the
@@ -23,9 +29,8 @@
 //  * Caught-up wait. WaitUntilCaughtUp() returns once the replica is drained
 //    and VisibleTimestamp() covers watermark(), the scheduler's monotone
 //    high-water mark (AdvanceWatermark).
-//  * Scheduler preprocessing (RowName, StampPrevTs, AdvanceWatermark,
-//    NextSegment) and the apply step (EnsureRowBound, ApplyRecord,
-//    ApplySampler).
+//  * Scheduler preprocessing (RowName, StampPrevTs) and the apply step
+//    (EnsureRowBound, ApplyRecord, ApplySampler).
 //
 // Invariants every protocol implementation must preserve:
 //  * VisibleTimestamp() is monotonic and always lands on a transaction
@@ -283,22 +288,29 @@ class ReplicaBase {
 
   // ---- Protocol hooks -------------------------------------------------------
 
-  // The scheduler thread's body: consumes `source` until it returns
-  // nullptr, then closes whatever queues the workers drain, so they exit
-  // once the work is done.
-  virtual void SchedulerLoop(log::SegmentSource* source) = 0;
+  // One delivered segment's scheduling step, on the scheduler thread: hands
+  // its work to the workers (or, without workers, applies or indexes it).
+  // The segment loop raises watermark() to the segment's last timestamp
+  // right after it returns, so every record must be handed off by then.
+  virtual void Schedule(log::LogSegment& seg) = 0;
+
+  // Runs once on the scheduler thread after the source returns nullptr.
+  // Closes whatever queues the workers drain, so they exit once the work
+  // is done.
+  virtual void EndOfLog() { CloseQueues(); }
 
   // Worker `idx`'s body; returns when its queue is closed and drained.
   virtual void WorkerLoop(int idx) { (void)idx; }
 
   // The protocol's apply floor: a timestamp at or below which every write
   // is applied and no worker holds, or can still be handed, a record
-  // pointer. The visibility loop publishes it every pass, whether or not it
-  // moves the visible snapshot, and NextSegment releases what it covers. It
-  // is NOT VisibleTimestamp(): after a restart the recovery window
-  // publishes the resume point at once, while workers still read
-  // redelivered segments below it. The default never advances anything.
-  virtual Timestamp ApplyFloor() { return VisibleTimestamp(); }
+  // pointer. The visibility loop publishes it every pass (the segment loop
+  // after each segment, without workers), whether or not it moves the
+  // visible snapshot, and NextSegment releases what it covers. It is NOT
+  // VisibleTimestamp(): after a restart the recovery window publishes the
+  // resume point at once, while workers still read redelivered segments
+  // below it.
+  virtual Timestamp ApplyFloor() = 0;
 
   // Advances the visible snapshot to `n`, which exceeds VisibleTimestamp().
   // C5-MyRocks wraps this in its §5.2 write barrier.
@@ -339,31 +351,17 @@ class ReplicaBase {
     return name;
   }
 
-  // Raises watermark() to `seg`'s last commit timestamp once the segment's
-  // work is handed to the workers (transactions never span segments).
-  // Monotone for the same reason as StampPrevTs: a redelivered old segment
-  // as the FINAL delivery would otherwise pin the visible snapshot below
-  // end-of-log forever. Scheduler thread only, so load+store suffices.
-  void AdvanceWatermark(const log::LogSegment& seg) {
-    if (!seg.empty() &&
-        seg.MaxTimestamp() > watermark_.load(std::memory_order_relaxed)) {
-      watermark_.store(seg.MaxTimestamp(), std::memory_order_release);
-    }
-  }
-
   // ---- Apply step -----------------------------------------------------------
 
   // One applying thread's apply-latency samples: Begin() returns the start
   // time of every kApplySampleEvery-th record (-1 for the rest), End()
-  // records the sample. Merges into ApplyLatencySnapshot() when it goes out
-  // of scope, which must be before the thread's loop returns.
+  // records the sample. Merges into ApplyLatencySnapshot() on Flush() and
+  // when it goes out of scope, one of which must happen before the thread's
+  // loop returns.
   class ApplySampler {
    public:
     explicit ApplySampler(ReplicaBase* replica) : replica_(replica) {}
-    ~ApplySampler() {
-      MutexLock lock(replica_->apply_latency_mu_);
-      replica_->apply_latency_.Merge(hist_);
-    }
+    ~ApplySampler() { Flush(); }
     ApplySampler(const ApplySampler&) = delete;
     ApplySampler& operator=(const ApplySampler&) = delete;
 
@@ -375,6 +373,11 @@ class ReplicaBase {
       if (t0 >= 0) {
         hist_.Record(static_cast<std::uint64_t>(MonotonicNowNanos() - t0));
       }
+    }
+    void Flush() {
+      MutexLock lock(replica_->apply_latency_mu_);
+      replica_->apply_latency_.Merge(hist_);
+      hist_.Reset();
     }
 
    private:
@@ -439,47 +442,6 @@ class ReplicaBase {
     (void)ts;
   }
 
-  // Scheduler-thread replacement for source->Next() that drives the
-  // release contract (log/segment_source.h): before each Next(), hands back
-  // the delivered prefix at or below the published ApplyFloor().
-  //
-  // Each delivered segment is keyed by its max timestamp, raised to one past
-  // the previous key when it does not exceed it. A redelivered or
-  // out-of-order segment therefore waits until the floor passes a later
-  // segment's timestamps, which the scheduler publishes only after handing
-  // the earlier segment's work to the workers. The floor never exceeds the
-  // scheduler's watermark, so a floor computed before a segment arrived
-  // stays below that segment's key.
-  log::LogSegment* NextSegment(log::SegmentSource* source) {
-    if (!in_use_.empty()) {
-      const Timestamp floor = apply_floor_.load(std::memory_order_acquire);
-      std::uint64_t end = 0;
-      std::uint64_t released = 0;
-      while (!in_use_.empty() && in_use_.front().key <= floor) {
-        end = std::max(end, in_use_.front().end_seq);
-        in_use_.pop_front();
-        ++released;
-      }
-      if (released > 0) {
-        // A segment still in use keeps its records below end_seq pinned.
-        if (!in_use_.empty()) end = std::min(end, in_use_.front().base_seq);
-        if (end > released_end_) {
-          source->Release(end);
-          released_end_ = end;
-        }
-        stats_.released_segments.fetch_add(released,
-                                           std::memory_order_relaxed);
-      }
-    }
-    log::LogSegment* seg = source->Next();
-    if (seg != nullptr && !seg->empty()) {
-      last_key_ = std::max(seg->MaxTimestamp(), last_key_ + 1);
-      in_use_.push_back(
-          InUse{seg->base_seq(), seg->base_seq() + seg->size(), last_key_});
-    }
-    return seg;
-  }
-
   void PublishVisible(Timestamp ts) {
     // Recovery window: snapshots strictly inside (resume, floor) would
     // expose the dead incarnation's non-prefix run-ahead states; hold the
@@ -504,7 +466,7 @@ class ReplicaBase {
   std::atomic<Timestamp> visible_ts_{0};
   std::atomic<Timestamp> recovery_floor_{0};
   std::atomic<Timestamp> recovery_resume_{0};
-  // watermark(): written by the scheduler (AdvanceWatermark), read by
+  // watermark(): written by the segment loop (AdvanceWatermark), read by
   // workers and the visibility loop.
   alignas(64) std::atomic<Timestamp> watermark_{0};
 
@@ -515,8 +477,30 @@ class ReplicaBase {
            workers_running_.load(std::memory_order_acquire) == 0;
   }
 
+  // The scheduler thread's body: the segment loop, then EndOfLog().
+  void SegmentLoop(log::SegmentSource* source);
   void VisibilityLoop();
   void MaintenanceLoop();
+
+  // Raises watermark() to `seg`'s last commit timestamp once the segment's
+  // work is handed to the workers (transactions never span segments).
+  // Monotone for the same reason as StampPrevTs: a redelivered old segment
+  // as the FINAL delivery would otherwise pin the visible snapshot below
+  // end-of-log forever. Scheduler thread only, so load+store suffices.
+  void AdvanceWatermark(const log::LogSegment& seg);
+
+  // The segment loop's Next(), which drives the release contract
+  // (log/segment_source.h): before each Next(), hands back the delivered
+  // prefix at or below the published ApplyFloor().
+  //
+  // Each delivered segment is keyed by its max timestamp, raised to one past
+  // the previous key when it does not exceed it. A redelivered or
+  // out-of-order segment therefore waits until the floor passes a later
+  // segment's timestamps, which the scheduler publishes only after handing
+  // the earlier segment's work to the workers. The floor never exceeds the
+  // scheduler's watermark, so a floor computed before a segment arrived
+  // stays below that segment's key.
+  log::LogSegment* NextSegment(log::SegmentSource* source);
 
   std::vector<std::thread> threads_;
   std::atomic<bool> shutdown_{false};

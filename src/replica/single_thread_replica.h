@@ -23,7 +23,13 @@ class SingleThreadReplica : public ReplicaBase {
   std::string name() const override { return "single-threaded"; }
 
  private:
-  void SchedulerLoop(log::SegmentSource* source) override;
+  // Applies the segment in log order, publishing each transaction.
+  void Schedule(log::LogSegment& seg) override;
+  void EndOfLog() override { sampler_.Flush(); }
+  // Every delivered segment is applied before the next Next().
+  Timestamp ApplyFloor() override { return watermark(); }
+
+  ApplySampler sampler_{this};  // scheduler thread only
 };
 
 }  // namespace c5::replica

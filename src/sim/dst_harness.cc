@@ -371,13 +371,8 @@ Timestamp RunIncarnation(c5::BackupNode& node, const DstPlan& plan,
   const Timestamp visible = node.VisibleTimestamp();
   node.Stop();
   sampler.StopAndJoin();
-  const std::uint64_t released =
+  report->releases[node.options().protocol] +=
       node.reader().stats().released_segments.load(std::memory_order_relaxed);
-  if (node.options().protocol == ProtocolKind::kC5) {
-    report->c5_releases += released;
-  } else if (node.options().protocol == ProtocolKind::kC5MyRocks) {
-    report->c5_myrocks_releases += released;
-  }
   if (!sampler.monotonic()) {
     report->violations.push_back(who + ": reader snapshot regressed " +
                                  phase);

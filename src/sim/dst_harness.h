@@ -66,6 +66,7 @@
 #define C5_SIM_DST_HARNESS_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -139,11 +140,11 @@ struct DstReport {
   std::uint64_t migrations_started = 0;
   std::uint64_t migrations_completed = 0;
   std::uint64_t migrations_aborted = 0;
-  // Delivered segments the C5 and C5-MyRocks schedulers released back to
-  // their DST sources (which poison released records under ASan). dst_test
-  // asserts both are nonzero over the sweep.
-  std::uint64_t c5_releases = 0;
-  std::uint64_t c5_myrocks_releases = 0;
+  // Delivered segments each protocol's replicas released back to their DST
+  // sources (which poison released records under ASan), keyed by every
+  // protocol that ran. dst_test asserts each but Query Fresh's (which keeps
+  // the log by design) is nonzero over the sweep.
+  std::map<core::ProtocolKind, std::uint64_t> releases;
   std::vector<std::string> violations;
 
   bool ok() const { return violations.empty(); }

@@ -1032,7 +1032,8 @@ TEST(ClusterTest, RecoveryWindowSuppressesInteriorSnapshots) {
   class Probe : public replica::ReplicaBase {
    public:
     explicit Probe(storage::Database* db) : ReplicaBase(db) {}
-    void SchedulerLoop(log::SegmentSource*) override {}
+    void Schedule(log::LogSegment&) override {}
+    Timestamp ApplyFloor() override { return kInvalidTimestamp; }
     std::string name() const override { return "probe"; }
     void Publish(Timestamp ts) { PublishVisible(ts); }
   } probe(&db);
