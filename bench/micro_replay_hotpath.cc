@@ -192,7 +192,7 @@ log::Log SynthesizeLog(std::uint64_t rows, std::uint64_t writes,
 // Fleet-model worker scaling: replay the same log through C5Replica
 // directly at a given worker count and account each worker's applied
 // records against its own CPU time (CLOCK_THREAD_CPUTIME_ID, via
-// C5Replica::WorkerLoads). On a host with fewer cores than workers,
+// ReplicaBase::WorkerLoads). On a host with fewer cores than workers,
 // wall-clock scaling measures the kernel scheduler, not the protocol; the
 // fleet model instead asks how much log a worker stage of N CPUs could
 // absorb: aggregate = total records / MAX per-worker CPU seconds (the

@@ -107,7 +107,8 @@ run_static_lane
 # reach is a crash — AND the sharded 16-seed sweep; the sharded sweep seeds
 # live reshard migrations mid-workload, so the epoch-aware router oracle and
 # the commit/abort migration ledger run under both sanitizers), the epoch
-# limbo buckets and reclamation while replay workers run, the wire fuzz
+# limbo buckets, reclamation while replay workers run and every protocol's
+# apply tally flushing before each wait (replica_test), the wire fuzz
 # loop, the real-socket shipping suite (net_test: loopback TCP round trips,
 # NAK-driven retransmit, reconnect-after-disconnect — every listener binds
 # port 0, so parallel lanes never collide on a port), and the public-API
@@ -138,7 +139,7 @@ cmake --build "$tsan_dir" -j "$jobs" --target dst_test cluster_test net_test \
 C5_DST_SEED_COUNT=16 "$tsan_dir/dst_test"
 "$tsan_dir/log_test" --gtest_filter='*Retention*'
 "$tsan_dir/epoch_test"
-"$tsan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*'
+"$tsan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*:*ApplyTally*'
 "$tsan_dir/cluster_test"
 "$tsan_dir/net_test"
 "$tsan_dir/ordered_index_test"
@@ -153,7 +154,7 @@ cmake --build "$asan_dir" -j "$jobs" --target dst_test wire_test cluster_test \
 C5_DST_SEED_COUNT=16 "$asan_dir/dst_test"
 "$asan_dir/log_test" --gtest_filter='*Retention*'
 "$asan_dir/epoch_test"
-"$asan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*'
+"$asan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*:*ApplyTally*'
 "$asan_dir/wire_test"
 "$asan_dir/cluster_test"
 "$asan_dir/net_test"

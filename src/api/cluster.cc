@@ -19,11 +19,12 @@ BackupNode::~BackupNode() { Stop(); }
 
 void BackupNode::MakeProtocol() {
   replica_ = core::MakeReplica(options_.protocol, &db_,
-                               options_.protocol_options, options_.lag);
+                               options_.protocol_options);
   // The node id names the NODE, not the incarnation: every protocol rebuilt
   // by Restart carries the same instance id, so multi-shard failure output
   // stays attributable across crash/restart cycles.
   replica_->SetInstanceId(options_.id);
+  replica_->SetLagTracker(options_.lag);
 }
 
 std::string BackupNode::id() const {

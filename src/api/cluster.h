@@ -183,8 +183,9 @@ struct ClusterOptions {
   std::size_t num_backups = 1;
   core::ProtocolKind backup_protocol = core::ProtocolKind::kC5;
 
-  // Replication knobs applied to every backup.
-  core::ProtocolOptions protocol{.num_workers = 2};
+  // Replication knobs applied to every backup (GC on: without it a backup's
+  // memory grows with every overwrite).
+  core::ProtocolOptions protocol{.num_workers = 2, .gc_every = 16};
 
   // Log shipping: records per shipped segment, and how often the background
   // flusher closes a partial segment so lag excludes batching delay

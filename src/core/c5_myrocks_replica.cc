@@ -109,9 +109,8 @@ Timestamp C5MyRocksReplica::TxnDispatchQueue::MinUnapplied() const {
 // C5MyRocksReplica
 
 C5MyRocksReplica::C5MyRocksReplica(storage::Database* db,
-                                   const replica::ProtocolOptions& options,
-                                   replica::LagTracker* lag)
-    : ReplicaBase(db, options, lag),
+                                   const replica::ProtocolOptions& options)
+    : ReplicaBase(db, options),
       dispatch_(options.num_workers),
       last_write_ts_(options.scheduler_map_capacity) {}
 
@@ -138,7 +137,7 @@ void C5MyRocksReplica::Schedule(log::LogSegment& seg) {
 }
 
 void C5MyRocksReplica::WorkerLoop(int idx) {
-  ApplySampler sampler(this);
+  ApplyTally tally(this, idx);
 
   // A write deferred because its predecessor is not in place yet.
   // sample_t0 is -1 for unsampled records.
@@ -168,27 +167,6 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
   // front) never lags the log by a perceptible amount.
   constexpr std::size_t kMaxOpen = 64;
 
-  // Applies one record if its predecessor is in place. Returns false to
-  // defer. Samples latency from `t0` when >= 0.
-  auto try_apply = [&](const log::LogRecord& rec,
-                       std::int64_t t0) -> bool {
-    // The write becomes actionable once the row reaches (or passes, after
-    // a checkpoint resume) its predecessor position. TryInstallIfPrev
-    // checks that with a plain load before any CAS, so polling here never
-    // ping-pongs the row's cache line against the predecessor's install.
-    if (db_->table(rec.table).TryInstallIfPrev(
-            rec.row, rec.prev_ts, rec.commit_ts, rec.value,
-            rec.op == OpType::kDelete) == storage::PrevInstall::kNotReady) {
-      return false;
-    }
-    stats_.applied_writes.fetch_add(1, std::memory_order_relaxed);
-    // For a deferred record this includes the full predecessor stall: p99
-    // here is the tail cost of a write waiting for its row dependency, the
-    // §5.1 metric.
-    sampler.End(t0);
-    return true;
-  };
-
   // One pass over every open transaction's deferred writes (§5.1's "wait
   // until the write is safe, then execute it", batched). Returns true if
   // any write landed. Writes above an armed snapshot barrier are skipped,
@@ -201,7 +179,10 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
       if (ot.pending.empty() || ot.txn.commit_ts > barrier) continue;
       std::size_t remaining = 0;
       for (const Pending& p : ot.pending) {
-        if (try_apply(ot.txn.first[p.idx], p.sample_t0)) {
+        // For a deferred write the sample includes the full predecessor
+        // stall: p99 here is the tail cost of a write waiting for its row
+        // dependency, the §5.1 metric.
+        if (TryApplyAfterPrev(ot.txn.first[p.idx], tally, p.sample_t0)) {
           progress = true;
         } else {
           ot.pending[remaining++] = p;
@@ -218,7 +199,6 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
   auto retire_front = [&]() {
     bool moved = false;
     while (!open.empty() && open.front().pending.empty()) {
-      stats_.applied_txns.fetch_add(1, std::memory_order_relaxed);
       spare.push_back(std::move(open.front().pending));
       open.pop_front();
       moved = true;
@@ -230,13 +210,12 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
   };
 
   while (true) {
-    // One epoch guard per iteration (a sweep and at most one popped
-    // transaction), dropped before any wait: Pop blocks, and the stall
-    // sleep below can outlast many GC passes.
-    std::optional<storage::EpochManager::Guard> guard(std::in_place,
-                                                      &db_->epochs());
+    // One unit per iteration (a sweep and at most one popped transaction),
+    // ended before any wait: Pop blocks, and the stall sleep below can
+    // outlast many GC passes.
+    std::optional<ApplyTally::Unit> unit(std::in_place, tally);
     if (sweep()) retire_front();
-    if (open.empty()) guard.reset();
+    if (open.empty()) unit.reset();
 
     // Take on new work while the window has room. Blocking Pop only when
     // nothing is open (nothing to sweep while we wait).
@@ -254,12 +233,12 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
       // of magnitude worse on a single-core host under a read-only client
       // load). The sleep forcibly deschedules us so a peer can run; the
       // window amortizes its wakeup latency over every transaction in it.
-      guard.reset();
+      unit.reset();
       std::this_thread::sleep_for(std::chrono::microseconds(1));
       continue;
     }
 
-    if (!guard.has_value()) guard.emplace(&db_->epochs());
+    if (!unit.has_value()) unit.emplace(tally);
     const TxnUnit txn = *txn_opt;
     std::vector<Pending> pending;
     if (!spare.empty()) {
@@ -269,7 +248,7 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
     }
     for (std::size_t i = 0; i < txn.count; ++i) {
       const log::LogRecord& rec = txn.first[i];
-      const std::int64_t sample_t0 = sampler.Begin();
+      const std::int64_t sample_t0 = tally.StartSample();
       EnsureRowBound(rec);
       // §5.2: while a snapshot is being taken, writes beyond the boundary n
       // must wait ("choosing n also blocks workers from executing writes
@@ -278,20 +257,13 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
       while (rec.commit_ts > barrier_ts_.load(std::memory_order_acquire)) {
         SpinBackoff(barrier_spins);
       }
-      if (!try_apply(rec, sample_t0)) {
-        stats_.deferred_writes.fetch_add(1, std::memory_order_relaxed);
+      if (!TryApplyAfterPrev(rec, tally, sample_t0)) {
+        tally.CountDeferred();
         pending.push_back(Pending{static_cast<std::uint32_t>(i), sample_t0});
       }
     }
-    if (pending.empty() && open.empty()) {
-      // Fast path: fully applied and nothing older in flight.
-      stats_.applied_txns.fetch_add(1, std::memory_order_relaxed);
-      spare.push_back(std::move(pending));
-      dispatch_.SetFloor(idx, kMaxTimestamp);
-    } else {
-      open.push_back(OpenTxn{txn, std::move(pending)});
-      retire_front();
-    }
+    open.push_back(OpenTxn{txn, std::move(pending)});
+    retire_front();
   }
 }
 

@@ -45,8 +45,7 @@ class C5MyRocksReplica : public replica::ReplicaBase {
   // paper's Fig. 8 uses 10 ms) and snapshot_cost the simulated snapshot
   // cost.
   C5MyRocksReplica(storage::Database* db,
-                   const replica::ProtocolOptions& options,
-                   replica::LagTracker* lag = nullptr);
+                   const replica::ProtocolOptions& options);
   ~C5MyRocksReplica() override { Stop(); }
 
   std::string name() const override { return "c5-myrocks"; }

@@ -1,13 +1,10 @@
 #include "core/c5_replica.h"
 
-#include "common/clock.h"
-
 namespace c5::core {
 
 C5Replica::C5Replica(storage::Database* db,
-                     const replica::ProtocolOptions& options,
-                     replica::LagTracker* lag)
-    : ReplicaBase(db, options, lag),
+                     const replica::ProtocolOptions& options)
+    : ReplicaBase(db, options),
       last_write_ts_(options.scheduler_map_capacity),
       out_(options.num_workers, nullptr) {
   for (int i = 0; i < options_.num_workers; ++i) {
@@ -79,40 +76,9 @@ void C5Replica::CloseQueues() {
   for (auto& w : workers_) w->queue.Close();
 }
 
-void C5Replica::FlushCounts(LocalCounts& counts) {
-  if (counts.applied_writes != 0) {
-    stats_.applied_writes.fetch_add(counts.applied_writes,
-                                    std::memory_order_relaxed);
-  }
-  if (counts.applied_txns != 0) {
-    stats_.applied_txns.fetch_add(counts.applied_txns,
-                                  std::memory_order_relaxed);
-  }
-  if (counts.deferred_writes != 0) {
-    stats_.deferred_writes.fetch_add(counts.deferred_writes,
-                                     std::memory_order_relaxed);
-  }
-  counts = LocalCounts{};
-}
-
-bool C5Replica::TryApply(const log::LogRecord& rec, LocalCounts& counts) {
-  storage::Table& table = db_->table(rec.table);
-  // kAlreadyApplied records (at-least-once delivery, checkpoint resume)
-  // count as applied so caught-up accounting and c' advancement still hold.
-  if (table.TryInstallIfPrev(rec.row, rec.prev_ts, rec.commit_ts, rec.value,
-                             rec.op == OpType::kDelete) ==
-      storage::PrevInstall::kNotReady) {
-    return false;
-  }
-  ++counts.applied_writes;
-  if (rec.last_in_txn) ++counts.applied_txns;
-  return true;
-}
-
 void C5Replica::WorkerLoop(int idx) {
   WorkerState& me = *workers_[idx];
-  ApplySampler sampler(this);
-  LocalCounts counts;
+  ApplyTally tally(this, idx);
 
   int idle_spins = 0;
   while (true) {
@@ -139,34 +105,24 @@ void C5Replica::WorkerLoop(int idx) {
     // a torn batch: c' only lags the true floor, never exceeds it.
     me.c_prime.store(batch->floor, std::memory_order_release);
 
-    const std::int64_t cpu0 = ThreadCpuNowNanos();
-    // One epoch guard per batch, never across the idle wait above.
-    const auto guard = db_->epochs().Enter();
+    // One unit per batch, never across the idle wait above.
+    const ApplyTally::Unit unit(tally);
     for (const log::LogRecord* rp : batch->recs) {
       const log::LogRecord& rec = *rp;
       EnsureRowBound(rec);
-      const std::int64_t t0 = sampler.Begin();
-      if (!TryApply(rec, counts)) {
+      const std::int64_t t0 = tally.StartSample();
+      if (!TryApplyAfterPrev(rec, tally, t0)) {
         // Row affinity makes this unreachable: the predecessor was applied
         // by THIS worker earlier in its batch stream, and a redelivered
         // record resolves as kAlreadyApplied. Should it ever fire, wait in
         // place: the published c' is still at or below this record.
-        ++counts.deferred_writes;
+        tally.CountDeferred();
         int spins = 0;
         do {
           SpinBackoff(spins);
-        } while (!TryApply(rec, counts));
+        } while (!TryApplyAfterPrev(rec, tally, t0));
       }
-      sampler.End(t0);
     }
-    // Fleet-model accounting: credit this batch's applied records and
-    // thread-CPU time to the worker, then flush the stats deltas. Idle
-    // spinning between batches is deliberately outside the measured window.
-    me.cpu_ns.fetch_add(static_cast<std::uint64_t>(ThreadCpuNowNanos() - cpu0),
-                        std::memory_order_relaxed);
-    me.applied_records.fetch_add(counts.applied_writes,
-                                 std::memory_order_relaxed);
-    FlushCounts(counts);
     ReleaseBatch(batch);
   }
   me.c_prime.store(kMaxTimestamp, std::memory_order_release);
@@ -179,17 +135,6 @@ Timestamp C5Replica::ApplyFloor() {
     if (cp < n) n = cp;
   }
   return n;
-}
-
-std::vector<C5Replica::WorkerLoad> C5Replica::WorkerLoads() const {
-  std::vector<WorkerLoad> loads;
-  loads.reserve(workers_.size());
-  for (const auto& w : workers_) {
-    loads.push_back(
-        WorkerLoad{w->applied_records.load(std::memory_order_acquire),
-                   w->cpu_ns.load(std::memory_order_acquire)});
-  }
-  return loads;
 }
 
 }  // namespace c5::core

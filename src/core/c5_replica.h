@@ -59,27 +59,10 @@ namespace c5::core {
 // timestamps).
 class C5Replica : public replica::ReplicaBase {
  public:
-  // Per-worker load accounting for the fleet-model scaling methodology
-  // (BENCH_replay.json worker_scaling): records applied by the worker and
-  // the CPU nanoseconds its batch processing consumed
-  // (CLOCK_THREAD_CPUTIME_ID deltas, so co-scheduling on a small host does
-  // not charge a worker for its peers' time). Idle spinning between batches
-  // is excluded — the numbers answer "what does this worker's share of the
-  // apply work cost on dedicated hardware".
-  struct WorkerLoad {
-    std::uint64_t applied_records = 0;
-    std::uint64_t cpu_ns = 0;
-  };
-
-  C5Replica(storage::Database* db, const replica::ProtocolOptions& options,
-            replica::LagTracker* lag = nullptr);
+  C5Replica(storage::Database* db, const replica::ProtocolOptions& options);
   ~C5Replica() override { Stop(); }
 
   std::string name() const override { return "c5"; }
-
-  // Per-worker apply/CPU accounting, index-aligned with the worker ids.
-  // Coherent after WaitUntilCaughtUp (workers flush once per batch).
-  std::vector<WorkerLoad> WorkerLoads() const;
 
  private:
   // One worker's slice of one segment: pointers into the segment's record
@@ -101,9 +84,6 @@ class C5Replica : public replica::ReplicaBase {
     // c' (§7.2): one writer (the worker), one reader (the snapshotter).
     // Bumped once per batch (the "local epoch"), not per record.
     alignas(64) std::atomic<Timestamp> c_prime{0};
-    // Fleet-model load accounting, flushed once per batch.
-    std::atomic<std::uint64_t> applied_records{0};
-    std::atomic<std::uint64_t> cpu_ns{0};
   };
 
   // prev_ts stamping and row-affinity partitioning (scheduler thread).
@@ -119,19 +99,6 @@ class C5Replica : public replica::ReplicaBase {
 
   Batch* AcquireBatch();
   void ReleaseBatch(Batch* batch);
-
-  // Counter deltas a worker accumulates locally and flushes into stats_
-  // once per batch (epoch-batched, like c').
-  struct LocalCounts {
-    std::uint64_t applied_writes = 0;
-    std::uint64_t applied_txns = 0;
-    std::uint64_t deferred_writes = 0;
-  };
-  void FlushCounts(LocalCounts& counts);
-
-  // Applies one record if its predecessor is in place; returns false if it
-  // is not. The caller has bound the row (EnsureRowBound).
-  bool TryApply(const log::LogRecord& rec, LocalCounts& counts);
 
   std::vector<std::unique_ptr<WorkerState>> workers_;
 

@@ -34,30 +34,29 @@ const char* ToString(ProtocolKind kind) {
 }
 
 std::unique_ptr<replica::ReplicaBase> MakeReplica(
-    ProtocolKind kind, storage::Database* db, const ProtocolOptions& options,
-    replica::LagTracker* lag) {
+    ProtocolKind kind, storage::Database* db, const ProtocolOptions& options) {
   switch (kind) {
     case ProtocolKind::kC5:
-      return std::make_unique<C5Replica>(db, options, lag);
+      return std::make_unique<C5Replica>(db, options);
     case ProtocolKind::kC5MyRocks:
-      return std::make_unique<C5MyRocksReplica>(db, options, lag);
+      return std::make_unique<C5MyRocksReplica>(db, options);
     case ProtocolKind::kC5Queue:
       return std::make_unique<replica::GranularityReplica>(
-          db, replica::Granularity::kRow, options, lag);
+          db, replica::Granularity::kRow, options);
     case ProtocolKind::kPageGranularity:
       return std::make_unique<replica::GranularityReplica>(
-          db, replica::Granularity::kPage, options, lag);
+          db, replica::Granularity::kPage, options);
     case ProtocolKind::kTableGranularity:
       return std::make_unique<replica::GranularityReplica>(
-          db, replica::Granularity::kTable, options, lag);
+          db, replica::Granularity::kTable, options);
     case ProtocolKind::kKuaFu:
     case ProtocolKind::kKuaFuUnconstrained:
       return std::make_unique<replica::KuaFuReplica>(
-          db, kind == ProtocolKind::kKuaFuUnconstrained, options, lag);
+          db, kind == ProtocolKind::kKuaFuUnconstrained, options);
     case ProtocolKind::kSingleThread:
-      return std::make_unique<replica::SingleThreadReplica>(db, options, lag);
+      return std::make_unique<replica::SingleThreadReplica>(db, options);
     case ProtocolKind::kQueryFresh:
-      return std::make_unique<replica::QueryFreshReplica>(db, options, lag);
+      return std::make_unique<replica::QueryFreshReplica>(db, options);
   }
   return nullptr;
 }

@@ -3,7 +3,6 @@
 
 #include <memory>
 
-#include "replica/lag_tracker.h"
 #include "replica/replica.h"
 
 namespace c5::core {
@@ -30,8 +29,7 @@ using replica::ProtocolOptions;
 // Builds the protocol of `kind` over `db`. The kind also picks the
 // granularity of the keyed-FIFO replicas and KuaFu's unconstrained mode.
 std::unique_ptr<replica::ReplicaBase> MakeReplica(
-    ProtocolKind kind, storage::Database* db, const ProtocolOptions& options,
-    replica::LagTracker* lag = nullptr);
+    ProtocolKind kind, storage::Database* db, const ProtocolOptions& options);
 
 }  // namespace c5::core
 

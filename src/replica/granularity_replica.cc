@@ -16,9 +16,8 @@ const char* ToString(Granularity g) {
 
 GranularityReplica::GranularityReplica(storage::Database* db,
                                        Granularity granularity,
-                                       const ProtocolOptions& options,
-                                       LagTracker* lag)
-    : ReplicaBase(db, options, lag), granularity_(granularity) {}
+                                       const ProtocolOptions& options)
+    : ReplicaBase(db, options), granularity_(granularity) {}
 
 std::string GranularityReplica::name() const {
   switch (granularity_) {
@@ -78,12 +77,12 @@ void GranularityReplica::PushHandoff() {
   handoff_.reserve(kHandoffBatch);
 }
 
-void GranularityReplica::WorkerLoop(int /*idx*/) {
-  ApplySampler sampler(this);
+void GranularityReplica::WorkerLoop(int idx) {
+  ApplyTally tally(this, idx);
   std::vector<KeyQueue*> reinserts;
   while (auto batch_opt = sched_queue_.Pop()) {
-    // One epoch guard per batch, never across the blocking Pop.
-    const auto guard = db_->epochs().Enter();
+    // One unit per batch, never across the blocking Pop.
+    const ApplyTally::Unit unit(tally);
     reinserts.clear();
     std::uint64_t applied = 0;
     for (KeyQueue* kq : *batch_opt) {
@@ -97,7 +96,7 @@ void GranularityReplica::WorkerLoop(int /*idx*/) {
           SpinLockGuard lock(kq->mu);
           ref = kq->writes.front();
         }
-        ApplyRecord(*ref.rec, sampler);
+        ApplyRecord(*ref.rec, tally);
         prefix_.Mark(ref.seq, ref.rec->last_in_txn ? ref.rec->commit_ts
                                                    : kInvalidTimestamp);
         ++applied;

@@ -50,8 +50,7 @@ const char* ToString(Granularity g);
 class GranularityReplica : public ReplicaBase {
  public:
   GranularityReplica(storage::Database* db, Granularity granularity,
-                     const ProtocolOptions& options,
-                     LagTracker* lag = nullptr);
+                     const ProtocolOptions& options);
   ~GranularityReplica() override { Stop(); }
 
   std::string name() const override;

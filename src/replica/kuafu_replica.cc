@@ -5,10 +5,14 @@
 namespace c5::replica {
 
 KuaFuReplica::KuaFuReplica(storage::Database* db, bool unconstrained,
-                           const ProtocolOptions& options, LagTracker* lag)
-    : ReplicaBase(db, options, lag), unconstrained_(unconstrained) {}
+                           const ProtocolOptions& options)
+    : ReplicaBase(db, options), unconstrained_(unconstrained) {}
 
 void KuaFuReplica::Schedule(log::LogSegment& seg) {
+  const std::uint64_t applied = prefix_.watermark();
+  while (!nodes_.empty() && nodes_.front()->txn_index < applied) {
+    nodes_.pop_front();
+  }
   TxnNode* open = nullptr;  // transactions never span segments
   for (const log::LogRecord& rec : seg.records()) {
     if (open == nullptr) {
@@ -26,11 +30,12 @@ void KuaFuReplica::Schedule(log::LogSegment& seg) {
     if (!unconstrained_) {
       std::unordered_set<TxnNode*> parents;
       for (const log::LogRecord* r : open->records) {
-        auto it = last_writer_.find(RowName(r->table, r->row));
-        if (it != last_writer_.end() && it->second != open) {
-          parents.insert(it->second);
+        LastWriter& last = last_writer_[RowName(r->table, r->row)];
+        if (last.node != nullptr && last.node != open &&
+            last.txn_index >= applied) {
+          parents.insert(last.node);
         }
-        last_writer_[RowName(r->table, r->row)] = open;
+        last = LastWriter{open, open->txn_index};
       }
       // Count each edge BEFORE the parent can see the child: a parent
       // completing between TryAddChild and the increment would otherwise
@@ -50,41 +55,35 @@ void KuaFuReplica::Schedule(log::LogSegment& seg) {
   }
 }
 
-void KuaFuReplica::WorkerLoop(int /*idx*/) {
+void KuaFuReplica::WorkerLoop(int idx) {
   // Same sampling cadence as the C5 replicas, so fig6's apply_p50/p99
   // columns compare like for like. KuaFu never waits per record —
   // dependency edges gate the whole transaction — so this measures pure
   // install cost; the transaction-granularity stall shows up as
   // throughput, not here.
-  ApplySampler sampler(this);
+  ApplyTally tally(this, idx);
   while (auto node_opt = ready_.Pop()) {
-    // One epoch guard per transaction, never across the blocking Pop.
-    const auto guard = db_->epochs().Enter();
+    // One unit per transaction, never across the blocking Pop.
+    const ApplyTally::Unit unit(tally);
     TxnNode* node = *node_opt;
     for (const log::LogRecord* rec : node->records) {
       // Same-row writers are serialized by the dependency edges, which is
       // the per-row ordering ApplyRecord's idempotence guard relies on.
       if (!unconstrained_) {
-        ApplyRecord(*rec, sampler);
+        ApplyRecord(*rec, tally);
         continue;
       }
       // The §7.3 diagnostic installs blindly and out of order by design.
-      const std::int64_t t0 = sampler.Begin();
+      const std::int64_t t0 = tally.StartSample();
       EnsureRowBound(*rec);
       db_->table(rec->table).InstallCommitted(rec->row, rec->commit_ts,
                                               rec->value,
                                               rec->op == OpType::kDelete,
                                               /*allow_out_of_order=*/true);
-      stats_.applied_writes.fetch_add(1, std::memory_order_relaxed);
-      if (rec->last_in_txn) {
-        stats_.applied_txns.fetch_add(1, std::memory_order_relaxed);
-      }
-      sampler.End(t0);
+      tally.CountApplied(*rec);
+      tally.EndSample(t0);
     }
     ReleaseDependents(node);
-    // Drop the record pointers before the prefix can cover them: once
-    // marked, the segment loop may release the records they point into.
-    std::vector<const log::LogRecord*>().swap(node->records);
     prefix_.Mark(node->txn_index, node->commit_ts);
     FinishTxn();
   }

@@ -43,7 +43,7 @@ class KuaFuReplica : public ReplicaBase {
  public:
   // `unconstrained` selects the diagnostic mode; it breaks correctness.
   KuaFuReplica(storage::Database* db, bool unconstrained,
-               const ProtocolOptions& options, LagTracker* lag = nullptr);
+               const ProtocolOptions& options);
   ~KuaFuReplica() override { Stop(); }
 
   std::string name() const override {
@@ -52,8 +52,8 @@ class KuaFuReplica : public ReplicaBase {
 
  private:
   struct TxnNode {
-    // Records of this transaction: pointers into log segments, freed once
-    // the transaction is applied, before the segment loop may release them.
+    // Records of this transaction: pointers into log segments, which the
+    // segment loop may release once prefix_ covers the transaction.
     std::vector<const log::LogRecord*> records;
     std::uint64_t txn_index = 0;
     Timestamp commit_ts = kInvalidTimestamp;
@@ -105,14 +105,22 @@ class KuaFuReplica : public ReplicaBase {
   MpmcQueue<TxnNode*> ready_;
   PrefixTracker prefix_;
 
-  // All nodes, owned; appended only by the scheduler.
+  // The nodes of transactions not yet in the applied prefix, in log order;
+  // owned by the scheduler, which frees each one once prefix_ covers it (a
+  // worker touches its node only before prefix_.Mark).
   std::deque<std::unique_ptr<TxnNode>> nodes_;
 
   // Scheduler-thread state. Per-row last-writer map. Transaction-granularity
   // dependency rule (§3.1): "if W(T1) ∩ W(T2) != ∅ and T1 ≺ T2, then all of
   // T1's writes execute before any of T2's." Last-writer edges enforce
   // exactly this: per-row edges chain all writers of the row in log order.
-  std::unordered_map<std::uint64_t, TxnNode*> last_writer_;
+  // A writer below the applied prefix needs no edge, and its node may be
+  // freed, so the index is checked before the node is touched.
+  struct LastWriter {
+    TxnNode* node;
+    std::uint64_t txn_index;
+  };
+  std::unordered_map<std::uint64_t, LastWriter> last_writer_;
   std::uint64_t txn_index_ = 0;  // next transaction's index in log order
 
   // Scheduled but unapplied transactions, plus one held by the scheduler

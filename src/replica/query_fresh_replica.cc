@@ -44,9 +44,8 @@ QueryFreshReplica::RowStateMap::~RowStateMap() {
 }
 
 QueryFreshReplica::QueryFreshReplica(storage::Database* db,
-                                     const ProtocolOptions& options,
-                                     LagTracker* lag)
-    : ReplicaBase(db, WithoutWorkers(options), lag) {}
+                                     const ProtocolOptions& options)
+    : ReplicaBase(db, WithoutWorkers(options)) {}
 
 void QueryFreshReplica::Start(log::SegmentSource* source) {
   // Schema is fixed before replication starts (§2.2: DDL is out of scope).
@@ -92,7 +91,7 @@ void QueryFreshReplica::Schedule(log::LogSegment& seg) {
       // see this transaction (after paying its deferred execution).
       stats_.applied_txns.fetch_add(1, std::memory_order_relaxed);
       PublishVisible(rec.commit_ts);
-      if (lag_ != nullptr) lag_->OnVisible(rec.commit_ts);
+      if (tracker_ != nullptr) tracker_->OnVisible(rec.commit_ts);
     }
   }
 }

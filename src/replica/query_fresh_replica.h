@@ -57,8 +57,7 @@ class QueryFreshReplica : public ReplicaBase {
  public:
   // Runs no worker threads, whatever options.num_workers says.
   explicit QueryFreshReplica(storage::Database* db,
-                             const ProtocolOptions& options = {},
-                             LagTracker* lag = nullptr);
+                             const ProtocolOptions& options = {});
   ~QueryFreshReplica() override { Stop(); }
 
   // Sizes the per-table row maps from the backup's schema, then starts the

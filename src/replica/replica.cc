@@ -38,6 +38,7 @@ void ReplicaBase::SegmentLoop(log::SegmentSource* source) {
     }
   }
   EndOfLog();
+  scheduler_tally_.MergeSamples();
 }
 
 void ReplicaBase::AdvanceWatermark(const log::LogSegment& seg) {
@@ -76,6 +77,34 @@ log::LogSegment* ReplicaBase::NextSegment(log::SegmentSource* source) {
   return seg;
 }
 
+void ReplicaBase::ApplyTally::Flush(std::int64_t cpu_ns) {
+  ReplicaStats& stats = replica_->stats_;
+  if (writes_ != 0) {
+    stats.applied_writes.fetch_add(writes_, std::memory_order_relaxed);
+    load_.applied_records.fetch_add(writes_, std::memory_order_relaxed);
+  }
+  if (txns_ != 0) {
+    stats.applied_txns.fetch_add(txns_, std::memory_order_relaxed);
+  }
+  if (deferred_ != 0) {
+    stats.deferred_writes.fetch_add(deferred_, std::memory_order_relaxed);
+  }
+  load_.cpu_ns.fetch_add(static_cast<std::uint64_t>(cpu_ns),
+                         std::memory_order_relaxed);
+  writes_ = txns_ = deferred_ = 0;
+}
+
+std::vector<ReplicaBase::WorkerLoad> ReplicaBase::WorkerLoads() const {
+  std::vector<WorkerLoad> loads;
+  loads.reserve(loads_.size());
+  for (const LoadSlot& slot : loads_) {
+    loads.push_back(
+        WorkerLoad{slot.applied_records.load(std::memory_order_acquire),
+                   slot.cpu_ns.load(std::memory_order_acquire)});
+  }
+  return loads;
+}
+
 void ReplicaBase::VisibilityLoop() {
   while (true) {
     // Read before the floor: a pass that began drained computes a floor
@@ -86,7 +115,7 @@ void ReplicaBase::VisibilityLoop() {
     const Timestamp n = ApplyFloor();
     apply_floor_.store(n, std::memory_order_release);
     if (n > VisibleTimestamp()) PublishSnapshot(n);
-    if (lag_ != nullptr) lag_->OnVisible(VisibleTimestamp());
+    if (tracker_ != nullptr) tracker_->OnVisible(VisibleTimestamp());
     if (drained || shutdown_.load(std::memory_order_acquire)) break;
     std::this_thread::sleep_for(options_.snapshot_interval);
   }

@@ -29,8 +29,13 @@
 //  * Caught-up wait. WaitUntilCaughtUp() returns once the replica is drained
 //    and VisibleTimestamp() covers watermark(), the scheduler's monotone
 //    high-water mark (AdvanceWatermark).
-//  * Scheduler preprocessing (RowName, StampPrevTs) and the apply step
-//    (EnsureRowBound, ApplyRecord, ApplySampler).
+//  * Scheduler preprocessing (RowName, StampPrevTs).
+//  * The apply step. ApplyRecord installs a record if it is newer than its
+//    row (the rule of granularity, KuaFu and serial replay);
+//    TryApplyAfterPrev installs it once its row's predecessor is in place
+//    (C5 and C5-MyRocks). Both count into the applying thread's ApplyTally,
+//    which flushes into stats() and WorkerLoads() once per
+//    ApplyTally::Unit, the epoch-guarded unit of work.
 //
 // Invariants every protocol implementation must preserve:
 //  * VisibleTimestamp() is monotonic and always lands on a transaction
@@ -39,9 +44,10 @@
 //  * Every read-only transaction runs inside an epoch guard and registers
 //    its snapshot with the reader tracker before reading, so GcHorizon()
 //    never reclaims a version an active reader could still observe.
-//  * A worker holds an epoch guard per unit of work (a batch, a popped
-//    transaction), never across a blocking or idle wait: a guard held for a
-//    thread's life pins every retired version, and nothing is ever freed.
+//  * An applying thread holds an ApplyTally::Unit (its epoch guard) per unit
+//    of work, never across a blocking or idle wait: a guard held for a
+//    thread's life pins every retired version, and nothing is ever freed;
+//    a count held across a wait hides applied work from stats().
 //  * ApplyRecord is idempotent: at-least-once log delivery (checkpoint
 //    resume, source restart) must not install duplicate versions or skew
 //    the applied-write/transaction counters used for caught-up accounting.
@@ -136,9 +142,10 @@ struct ProtocolOptions {
 class ReplicaBase {
  public:
   explicit ReplicaBase(storage::Database* db,
-                       const ProtocolOptions& options = {},
-                       LagTracker* lag = nullptr)
-      : db_(db), lag_(lag), options_(options) {}
+                       const ProtocolOptions& options = {})
+      : db_(db),
+        options_(options),
+        loads_(static_cast<std::size_t>(std::max(options.num_workers, 1))) {}
   virtual ~ReplicaBase() = default;
   ReplicaBase(const ReplicaBase&) = delete;
   ReplicaBase& operator=(const ReplicaBase&) = delete;
@@ -172,6 +179,11 @@ class ReplicaBase {
   void SetInstanceId(std::string id) { instance_id_ = std::move(id); }
   const std::string& instance_id() const { return instance_id_; }
 
+  // Reports every published snapshot to `tracker` (null: none). Set once
+  // before Start, like the instance id (c5::BackupNode applies
+  // BackupOptions::lag).
+  void SetLagTracker(LagTracker* tracker) { tracker_ = tracker; }
+
   // "instance_id(protocol)" when an id was assigned, else the protocol name.
   std::string DisplayName() const {
     return instance_id_.empty() ? name() : instance_id_ + "(" + name() + ")";
@@ -197,7 +209,7 @@ class ReplicaBase {
   void AdvanceVisibleTo(Timestamp ts) { PublishVisible(ts); }
 
   // Apply-latency sampling: each applying thread times every
-  // kApplySampleEvery-th record through its own ApplySampler, which merges
+  // kApplySampleEvery-th record through its own ApplyTally, which merges
   // here when the thread's loop returns; benches read the merged snapshot
   // after WaitUntilCaughtUp. Query Fresh's lazy reads are not sampled.
   static constexpr std::uint64_t kApplySampleEvery = 64;
@@ -206,6 +218,19 @@ class ReplicaBase {
     MutexLock lock(apply_latency_mu_);
     return apply_latency_;
   }
+
+  // One applying thread's load, for the fleet-model scaling methodology
+  // (BENCH_replay.json worker_scaling): the records it applied and its
+  // thread-CPU nanoseconds inside units of apply work, so neither its idle
+  // waits nor peers co-scheduled on a small host are charged to it.
+  struct WorkerLoad {
+    std::uint64_t applied_records = 0;
+    std::uint64_t cpu_ns = 0;
+  };
+
+  // Index-aligned with the worker ids; a protocol without workers reports
+  // its scheduler thread as entry 0. Flushed once per ApplyTally::Unit.
+  std::vector<WorkerLoad> WorkerLoads() const;
 
   // ---- Read surface ---------------------------------------------------------
 
@@ -353,37 +378,76 @@ class ReplicaBase {
 
   // ---- Apply step -----------------------------------------------------------
 
-  // One applying thread's apply-latency samples: Begin() returns the start
-  // time of every kApplySampleEvery-th record (-1 for the rest), End()
-  // records the sample. Merges into ApplyLatencySnapshot() on Flush() and
-  // when it goes out of scope, one of which must happen before the thread's
-  // loop returns.
-  class ApplySampler {
-   public:
-    explicit ApplySampler(ReplicaBase* replica) : replica_(replica) {}
-    ~ApplySampler() { Flush(); }
-    ApplySampler(const ApplySampler&) = delete;
-    ApplySampler& operator=(const ApplySampler&) = delete;
+  // One WorkerLoads() entry, written by its thread's ApplyTally.
+  struct LoadSlot {
+    alignas(64) std::atomic<std::uint64_t> applied_records{0};
+    std::atomic<std::uint64_t> cpu_ns{0};
+  };
 
-    std::int64_t Begin() {
+  // One applying thread's bookkeeping: its applied writes, transactions and
+  // deferrals, every kApplySampleEvery-th apply latency and its WorkerLoads()
+  // entry. Counts flush into stats() and the load slot when a Unit ends; the
+  // samples merge into ApplyLatencySnapshot() on MergeSamples() or
+  // destruction, one of which must happen before the thread's loop returns.
+  class ApplyTally {
+   public:
+    // One unit of apply work (a C5 batch, a C5-MyRocks window iteration, a
+    // KuaFu transaction, a granularity handoff batch, a serial segment): the
+    // thread's epoch guard and CPU timer; its end flushes the tally. Never
+    // held across a wait, so a waiting thread pins no version and hides no
+    // count.
+    class Unit {
+     public:
+      explicit Unit(ApplyTally& tally)
+          : tally_(tally),
+            guard_(&tally.replica_->db_->epochs()),
+            cpu0_(ThreadCpuNowNanos()) {}
+      ~Unit() { tally_.Flush(ThreadCpuNowNanos() - cpu0_); }
+
+     private:
+      ApplyTally& tally_;
+      storage::EpochManager::Guard guard_;
+      std::int64_t cpu0_;
+    };
+
+    // `slot`: the thread's WorkerLoads() index.
+    ApplyTally(ReplicaBase* replica, int slot)
+        : replica_(replica), load_(replica->loads_[slot]) {}
+    ~ApplyTally() { MergeSamples(); }
+
+    // The start time of every kApplySampleEvery-th record (-1 for the
+    // rest); EndSample records the sample.
+    std::int64_t StartSample() {
       return (tick_++ & (kApplySampleEvery - 1)) == 0 ? MonotonicNowNanos()
                                                       : -1;
     }
-    void End(std::int64_t t0) {
+    void EndSample(std::int64_t t0) {
       if (t0 >= 0) {
         hist_.Record(static_cast<std::uint64_t>(MonotonicNowNanos() - t0));
       }
     }
-    void Flush() {
+    void CountApplied(const log::LogRecord& rec) {
+      ++writes_;
+      if (rec.last_in_txn) ++txns_;
+    }
+    void CountDeferred() { ++deferred_; }
+    void MergeSamples() {
       MutexLock lock(replica_->apply_latency_mu_);
       replica_->apply_latency_.Merge(hist_);
       hist_.Reset();
     }
 
    private:
+    void Flush(std::int64_t cpu_ns);
+
     ReplicaBase* replica_;
+    LoadSlot& load_;
     Histogram hist_;
     std::uint64_t tick_ = 0;
+    // This Unit's counts.
+    std::uint64_t writes_ = 0;
+    std::uint64_t txns_ = 0;
+    std::uint64_t deferred_ = 0;
   };
 
   // Creates `rec`'s row slot and binds key -> row for every record that may
@@ -418,19 +482,40 @@ class ReplicaBase {
   // previous incarnation of this replica (at-least-once log delivery,
   // checkpoint resume) and is skipped — but still counted, so caught-up
   // accounting holds.
-  void ApplyRecord(const log::LogRecord& rec, ApplySampler& sampler) {
-    const std::int64_t t0 = sampler.Begin();
+  void ApplyRecord(const log::LogRecord& rec, ApplyTally& tally) {
+    const std::int64_t t0 = tally.StartSample();
     if (EnsureRowBound(rec) < rec.commit_ts) {
       db_->table(rec.table).InstallCommitted(rec.row, rec.commit_ts,
                                              rec.value,
                                              rec.op == OpType::kDelete);
     }
-    stats_.applied_writes.fetch_add(1, std::memory_order_relaxed);
-    if (rec.last_in_txn) {
-      stats_.applied_txns.fetch_add(1, std::memory_order_relaxed);
-    }
-    sampler.End(t0);
+    tally.CountApplied(rec);
+    tally.EndSample(t0);
   }
+
+  // The §7.2 rule: applies `rec` once its row's newest version is its
+  // predecessor (rec.prev_ts, see StampPrevTs) and returns true, ending the
+  // latency sample `t0`; returns false, changing nothing, while the
+  // predecessor is not in place. A row already past `rec` (at-least-once
+  // delivery, checkpoint resume) counts it applied, so caught-up accounting
+  // holds. The caller has bound the row (EnsureRowBound). TryInstallIfPrev
+  // reads the row with a plain load before any CAS, so polling this never
+  // ping-pongs the row's cache line against the predecessor's install.
+  bool TryApplyAfterPrev(const log::LogRecord& rec, ApplyTally& tally,
+                         std::int64_t t0) {
+    if (db_->table(rec.table).TryInstallIfPrev(
+            rec.row, rec.prev_ts, rec.commit_ts, rec.value,
+            rec.op == OpType::kDelete) == storage::PrevInstall::kNotReady) {
+      return false;
+    }
+    tally.CountApplied(rec);
+    tally.EndSample(t0);
+    return true;
+  }
+
+  // The scheduler thread's tally, load slot 0: a protocol without workers
+  // applies through it. The segment loop merges its samples at end of log.
+  ApplyTally& scheduler_tally() { return scheduler_tally_; }
 
   // Lazy-protocol hook, called by the Snapshot read paths with the resolved
   // row before its version chain is read. Query Fresh (§9) materializes the
@@ -459,7 +544,7 @@ class ReplicaBase {
   friend class ::c5::Snapshot;
 
   storage::Database* db_;
-  LagTracker* lag_;  // may be null
+  LagTracker* tracker_ = nullptr;  // SetLagTracker; may stay null
   const ProtocolOptions options_;
   ReplicaStats stats_;
   txn::ActiveTxnTracker readers_;
@@ -520,8 +605,11 @@ class ReplicaBase {
   std::uint64_t released_end_ = 0;
   std::atomic<Timestamp> apply_floor_{0};
 
+  std::vector<LoadSlot> loads_;  // WorkerLoads()
   mutable Mutex apply_latency_mu_{LockRank::kStats};
   Histogram apply_latency_ C5_GUARDED_BY(apply_latency_mu_);
+  // Declared after the slots and the histogram it writes into.
+  ApplyTally scheduler_tally_{this, 0};
   std::string instance_id_;
 };
 

@@ -3,16 +3,16 @@
 namespace c5::replica {
 
 void SingleThreadReplica::Schedule(log::LogSegment& seg) {
-  // One epoch guard per segment, never across Next(): a guard held while
-  // the source blocks would pin every version retired meanwhile.
-  const auto guard = db_->epochs().Enter();
+  // One unit per segment, never across Next(): a guard held while the
+  // source blocks would pin every version retired meanwhile.
+  const ApplyTally::Unit unit(scheduler_tally());
   for (const log::LogRecord& rec : seg.records()) {
-    ApplyRecord(rec, sampler_);
+    ApplyRecord(rec, scheduler_tally());
     if (rec.last_in_txn) {
       // Each transaction's writes become visible atomically, in commit
       // order: the visibility watermark moves only at txn boundaries.
       PublishVisible(rec.commit_ts);
-      if (lag_ != nullptr) lag_->OnVisible(rec.commit_ts);
+      if (tracker_ != nullptr) tracker_->OnVisible(rec.commit_ts);
     }
   }
 }

@@ -15,9 +15,8 @@ class SingleThreadReplica : public ReplicaBase {
  public:
   // Runs no worker threads, whatever options.num_workers says.
   explicit SingleThreadReplica(storage::Database* db,
-                               const ProtocolOptions& options = {},
-                               LagTracker* lag = nullptr)
-      : ReplicaBase(db, WithoutWorkers(options), lag) {}
+                               const ProtocolOptions& options = {})
+      : ReplicaBase(db, WithoutWorkers(options)) {}
   ~SingleThreadReplica() override { Stop(); }
 
   std::string name() const override { return "single-threaded"; }
@@ -25,11 +24,8 @@ class SingleThreadReplica : public ReplicaBase {
  private:
   // Applies the segment in log order, publishing each transaction.
   void Schedule(log::LogSegment& seg) override;
-  void EndOfLog() override { sampler_.Flush(); }
   // Every delivered segment is applied before the next Next().
   Timestamp ApplyFloor() override { return watermark(); }
-
-  ApplySampler sampler_{this};  // scheduler thread only
 };
 
 }  // namespace c5::replica

@@ -69,6 +69,29 @@ TEST(ClusterTest, BringUpExecuteAndPointReads) {
   cluster.Shutdown();
 }
 
+// A backup built from default options collects garbage: one that never did
+// would grow with every overwrite for as long as it ran.
+TEST(ClusterTest, DefaultOptionsBackupsCollectGarbage) {
+  Cluster cluster{ClusterOptions{}};
+  const TableId t = cluster.CreateTable("kv");
+  cluster.Start();
+  for (std::uint64_t n = 0; n < 200; ++n) {
+    ASSERT_TRUE(PutInt(cluster, t, n % 8, n).ok());
+  }
+  cluster.WaitForBackups();
+
+  // The maintenance thread's final pass follows the final publish.
+  const replica::ReplicaStats& stats = cluster.backup(0).replica().stats();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (stats.gc_passes.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(stats.gc_passes.load(), 0u);
+  cluster.Shutdown();
+}
+
 TEST(ClusterTest, ScanIsOrderedHalfOpenAndSkipsDeleted) {
   Cluster cluster(ClusterOptions{}.WithBackups(1).WithWorkers(2));
   const TableId t = cluster.CreateTable("kv");

@@ -48,8 +48,8 @@ TEST_P(OnlineReplicationTest, LivePrimaryStreamsToReplicaWithReaders) {
   auto rep = MakeReplica(GetParam(), &backup_db,
                          ProtocolOptions{.num_workers = 2,
                                          .snapshot_interval =
-                                             std::chrono::microseconds(100)},
-                         &lag);
+                                             std::chrono::microseconds(100)});
+  rep->SetLagTracker(&lag);
   rep->Start(&source);
 
   // Read-only clients hammering the backup during replication.

@@ -299,8 +299,9 @@ class ReclaimWhileReplayingTest
 
   // Waits (bounded) until the replica is visible up to the source's gate,
   // `collect` has left about one version per row and at most
-  // `max_retired` retired items wait to be freed, then checks that it got
-  // there.
+  // `max_retired` retired items wait to be freed, then checks that one
+  // observation saw all of it. A maintenance pass may retire more versions
+  // right after that observation, so nothing is read a second time.
   static void ExpectReclaimedAtGate(replica::ReplicaBase& replica,
                                     Timestamp gated_ts,
                                     std::size_t max_retired,
@@ -314,16 +315,27 @@ class ReclaimWhileReplayingTest
     };
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (std::chrono::steady_clock::now() < deadline &&
-           !(replica.VisibleTimestamp() >= gated_ts && collect() &&
-             backup.epochs().RetiredCountApprox() <= max_retired &&
-             versions_per_row() < 1.5)) {
+    Timestamp visible = 0;
+    bool collected = false;
+    std::size_t retired = 0;
+    double per_row = 0;
+    while (true) {
+      visible = replica.VisibleTimestamp();
+      collected = collect();
+      retired = backup.epochs().RetiredCountApprox();
+      per_row = versions_per_row();
+      if ((visible >= gated_ts && collected && retired <= max_retired &&
+           per_row < 1.5) ||
+          std::chrono::steady_clock::now() >= deadline) {
+        break;
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    EXPECT_GE(replica.VisibleTimestamp(), gated_ts);
-    EXPECT_LE(backup.epochs().RetiredCountApprox(), max_retired)
+    EXPECT_GE(visible, gated_ts);
+    EXPECT_TRUE(collected);
+    EXPECT_LE(retired, max_retired)
         << "retired versions were not reclaimed while the replica ran";
-    EXPECT_LT(versions_per_row(), 1.5);
+    EXPECT_LT(per_row, 1.5);
   }
 };
 
@@ -363,6 +375,88 @@ TEST_P(ReclaimWhileReplayingTest, FreesRetiredVersionsWhileWorkersRun) {
 INSTANTIATE_TEST_SUITE_P(
     ProtocolsWithWorkers, ReclaimWhileReplayingTest,
     ::testing::ValuesIn(kProtocolsWithWorkers),
+    [](const ::testing::TestParamInfo<ProtocolKind>& info) {
+      std::string name = core::ToString(info.param);
+      for (auto& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+// Every applying thread keeps its counts local and flushes them once per
+// unit of work, always before it waits. With the source stalled before its
+// last segment, the counters must cover every delivered record while the
+// workers block; after catch-up they cover the whole log, and the
+// per-worker loads add up to the applied writes.
+class ApplyTallyTest : public ::testing::TestWithParam<ProtocolKind> {};
+
+TEST_P(ApplyTallyTest, FlushesBeforeEveryWaitAndLoadsSumToAppliedWrites) {
+  auto run = test::RunSyntheticPrimary(/*adversarial=*/true, 4, 200);
+  log::Log& log = run.log;
+  ASSERT_GE(log.NumSegments(), 2u);
+  const std::size_t gate = log.NumSegments() - 1;
+  std::uint64_t pre_gate_writes = 0;
+  std::uint64_t txns = 0;
+  for (std::size_t s = 0; s < log.NumSegments(); ++s) {
+    for (const log::LogRecord& rec : log.segment(s)->records()) {
+      if (s < gate) ++pre_gate_writes;
+      if (rec.last_in_txn) ++txns;
+    }
+  }
+
+  storage::Database backup;
+  workload::SyntheticWorkload::CreateTable(&backup);
+  log.ResetReplayState();
+  log::GatedSegmentSource source(&log, gate);
+  constexpr int kWorkers = 3;
+  auto replica = MakeReplica(
+      GetParam(), &backup,
+      {.num_workers = kWorkers,
+       .snapshot_interval = std::chrono::microseconds(100)});
+  replica->Start(&source);
+
+  const replica::ReplicaStats& stats = replica->stats();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (stats.applied_writes.load() < pre_gate_writes &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(stats.applied_writes.load(), pre_gate_writes)
+      << "a worker waits with writes it has not reported";
+
+  source.Open();
+  replica->WaitUntilCaughtUp();
+  replica->Stop();
+  EXPECT_EQ(stats.applied_writes.load(), log.NumRecords());
+  EXPECT_EQ(stats.applied_txns.load(), txns);
+  const std::vector<replica::ReplicaBase::WorkerLoad> loads =
+      replica->WorkerLoads();
+  ASSERT_EQ(loads.size(), static_cast<std::size_t>(kWorkers));
+  std::uint64_t records = 0;
+  std::uint64_t cpu_ns = 0;
+  for (const auto& load : loads) {
+    records += load.applied_records;
+    cpu_ns += load.cpu_ns;
+  }
+  EXPECT_EQ(records, stats.applied_writes.load());
+  EXPECT_GT(cpu_ns, 0u);
+}
+
+// The protocols with workers, plus the unconstrained KuaFu diagnostic,
+// which counts through the same tally.
+const ProtocolKind kTallyProtocols[] = {
+    ProtocolKind::kC5,
+    ProtocolKind::kC5MyRocks,
+    ProtocolKind::kC5Queue,
+    ProtocolKind::kPageGranularity,
+    ProtocolKind::kTableGranularity,
+    ProtocolKind::kKuaFu,
+    ProtocolKind::kKuaFuUnconstrained,
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    ProtocolsWithWorkers, ApplyTallyTest, ::testing::ValuesIn(kTallyProtocols),
     [](const ::testing::TestParamInfo<ProtocolKind>& info) {
       std::string name = core::ToString(info.param);
       for (auto& c : name) {
