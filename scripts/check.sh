@@ -93,11 +93,12 @@ cmake --build "${build_dir}-c5bench" -j "$jobs" --target c5bench
 # until the first failure). A race that fires one run in ten shows up here
 # as a red lane instead of a "flaky" test. It includes the epoch limbo
 # buckets (epoch_test), reclamation while replay workers run (replica_test),
-# the GC-every-pass DST sweep (dst_test) and every protocol's segment
-# releases against a live collector (log_test).
+# the GC-every-pass DST sweep (dst_test), every protocol's segment
+# releases against a live collector (log_test) and the shared hand-off
+# queue's batch wakeups (queue_test).
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
   --repeat until-fail:20 \
-  -R 'replica|dst|epoch|property|failover|session|net|cluster|ordered_index|hash_index|tpcc|checkpoint|c5_core|integration|query_fresh|engine|two_phase_locking|log_test'
+  -R 'replica|dst|epoch|property|failover|session|net|cluster|ordered_index|hash_index|tpcc|checkpoint|c5_core|integration|query_fresh|engine|two_phase_locking|log_test|queue'
 "$repo_root/scripts/bench.sh" --quick "$build_dir"
 
 run_static_lane
@@ -107,8 +108,10 @@ run_static_lane
 # reach is a crash — AND the sharded 16-seed sweep; the sharded sweep seeds
 # live reshard migrations mid-workload, so the epoch-aware router oracle and
 # the commit/abort migration ledger run under both sanitizers), the epoch
-# limbo buckets, reclamation while replay workers run and every protocol's
-# apply tally flushing before each wait (replica_test), the wire fuzz
+# limbo buckets, reclamation while replay workers run, every protocol's
+# apply tally flushing before each wait and the C5-MyRocks, KuaFu and
+# C5-queue replay suites (replica_test: the transaction-prefix floor and
+# the shared end-of-log rule), the wire fuzz
 # loop, the real-socket shipping suite (net_test: loopback TCP round trips,
 # NAK-driven retransmit, reconnect-after-disconnect — every listener binds
 # port 0, so parallel lanes never collide on a port), and the public-API
@@ -131,20 +134,23 @@ run_static_lane
 # every lane. log_test's retention cases run every protocol against a
 # collector that really frees released lanes: ASan catches a premature
 # release as a use-after-free, TSan a release racing a worker's read.
+# queue_test runs under TSan: MpmcQueue's lock-free size hint and parked
+# waiter count carry every replica hand-off but C5's.
 tsan_dir="${build_dir}-tsan"
 cmake -B "$tsan_dir" -S "$repo_root" -DC5_SANITIZE=thread >/dev/null
 cmake --build "$tsan_dir" -j "$jobs" --target dst_test cluster_test net_test \
   ordered_index_test hash_index_test htap_scan_test epoch_test replica_test \
-  log_test
+  log_test queue_test
 C5_DST_SEED_COUNT=16 "$tsan_dir/dst_test"
 "$tsan_dir/log_test" --gtest_filter='*Retention*'
 "$tsan_dir/epoch_test"
-"$tsan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*:*ApplyTally*'
+"$tsan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*:*ApplyTally*:*ReplicaParamTest.*/c5_myrocks_w*:*ReplicaParamTest.*/kuafu_w*:*ReplicaParamTest.*/c5_queue_w*'
 "$tsan_dir/cluster_test"
 "$tsan_dir/net_test"
 "$tsan_dir/ordered_index_test"
 "$tsan_dir/hash_index_test"
 "$tsan_dir/htap_scan_test"
+"$tsan_dir/queue_test"
 
 asan_dir="${build_dir}-asan"
 cmake -B "$asan_dir" -S "$repo_root" -DC5_SANITIZE=address >/dev/null
@@ -154,7 +160,7 @@ cmake --build "$asan_dir" -j "$jobs" --target dst_test wire_test cluster_test \
 C5_DST_SEED_COUNT=16 "$asan_dir/dst_test"
 "$asan_dir/log_test" --gtest_filter='*Retention*'
 "$asan_dir/epoch_test"
-"$asan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*:*ApplyTally*'
+"$asan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*:*ApplyTally*:*ReplicaParamTest.*/c5_myrocks_w*:*ReplicaParamTest.*/kuafu_w*:*ReplicaParamTest.*/c5_queue_w*'
 "$asan_dir/wire_test"
 "$asan_dir/cluster_test"
 "$asan_dir/net_test"

@@ -15,7 +15,6 @@ Snapshot::Snapshot(replica::ReplicaBase* replica)
   // registration read a visible timestamp at or below this one.
   ts_ = replica_->visible_ts_.load(std::memory_order_seq_cst);
   scope_.Set(ts_);
-  replica_->stats_.read_only_txns.fetch_add(1, std::memory_order_relaxed);
 }
 
 const storage::Version* Snapshot::ReadVersion(TableId table, Key key) const {

@@ -1,117 +1,19 @@
 #include "core/c5_myrocks_replica.h"
 
-#include <algorithm>
+#include <chrono>
+#include <deque>
+#include <optional>
 #include <thread>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/spin_lock.h"
 
 namespace c5::core {
 
-// ---------------------------------------------------------------------------
-// TxnDispatchQueue
-
-void C5MyRocksReplica::TxnDispatchQueue::PushBatch(const TxnUnit* txns,
-                                                   std::size_t count) {
-  if (count == 0) return;
-  bool need_notify;
-  {
-    MutexLock lock(mu_);
-    queue_.insert(queue_.end(), txns, txns + count);
-    need_notify = waiters_ > 0;
-  }
-  size_hint_.fetch_add(count, std::memory_order_release);
-  // One wakeup is enough: a woken worker that pops and leaves more behind
-  // re-arms nothing, but its sibling spinners see the size hint, and a
-  // multi-transaction batch wakes the whole pool explicitly.
-  if (need_notify) {
-    if (count > 1) {
-      cv_.NotifyAll();
-    } else {
-      cv_.NotifyOne();
-    }
-  }
-}
-
-std::optional<C5MyRocksReplica::TxnUnit>
-C5MyRocksReplica::TxnDispatchQueue::Pop(int worker) {
-  // In-flight transitions happen under the same mutex as the pop, so
-  // MinUnapplied never misses a transaction in transit.
-  // Spin phase: wakeup latency dominates when the queue oscillates around
-  // empty at high transaction rates, so poll before sleeping. The size hint
-  // keeps spinners off the mutex while the queue is empty. The budget is
-  // deliberately modest: on a host with fewer cores than threads, a long
-  // spin burns the quantum the producer needs to refill the queue.
-  for (int spin = 0; spin < 2048; ++spin) {
-    if (size_hint_.load(std::memory_order_acquire) > 0) {
-      MutexLock lock(mu_);
-      if (!queue_.empty()) {
-        TxnUnit txn = queue_.front();
-        queue_.pop_front();
-        size_hint_.fetch_sub(1, std::memory_order_release);
-        inflight_[worker] = std::min(inflight_[worker], txn.commit_ts);
-        return txn;
-      }
-    } else if ((spin & 255) == 0) {
-      MutexLock lock(mu_);
-      if (closed_ && queue_.empty()) return std::nullopt;
-    }
-    CpuRelax();
-  }
-  MutexLock lock(mu_);
-  waiters_++;
-  // Explicit loop (not a predicate lambda): the thread-safety analysis
-  // must see the guarded reads performed while mu_ is held.
-  while (queue_.empty() && !closed_) cv_.Wait(lock);
-  waiters_--;
-  if (queue_.empty()) return std::nullopt;
-  TxnUnit txn = queue_.front();
-  queue_.pop_front();
-  size_hint_.fetch_sub(1, std::memory_order_release);
-  inflight_[worker] = std::min(inflight_[worker], txn.commit_ts);
-  return txn;
-}
-
-std::optional<C5MyRocksReplica::TxnUnit>
-C5MyRocksReplica::TxnDispatchQueue::TryPop(int worker) {
-  if (size_hint_.load(std::memory_order_acquire) == 0) return std::nullopt;
-  MutexLock lock(mu_);
-  if (queue_.empty()) return std::nullopt;
-  TxnUnit txn = queue_.front();
-  queue_.pop_front();
-  size_hint_.fetch_sub(1, std::memory_order_release);
-  inflight_[worker] = std::min(inflight_[worker], txn.commit_ts);
-  return txn;
-}
-
-void C5MyRocksReplica::TxnDispatchQueue::SetFloor(int worker, Timestamp ts) {
-  MutexLock lock(mu_);
-  inflight_[worker] = ts;
-}
-
-void C5MyRocksReplica::TxnDispatchQueue::Close() {
-  {
-    MutexLock lock(mu_);
-    closed_ = true;
-  }
-  cv_.NotifyAll();
-}
-
-Timestamp C5MyRocksReplica::TxnDispatchQueue::MinUnapplied() const {
-  MutexLock lock(mu_);
-  Timestamp min_ts = kMaxTimestamp;
-  if (!queue_.empty()) min_ts = queue_.front().commit_ts;
-  for (const Timestamp ts : inflight_) min_ts = std::min(min_ts, ts);
-  return min_ts;
-}
-
-// ---------------------------------------------------------------------------
-// C5MyRocksReplica
-
 C5MyRocksReplica::C5MyRocksReplica(storage::Database* db,
                                    const replica::ProtocolOptions& options)
     : ReplicaBase(db, options),
-      dispatch_(options.num_workers),
       last_write_ts_(options.scheduler_map_capacity) {}
 
 void C5MyRocksReplica::Schedule(log::LogSegment& seg) {
@@ -127,12 +29,12 @@ void C5MyRocksReplica::Schedule(log::LogSegment& seg) {
       // "puts the transaction's first write in the scheduler queue"; the
       // worker follows the chain of the transaction's writes).
       batch_.push_back(TxnUnit{&records[txn_start], i - txn_start + 1,
-                               rec.commit_ts});
+                               rec.commit_ts, txn_index_++});
       txn_start = i + 1;
     }
   }
-  // Whole segment under one queue mutex acquisition / one wakeup.
-  dispatch_.PushBatch(batch_.data(), batch_.size());
+  // Whole segment under one queue lock acquisition / one wakeup call.
+  dispatch_.PushAll(batch_);
   seg.MarkPreprocessed();
 }
 
@@ -193,19 +95,17 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
     return progress;
   };
 
-  // Retires completed transactions from the window front (visibility is
-  // transaction-granularity: the floor only advances past a transaction
-  // when ALL its writes are in) and republishes the in-flight floor.
+  // Retires completed transactions from the window front and marks them
+  // (visibility is transaction-granularity: the prefix only passes a
+  // transaction once ALL its writes are in). Marking in window order, not
+  // as each last write lands, means a worker held in Mark's back-pressure
+  // spin holds no older open transaction the prefix is waiting on.
   auto retire_front = [&]() {
-    bool moved = false;
     while (!open.empty() && open.front().pending.empty()) {
+      const TxnUnit& done = open.front().txn;
+      prefix_.Mark(done.index, done.commit_ts);
       spare.push_back(std::move(open.front().pending));
       open.pop_front();
-      moved = true;
-    }
-    if (moved) {
-      dispatch_.SetFloor(idx, open.empty() ? kMaxTimestamp
-                                           : open.front().txn.commit_ts);
     }
   };
 
@@ -221,7 +121,7 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
     // nothing is open (nothing to sweep while we wait).
     std::optional<TxnUnit> txn_opt =
         open.size() < kMaxOpen
-            ? (open.empty() ? dispatch_.Pop(idx) : dispatch_.TryPop(idx))
+            ? (open.empty() ? dispatch_.Pop() : dispatch_.TryPop())
             : std::nullopt;
     if (!txn_opt.has_value()) {
       if (open.empty()) break;  // Pop drained a closed queue: done
@@ -265,16 +165,6 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
     open.push_back(OpenTxn{txn, std::move(pending)});
     retire_front();
   }
-}
-
-Timestamp C5MyRocksReplica::ApplyFloor() {
-  // The watermark is read FIRST: every transaction at or below it was
-  // dispatched before it was published, so an empty MinUnapplied read
-  // afterwards proves all of them applied. (Read second, a segment
-  // dispatched in between would be published before it is applied.)
-  const Timestamp wm = watermark_.load(std::memory_order_acquire);
-  const Timestamp min_unapplied = dispatch_.MinUnapplied();
-  return min_unapplied == kMaxTimestamp ? wm : min_unapplied - 1;
 }
 
 void C5MyRocksReplica::PublishSnapshot(Timestamp n) {

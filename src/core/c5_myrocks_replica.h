@@ -3,15 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/flat_map.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
+#include "common/mpmc_queue.h"
+#include "replica/prefix_tracker.h"
 #include "replica/replica.h"
 
 namespace c5::core {
@@ -39,6 +36,13 @@ namespace c5::core {
 //     writes with timestamps above the chosen boundary n. The snapshot
 //     frequency I is tunable; taking a snapshot can be given a simulated
 //     cost to reproduce the lag spikes the paper discusses.
+//
+// Both ride on the shared mechanisms of the other out-of-order protocols.
+// The scheduler numbers each transaction in log order and hands a segment's
+// worth to the workers through one MpmcQueue::PushAll. A worker retires its
+// window front once the transaction's last write lands and marks it in a
+// PrefixTracker over transaction indexes, as KuaFu does; the last
+// transaction of the contiguous marked prefix is the boundary n.
 class C5MyRocksReplica : public replica::ReplicaBase {
  public:
   // ProtocolOptions::snapshot_interval is the snapshot frequency I (the
@@ -51,78 +55,53 @@ class C5MyRocksReplica : public replica::ReplicaBase {
   std::string name() const override { return "c5-myrocks"; }
 
  private:
-  // A transaction ready for execution: contiguous records within a segment.
+  // A transaction ready for execution: contiguous records within a segment,
+  // numbered in log order (the PrefixTracker's index).
   struct TxnUnit {
     const log::LogRecord* first;
     std::size_t count;
     Timestamp commit_ts;
+    std::uint64_t index;
   };
 
-  // Commit-ordered dispatch queue that atomically tracks the minimum
-  // timestamp that is dispatched-or-in-flight, so the snapshotter can pick a
-  // provably applied boundary n. All transitions happen under one mutex:
-  // there is no window in which a transaction is neither in the queue nor in
-  // a worker's in-flight slot.
-  class TxnDispatchQueue {
-   public:
-    explicit TxnDispatchQueue(int num_workers)
-        : inflight_(num_workers, kMaxTimestamp) {}
-
-    // Enqueues a whole segment's transactions under ONE mutex acquisition
-    // and at most one wakeup. The scheduler dispatches per segment; pushing
-    // per transaction costs a futex notify per commit at live-primary rates
-    // (hundreds of thousands of syscalls/s), which on an oversubscribed
-    // host comes straight out of the primary's CPU budget.
-    void PushBatch(const TxnUnit* txns, std::size_t count);
-    // Blocks; returns nullopt when closed and drained. The popped
-    // transaction only LOWERS the worker's floor (min), under the pop mutex,
-    // so MinUnapplied never misses a transaction in transit; a worker
-    // raises its floor itself, through SetFloor, once its work completes.
-    std::optional<TxnUnit> Pop(int worker);
-    // Non-blocking Pop for a worker that still has open transactions (its
-    // floor stays put — popped transactions are newer than anything open).
-    std::optional<TxnUnit> TryPop(int worker);
-    // Publishes `worker`'s in-flight floor: the commit timestamp of its
-    // oldest incomplete transaction, or kMaxTimestamp when none remain.
-    void SetFloor(int worker, Timestamp ts);
-    void Close();
-
-    // Smallest timestamp not yet fully applied (kMaxTimestamp if none
-    // outstanding). Everything strictly below is applied.
-    Timestamp MinUnapplied() const;
-
-   private:
-    mutable Mutex mu_{LockRank::kQueue};
-    CondVar cv_;
-    std::deque<TxnUnit> queue_ C5_GUARDED_BY(mu_);
-    std::vector<Timestamp> inflight_ C5_GUARDED_BY(mu_);
-    bool closed_ C5_GUARDED_BY(mu_) = false;
-    int waiters_ C5_GUARDED_BY(mu_) = 0;
-    alignas(64) std::atomic<std::size_t> size_hint_{0};
-  };
+  // Transactions the applied prefix may trail the newest completed one by
+  // before Mark() holds a worker back. A worker pops in index order and
+  // marks its window front only, so the prefix waits only on a peer that
+  // has not yet swept its window front (descheduled, or held at the §5.2
+  // barrier). Sized for that stall, not for the log: 64k transactions take
+  // 576 KiB of tracker, where the default capacity, sized for per-record
+  // trackers, takes 9 MiB. A worker that reaches the bound backs off until
+  // the peer runs.
+  static constexpr std::size_t kPrefixCapacity = std::size_t{1} << 16;
 
   // prev_ts stamping and transaction dispatch (scheduler thread).
   void Schedule(log::LogSegment& seg) override;
   void WorkerLoop(int idx) override;
   void CloseQueues() override { dispatch_.Close(); }
 
-  // The snapshot boundary n: MinUnapplied() - 1, or the watermark when
-  // nothing is unapplied. Everything at or below it is applied and no
-  // worker holds a record at or below it; the scheduler releases the
-  // segments it covers (ReplicaBase::NextSegment).
-  Timestamp ApplyFloor() override;
+  // The snapshot boundary n: the last transaction of the contiguous
+  // completed prefix. Everything at or below it is applied and no worker
+  // still reads its records; the scheduler releases the segments it covers
+  // (ReplicaBase::NextSegment).
+  Timestamp ApplyFloor() override { return prefix_.Advance(); }
 
   // §5.2: blocks writers above `n` while the (simulated) RocksDB snapshot is
   // taken, so the boundary stays stable while it captures current state.
   void PublishSnapshot(Timestamp n) override;
 
-  TxnDispatchQueue dispatch_;
+  // Whole transactions in commit order; a segment's worth per PushAll.
+  MpmcQueue<TxnUnit> dispatch_;
+  // Completed transactions by index: each worker marks its window front as
+  // it retires, so the contiguous prefix is the §5.2 boundary n.
+  replica::PrefixTracker prefix_{kPrefixCapacity};
   // Scheduler-thread state: the same embedded-FIFO preprocessing as
   // C5Replica (§5.1 leverages the existing row-based log; the per-row
   // ordering metadata is identical), through the same pre-sized flat map,
-  // and one segment's transactions, reused across segments.
+  // one segment's transactions, reused across segments, and the next
+  // transaction's index.
   FlatMap<Timestamp> last_write_ts_;
   std::vector<TxnUnit> batch_;
+  std::uint64_t txn_index_ = 0;
   // Snapshot barrier (§5.2): while active, workers must not install writes
   // with timestamps greater than barrier_ts_. kMaxTimestamp = inactive.
   alignas(64) std::atomic<Timestamp> barrier_ts_{kMaxTimestamp};

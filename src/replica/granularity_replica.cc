@@ -44,13 +44,12 @@ std::uint64_t GranularityReplica::KeyFor(const log::LogRecord& rec) const {
 }
 
 void GranularityReplica::Schedule(log::LogSegment& seg) {
+  AddWork(seg.size());
   for (const log::LogRecord& rec : seg.records()) {
     const std::uint64_t key = KeyFor(rec);
     auto& slot = queues_[key];
     if (slot == nullptr) slot = std::make_unique<KeyQueue>();
     KeyQueue* kq = slot.get();
-
-    outstanding_writes_.fetch_add(1, std::memory_order_acq_rel);
     bool enqueue_kq = false;
     {
       SpinLockGuard lock(kq->mu);
@@ -118,14 +117,7 @@ void GranularityReplica::WorkerLoop(int idx) {
     if (!reinserts.empty()) {
       sched_queue_.Push(std::vector<KeyQueue*>(reinserts));
     }
-    FinishWrites(applied);
-  }
-}
-
-void GranularityReplica::FinishWrites(std::uint64_t n) {
-  if (n == 0) return;
-  if (outstanding_writes_.fetch_sub(n, std::memory_order_acq_rel) == n) {
-    sched_queue_.Close();
+    FinishWork(applied);
   }
 }
 

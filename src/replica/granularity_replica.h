@@ -1,7 +1,6 @@
 #ifndef C5_REPLICA_GRANULARITY_REPLICA_H_
 #define C5_REPLICA_GRANULARITY_REPLICA_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -75,19 +74,13 @@ class GranularityReplica : public ReplicaBase {
   std::uint64_t KeyFor(const log::LogRecord& rec) const;
 
   // Appends each write to its key queue and hands newly eligible key
-  // queues to the workers.
+  // queues to the workers; each write is outstanding work
+  // (ReplicaBase::AddWork) until a worker applies it.
   void Schedule(log::LogSegment& seg) override;
-  // Drops the scheduler's hold, so the scheduler queue closes once every
-  // scheduled write is applied.
-  void EndOfLog() override { FinishWrites(1); }
   void WorkerLoop(int idx) override;
   void CloseQueues() override { sched_queue_.Close(); }
   // The last transaction of the contiguous applied prefix.
   Timestamp ApplyFloor() override { return prefix_.Advance(); }
-
-  // Drops `n` outstanding writes; the drop that reaches zero closes the
-  // scheduler queue, so the workers exit.
-  void FinishWrites(std::uint64_t n);
 
   // Hands the pending handoff batch to the scheduler queue.
   void PushHandoff();
@@ -114,10 +107,6 @@ class GranularityReplica : public ReplicaBase {
   // PrefixTracker's index) and the key queues not yet handed off.
   std::uint64_t seq_ = 0;
   std::vector<KeyQueue*> handoff_;
-
-  // Scheduled but unapplied writes, plus one held by the scheduler until
-  // the log ends, so the count reaches zero exactly once.
-  std::atomic<std::uint64_t> outstanding_writes_{1};
 };
 
 }  // namespace c5::replica

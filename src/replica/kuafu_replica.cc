@@ -26,7 +26,7 @@ void KuaFuReplica::Schedule(log::LogSegment& seg) {
     // Close the transaction: wire dependencies, then release the
     // scheduler's readiness hold.
     open->commit_ts = rec.commit_ts;
-    outstanding_txns_.fetch_add(1, std::memory_order_acq_rel);
+    AddWork(1);
     if (!unconstrained_) {
       std::unordered_set<TxnNode*> parents;
       for (const log::LogRecord* r : open->records) {
@@ -85,7 +85,7 @@ void KuaFuReplica::WorkerLoop(int idx) {
     }
     ReleaseDependents(node);
     prefix_.Mark(node->txn_index, node->commit_ts);
-    FinishTxn();
+    FinishWork(1);
   }
 }
 

@@ -76,24 +76,15 @@ class KuaFuReplica : public ReplicaBase {
     }
   };
 
-  // Builds the segment's transactions and their dependency edges.
+  // Builds the segment's transactions and their dependency edges; each one
+  // is outstanding work (ReplicaBase::AddWork) until a worker applies it.
   void Schedule(log::LogSegment& seg) override;
-  // Drops the scheduler's hold, so the ready queue closes once every
-  // scheduled transaction is applied.
-  void EndOfLog() override { FinishTxn(); }
   void WorkerLoop(int idx) override;
   void CloseQueues() override { ready_.Close(); }
   // The last transaction of the contiguous applied prefix.
   Timestamp ApplyFloor() override { return prefix_.Advance(); }
 
   void ReleaseDependents(TxnNode* node);
-  // Drops one outstanding transaction (or the scheduler's hold); the drop
-  // that reaches zero closes the ready queue, so the workers exit.
-  void FinishTxn() {
-    if (outstanding_txns_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      ready_.Close();
-    }
-  }
   void MaybeReady(TxnNode* node) {
     if (node->deps.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       ready_.Push(node);
@@ -122,10 +113,6 @@ class KuaFuReplica : public ReplicaBase {
   };
   std::unordered_map<std::uint64_t, LastWriter> last_writer_;
   std::uint64_t txn_index_ = 0;  // next transaction's index in log order
-
-  // Scheduled but unapplied transactions, plus one held by the scheduler
-  // until the log ends, so the count reaches zero exactly once.
-  std::atomic<std::uint64_t> outstanding_txns_{1};
 };
 
 }  // namespace c5::replica

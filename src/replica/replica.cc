@@ -37,7 +37,7 @@ void ReplicaBase::SegmentLoop(log::SegmentSource* source) {
       apply_floor_.store(ApplyFloor(), std::memory_order_release);
     }
   }
-  EndOfLog();
+  FinishWork(1);  // the scheduler's hold
   scheduler_tally_.MergeSamples();
 }
 

@@ -12,9 +12,14 @@
 //  * Segment loop. The scheduler thread takes each segment from
 //    NextSegment, hands it to Schedule, then advances watermark(); a
 //    protocol without workers also publishes ApplyFloor() as the apply
-//    floor after each segment. EndOfLog() runs once the source is drained.
-//    Every protocol therefore releases the log it has applied
-//    (log/segment_source.h).
+//    floor after each segment. Every protocol therefore releases the log it
+//    has applied (log/segment_source.h).
+//  * End of log. One outstanding-work count starts at 1, the scheduler's
+//    hold, which the segment loop drops once the source is drained. A
+//    protocol that hands out work it must see finished first (KuaFu's
+//    transactions, a granularity replica's writes) adds it with AddWork and
+//    retires it with FinishWork; the decrement that reaches 0 calls
+//    CloseQueues(), so the workers exit once the work is done.
 //  * Visibility loop. Each pass publishes ApplyFloor() as the apply floor,
 //    advances the snapshot through PublishSnapshot() when the floor passed
 //    it and reports VisibleTimestamp() to the LagTracker; it exits after the
@@ -95,7 +100,6 @@ struct ReplicaStats {
   std::atomic<std::uint64_t> applied_txns{0};
   std::atomic<std::uint64_t> deferred_writes{0};  // C5: prev-ts misses
   std::atomic<std::uint64_t> snapshots_taken{0};
-  std::atomic<std::uint64_t> read_only_txns{0};
   // Delivered segments handed back to the source (ReplicaBase::NextSegment).
   std::atomic<std::uint64_t> released_segments{0};
   // Maintenance-loop GC passes and their wall time (collect + reclaim).
@@ -319,11 +323,6 @@ class ReplicaBase {
   // right after it returns, so every record must be handed off by then.
   virtual void Schedule(log::LogSegment& seg) = 0;
 
-  // Runs once on the scheduler thread after the source returns nullptr.
-  // Closes whatever queues the workers drain, so they exit once the work
-  // is done.
-  virtual void EndOfLog() { CloseQueues(); }
-
   // Worker `idx`'s body; returns when its queue is closed and drained.
   virtual void WorkerLoop(int idx) { (void)idx; }
 
@@ -345,8 +344,24 @@ class ReplicaBase {
   }
 
   // Unblocks every worker waiting on a protocol queue, so Stop() can join
-  // it. Idempotent.
+  // it; also called by the FinishWork that ends the work (see the file
+  // comment). Idempotent.
   virtual void CloseQueues() {}
+
+  // ---- End of log -----------------------------------------------------------
+
+  // Adds `n` units of outstanding work. Call before handing them to a
+  // worker, so no finish can run ahead of its add.
+  void AddWork(std::uint64_t n) {
+    outstanding_.fetch_add(n, std::memory_order_acq_rel);
+  }
+
+  // Retires `n` units; the decrement that reaches 0 calls CloseQueues().
+  void FinishWork(std::uint64_t n) {
+    if (n != 0 && outstanding_.fetch_sub(n, std::memory_order_acq_rel) == n) {
+      CloseQueues();
+    }
+  }
 
   // ---- Scheduler preprocessing ----------------------------------------------
 
@@ -562,7 +577,8 @@ class ReplicaBase {
            workers_running_.load(std::memory_order_acquire) == 0;
   }
 
-  // The scheduler thread's body: the segment loop, then EndOfLog().
+  // The scheduler thread's body: the segment loop, then the drop of the
+  // scheduler's hold on the outstanding work.
   void SegmentLoop(log::SegmentSource* source);
   void VisibilityLoop();
   void MaintenanceLoop();
@@ -592,6 +608,9 @@ class ReplicaBase {
   std::atomic<bool> scheduler_done_{false};
   std::atomic<int> workers_running_{0};
   std::atomic<bool> visibility_done_{false};
+  // Added but unfinished work, plus the scheduler's hold until end of log,
+  // so the count reaches 0 exactly once (AddWork, FinishWork).
+  std::atomic<std::uint64_t> outstanding_{1};
 
   // NextSegment's delivered-but-unreleased segments, in delivery order
   // (scheduler thread only).

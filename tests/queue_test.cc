@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -126,6 +128,57 @@ TEST(MpmcQueueTest, ManyProducersManyConsumers) {
   const std::int64_t n = static_cast<std::int64_t>(kProducers) * kPerProducer;
   EXPECT_EQ(popped.load(), n);
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+}
+
+TEST(MpmcQueueTest, TryPopOnEmptyAndClosedQueues) {
+  MpmcQueue<int> q;
+  EXPECT_FALSE(q.TryPop().has_value());
+  q.Push(3);
+  q.Close();
+  EXPECT_EQ(q.TryPop().value(), 3);  // closing keeps what is queued
+  EXPECT_FALSE(q.TryPop().has_value());
+}
+
+TEST(MpmcQueueTest, PushAllWakesParkedConsumersAndDeliversEachItemOnce) {
+  MpmcQueue<int> q;
+  constexpr int kConsumers = 3, kItems = 1000;
+  std::vector<std::vector<int>> got(kConsumers);
+  std::atomic<int> popped{0};
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&, c] {
+      while (auto v = q.Pop()) {
+        got[c].push_back(*v);
+        popped.fetch_add(1);
+      }
+    });
+  }
+  // Every consumer spends its spin budget and parks before the push.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (q.Parked() < kConsumers) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  std::vector<int> items(kItems);
+  std::iota(items.begin(), items.end(), 0);
+  q.PushAll(items);
+  // PushAll alone must wake them: the queue is not closed yet.
+  while (popped.load() < kItems) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  q.Close();  // every consumer's next Pop returns nullopt, so all exit
+  for (std::thread& t : consumers) t.join();
+
+  std::vector<int> all;
+  for (const std::vector<int>& g : got) {
+    all.insert(all.end(), g.begin(), g.end());
+  }
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(all, items);
+  EXPECT_FALSE(q.TryPop().has_value());
 }
 
 TEST(MpmcQueueTest, SizeReflectsContents) {
