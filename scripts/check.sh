@@ -110,8 +110,8 @@ run_static_lane
 # the commit/abort migration ledger run under both sanitizers), the epoch
 # limbo buckets, reclamation while replay workers run, every protocol's
 # apply tally flushing before each wait and the C5-MyRocks, KuaFu and
-# C5-queue replay suites (replica_test: the transaction-prefix floor and
-# the shared end-of-log rule), the wire fuzz
+# C5-queue replay suites (replica_test: the transaction-prefix floor,
+# the shared end-of-log rule and Stop() before catch-up), the wire fuzz
 # loop, the real-socket shipping suite (net_test: loopback TCP round trips,
 # NAK-driven retransmit, reconnect-after-disconnect — every listener binds
 # port 0, so parallel lanes never collide on a port), and the public-API
@@ -144,7 +144,7 @@ cmake --build "$tsan_dir" -j "$jobs" --target dst_test cluster_test net_test \
 C5_DST_SEED_COUNT=16 "$tsan_dir/dst_test"
 "$tsan_dir/log_test" --gtest_filter='*Retention*'
 "$tsan_dir/epoch_test"
-"$tsan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*:*ApplyTally*:*ReplicaParamTest.*/c5_myrocks_w*:*ReplicaParamTest.*/kuafu_w*:*ReplicaParamTest.*/c5_queue_w*'
+"$tsan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*:*ApplyTally*:*ReplicaParamTest.*/c5_myrocks_w*:*ReplicaParamTest.*/kuafu_w*:*ReplicaParamTest.*/c5_queue_w*:*C5MyRocksStopTest*'
 "$tsan_dir/cluster_test"
 "$tsan_dir/net_test"
 "$tsan_dir/ordered_index_test"
@@ -160,7 +160,7 @@ cmake --build "$asan_dir" -j "$jobs" --target dst_test wire_test cluster_test \
 C5_DST_SEED_COUNT=16 "$asan_dir/dst_test"
 "$asan_dir/log_test" --gtest_filter='*Retention*'
 "$asan_dir/epoch_test"
-"$asan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*:*ApplyTally*:*ReplicaParamTest.*/c5_myrocks_w*:*ReplicaParamTest.*/kuafu_w*:*ReplicaParamTest.*/c5_queue_w*'
+"$asan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*:*ApplyTally*:*ReplicaParamTest.*/c5_myrocks_w*:*ReplicaParamTest.*/kuafu_w*:*ReplicaParamTest.*/c5_queue_w*:*C5MyRocksStopTest*'
 "$asan_dir/wire_test"
 "$asan_dir/cluster_test"
 "$asan_dir/net_test"

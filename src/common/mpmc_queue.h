@@ -24,7 +24,9 @@ class MpmcQueue {
   // Pop()'s polls before it parks. Modest on purpose: on a host with fewer
   // cores than threads, a long spin burns the quantum the producer needs to
   // refill the queue (c5bench tpcc on 4 vCPUs: C5-MyRocks lag p50 0.67 ms
-  // at 2048 against 0.73 ms at 16384).
+  // at 2048 against 0.73 ms at 16384). The other users lose nothing to the
+  // shorter spin: offline KuaFu, page and table replays of a 2M-write log
+  // ran as fast at 2048 as at 16384 (docs/PERFORMANCE.md).
   static constexpr int kSpinBudget = 2048;
 
   explicit MpmcQueue(LockRank rank = LockRank::kQueue) : mu_(rank) {}

@@ -1,5 +1,6 @@
 #include "core/c5_myrocks_replica.h"
 
+#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <optional>
@@ -14,7 +15,16 @@ namespace c5::core {
 C5MyRocksReplica::C5MyRocksReplica(storage::Database* db,
                                    const replica::ProtocolOptions& options)
     : ReplicaBase(db, options),
+      prefix_(PrefixCapacity(options.snapshot_interval)),
       last_write_ts_(options.scheduler_map_capacity) {}
+
+std::size_t C5MyRocksReplica::PrefixCapacity(
+    std::chrono::microseconds interval) {
+  const auto per_interval =
+      static_cast<std::size_t>(std::max<std::int64_t>(interval.count(), 0)) *
+      kPrefixTxnsPerMicrosecond;
+  return std::clamp(per_interval, kMinPrefixCapacity, kMaxPrefixCapacity);
+}
 
 void C5MyRocksReplica::Schedule(log::LogSegment& seg) {
   std::size_t txn_start = 0;

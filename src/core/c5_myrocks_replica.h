@@ -2,6 +2,7 @@
 #define C5_CORE_C5_MYROCKS_REPLICA_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -64,15 +65,20 @@ class C5MyRocksReplica : public replica::ReplicaBase {
     std::uint64_t index;
   };
 
-  // Transactions the applied prefix may trail the newest completed one by
-  // before Mark() holds a worker back. A worker pops in index order and
-  // marks its window front only, so the prefix waits only on a peer that
-  // has not yet swept its window front (descheduled, or held at the §5.2
-  // barrier). Sized for that stall, not for the log: 64k transactions take
-  // 576 KiB of tracker, where the default capacity, sized for per-record
-  // trackers, takes 9 MiB. A worker that reaches the bound backs off until
-  // the peer runs.
-  static constexpr std::size_t kPrefixCapacity = std::size_t{1} << 16;
+  // Transactions the workers may complete past the tracker's watermark
+  // before Mark() holds them back. The watermark moves only when the
+  // visibility loop calls Advance(), once per snapshot_interval, so this
+  // caps the transactions completed per interval. PrefixCapacity sizes it
+  // for one interval at kPrefixTxnsPerMicrosecond: 8M txn/s, ten times the
+  // measured peak (single-write transactions, 4 workers on 4 vCPUs). It is
+  // clamped to kMinPrefixCapacity (576 KiB; it also rides out a visibility
+  // thread descheduled well past the 200 µs default interval) and
+  // kMaxPrefixCapacity (9 MiB, the tracker's default, sized for per-record
+  // trackers). The benches' intervals, 200 µs to 50 ms, get 64k to 512k.
+  static constexpr std::size_t kPrefixTxnsPerMicrosecond = 8;
+  static constexpr std::size_t kMinPrefixCapacity = std::size_t{1} << 16;
+  static constexpr std::size_t kMaxPrefixCapacity = std::size_t{1} << 20;
+  static std::size_t PrefixCapacity(std::chrono::microseconds interval);
 
   // prev_ts stamping and transaction dispatch (scheduler thread).
   void Schedule(log::LogSegment& seg) override;
@@ -93,7 +99,7 @@ class C5MyRocksReplica : public replica::ReplicaBase {
   MpmcQueue<TxnUnit> dispatch_;
   // Completed transactions by index: each worker marks its window front as
   // it retires, so the contiguous prefix is the §5.2 boundary n.
-  replica::PrefixTracker prefix_{kPrefixCapacity};
+  replica::PrefixTracker prefix_;
   // Scheduler-thread state: the same embedded-FIFO preprocessing as
   // C5Replica (§5.1 leverages the existing row-based log; the per-row
   // ordering metadata is identical), through the same pre-sized flat map,

@@ -116,7 +116,15 @@ void ReplicaBase::VisibilityLoop() {
     apply_floor_.store(n, std::memory_order_release);
     if (n > VisibleTimestamp()) PublishSnapshot(n);
     if (tracker_ != nullptr) tracker_->OnVisible(VisibleTimestamp());
-    if (drained || shutdown_.load(std::memory_order_acquire)) break;
+    if (drained) break;
+    if (shutdown_.load(std::memory_order_acquire)) {
+      // Stop() before catch-up: workers drain their closed queues, and one
+      // may wait in a PrefixTracker's back-pressure for this loop's next
+      // Advance, so keep advancing until every worker has exited.
+      if (workers_running_.load(std::memory_order_acquire) == 0) break;
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      continue;
+    }
     std::this_thread::sleep_for(options_.snapshot_interval);
   }
 }

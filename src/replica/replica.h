@@ -23,8 +23,11 @@
 //  * Visibility loop. Each pass publishes ApplyFloor() as the apply floor,
 //    advances the snapshot through PublishSnapshot() when the floor passed
 //    it and reports VisibleTimestamp() to the LagTracker; it exits after the
-//    first pass that began drained (scheduler done, every worker exited).
-//    It never collects garbage, so a GC pass never delays a publish.
+//    first pass that began drained (scheduler done, every worker exited),
+//    or, after Stop(), once every worker has exited: until then it keeps
+//    advancing at a short tick, because a worker draining its queue may be
+//    waiting on the floor (PrefixTracker back-pressure). It never collects
+//    garbage, so a GC pass never delays a publish.
 //  * Maintenance loop. Every gc_every snapshot intervals it collects
 //    garbage at GcHorizon() and reclaims what no epoch guard pins, timing
 //    each pass into ReplicaStats. A pass whose horizon has not moved skips

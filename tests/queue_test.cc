@@ -144,33 +144,64 @@ TEST(MpmcQueueTest, PushAllWakesParkedConsumersAndDeliversEachItemOnce) {
   constexpr int kConsumers = 3, kItems = 1000;
   std::vector<std::vector<int>> got(kConsumers);
   std::atomic<int> popped{0};
+  // Each consumer holds after its first item until every consumer has one.
+  // Only a wake-all lets all of them take an item before Close(): a single
+  // woken consumer would hold while the others stay parked.
+  std::atomic<int> first_items{0};
+  std::atomic<bool> release{false};
   std::vector<std::thread> consumers;
   for (int c = 0; c < kConsumers; ++c) {
     consumers.emplace_back([&, c] {
       while (auto v = q.Pop()) {
         got[c].push_back(*v);
         popped.fetch_add(1);
+        if (got[c].size() == 1) {
+          first_items.fetch_add(1);
+          while (first_items.load() < kConsumers && !release.load()) {
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+          }
+        }
       }
     });
   }
-  // Every consumer spends its spin budget and parks before the push.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (q.Parked() < kConsumers) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  auto wait_until = [&](auto done) {
+    while (!done()) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  };
+  // On failure, unblock and join every consumer before reporting.
+  auto finish = [&] {
+    release.store(true);
+    q.Close();
+    for (std::thread& t : consumers) t.join();
+  };
 
+  // Every consumer spends its spin budget and parks before the push.
+  if (!wait_until([&] { return q.Parked() == kConsumers; })) {
+    const int parked = q.Parked();
+    finish();
+    FAIL() << "only " << parked << " of " << kConsumers << " parked";
+  }
   std::vector<int> items(kItems);
   std::iota(items.begin(), items.end(), 0);
   q.PushAll(items);
-  // PushAll alone must wake them: the queue is not closed yet.
-  while (popped.load() < kItems) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // PushAll alone must wake them all: the queue is not closed yet.
+  if (!wait_until([&] { return first_items.load() == kConsumers; })) {
+    const int woken = first_items.load();
+    finish();
+    FAIL() << "PushAll woke " << woken << " of " << kConsumers
+           << " parked consumers";
   }
-  q.Close();  // every consumer's next Pop returns nullopt, so all exit
-  for (std::thread& t : consumers) t.join();
+  if (!wait_until([&] { return popped.load() == kItems; })) {
+    const int delivered = popped.load();
+    finish();
+    FAIL() << "PushAll delivered " << delivered << " of " << kItems;
+  }
+  finish();  // every consumer's next Pop returns nullopt, so all exit
 
   std::vector<int> all;
   for (const std::vector<int>& g : got) {

@@ -8,7 +8,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <memory>
 #include <thread>
 
 #include "api/snapshot.h"
@@ -492,6 +495,65 @@ TEST_F(ReclaimWhileReplayingTest, SingleThreadFreesRetiredVersionsWhileStalled) 
   replica->WaitUntilCaughtUp();
   replica->Stop();
   EXPECT_EQ(replica->stats().applied_writes.load(), log.NumRecords());
+}
+
+// Stop() before catch-up returns even with far more transactions queued
+// than the C5-MyRocks prefix tracker holds (64k at the default snapshot
+// interval). A worker draining its closed queue waits in the tracker's
+// back-pressure until Advance() frees room, so the visibility loop must keep
+// advancing after Stop() until the workers exit.
+TEST(C5MyRocksStopTest, StopBeforeCatchUpReturnsWithMoreTxnsThanTheTracker) {
+  constexpr std::uint64_t kRows = 1024;
+  constexpr std::uint64_t kTxns = 300000;
+  constexpr std::size_t kSegmentRecords = 1024;
+  log::Log log;
+  auto seg = std::make_unique<log::LogSegment>(/*base_seq=*/0);
+  for (std::uint64_t i = 0; i < kTxns; ++i) {
+    log::LogRecord rec;
+    rec.row = rec.key = i % kRows;
+    rec.op = i < kRows ? OpType::kInsert : OpType::kUpdate;
+    rec.commit_ts = i + 1;
+    rec.last_in_txn = true;
+    rec.value = "v";
+    seg->Append(rec);
+    if (seg->size() == kSegmentRecords) {
+      log.AppendSegment(std::move(seg));
+      seg = std::make_unique<log::LogSegment>(/*base_seq=*/i + 1);
+    }
+  }
+  if (!seg->empty()) log.AppendSegment(std::move(seg));
+
+  storage::Database backup;
+  workload::SyntheticWorkload::CreateTable(&backup);
+  log::OfflineSegmentSource source(&log);
+  auto replica = MakeReplica(ProtocolKind::kC5MyRocks, &backup,
+                             ProtocolOptions{.num_workers = 4});
+  replica->Start(&source);
+  // Every transaction queued. The scheduler outruns the workers, so far
+  // more than the tracker holds is still ahead of them.
+  while (replica->watermark() < kTxns) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    replica->Stop();
+    stopped.store(true, std::memory_order_release);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!stopped.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (!stopped.load(std::memory_order_acquire)) {
+    // The replica's threads cannot be joined; end the binary with a
+    // readable failure instead of waiting for the suite's timeout.
+    std::fprintf(stderr, "Stop() did not return within 60 s\n");
+    std::_Exit(1);
+  }
+  stopper.join();
+  // Stop() lets the workers drain what was queued.
+  EXPECT_EQ(replica->stats().applied_writes.load(), kTxns);
 }
 
 // The unconstrained-KuaFu diagnostic still applies every write and
