@@ -109,9 +109,11 @@ run_static_lane
 # live reshard migrations mid-workload, so the epoch-aware router oracle and
 # the commit/abort migration ledger run under both sanitizers), the epoch
 # limbo buckets, reclamation while replay workers run, every protocol's
-# apply tally flushing before each wait and the C5-MyRocks, KuaFu and
-# C5-queue replay suites (replica_test: the transaction-prefix floor,
-# the shared end-of-log rule and Stop() before catch-up), the wire fuzz
+# apply tally flushing before each wait and the C5, C5-MyRocks, KuaFu and
+# C5-queue replay suites (replica_test: the shared prefix tracker and
+# end-of-log rule; for every protocol with workers, catch-up and Stop()
+# with more work than the tracker holds, and idle workers parking), the
+# wire fuzz
 # loop, the real-socket shipping suite (net_test: loopback TCP round trips,
 # NAK-driven retransmit, reconnect-after-disconnect — every listener binds
 # port 0, so parallel lanes never collide on a port), and the public-API
@@ -135,22 +137,24 @@ run_static_lane
 # collector that really frees released lanes: ASan catches a premature
 # release as a use-after-free, TSan a release racing a worker's read.
 # queue_test runs under TSan: MpmcQueue's lock-free size hint and parked
-# waiter count carry every replica hand-off but C5's.
+# waiter count carry every replica hand-off. So does c5_core_test: C5's
+# scheduler, per-worker batch queues and batch pool.
 tsan_dir="${build_dir}-tsan"
 cmake -B "$tsan_dir" -S "$repo_root" -DC5_SANITIZE=thread >/dev/null
 cmake --build "$tsan_dir" -j "$jobs" --target dst_test cluster_test net_test \
   ordered_index_test hash_index_test htap_scan_test epoch_test replica_test \
-  log_test queue_test
+  log_test queue_test c5_core_test
 C5_DST_SEED_COUNT=16 "$tsan_dir/dst_test"
 "$tsan_dir/log_test" --gtest_filter='*Retention*'
 "$tsan_dir/epoch_test"
-"$tsan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*:*ApplyTally*:*ReplicaParamTest.*/c5_myrocks_w*:*ReplicaParamTest.*/kuafu_w*:*ReplicaParamTest.*/c5_queue_w*:*C5MyRocksStopTest*'
+"$tsan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*:*ApplyTally*:*ReplicaParamTest.*/c5_w*:*ReplicaParamTest.*/c5_myrocks_w*:*ReplicaParamTest.*/kuafu_w*:*ReplicaParamTest.*/c5_queue_w*:*MoreWorkThanTheTracker*:*IdlePark*'
 "$tsan_dir/cluster_test"
 "$tsan_dir/net_test"
 "$tsan_dir/ordered_index_test"
 "$tsan_dir/hash_index_test"
 "$tsan_dir/htap_scan_test"
 "$tsan_dir/queue_test"
+"$tsan_dir/c5_core_test"
 
 asan_dir="${build_dir}-asan"
 cmake -B "$asan_dir" -S "$repo_root" -DC5_SANITIZE=address >/dev/null
@@ -160,7 +164,7 @@ cmake --build "$asan_dir" -j "$jobs" --target dst_test wire_test cluster_test \
 C5_DST_SEED_COUNT=16 "$asan_dir/dst_test"
 "$asan_dir/log_test" --gtest_filter='*Retention*'
 "$asan_dir/epoch_test"
-"$asan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*:*ApplyTally*:*ReplicaParamTest.*/c5_myrocks_w*:*ReplicaParamTest.*/kuafu_w*:*ReplicaParamTest.*/c5_queue_w*:*C5MyRocksStopTest*'
+"$asan_dir/replica_test" --gtest_filter='*ReclaimWhileReplaying*:*ApplyTally*:*ReplicaParamTest.*/c5_w*:*ReplicaParamTest.*/c5_myrocks_w*:*ReplicaParamTest.*/kuafu_w*:*ReplicaParamTest.*/c5_queue_w*:*MoreWorkThanTheTracker*:*IdlePark*'
 "$asan_dir/wire_test"
 "$asan_dir/cluster_test"
 "$asan_dir/net_test"

@@ -112,10 +112,6 @@ class MpmcQueue {
     cv_.NotifyAll();
   }
 
-  bool closed() const {
-    return closed_flag_.load(std::memory_order_acquire);
-  }
-
   // Consumers past the spin budget, parked on the condition variable.
   int Parked() const { return waiters_.load(std::memory_order_acquire); }
 

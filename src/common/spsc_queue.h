@@ -69,7 +69,6 @@ class SpscQueue {
   }
 
   void Close() { closed_.store(true, std::memory_order_release); }
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
 
   std::size_t SizeApprox() const {
     return head_.load(std::memory_order_acquire) -

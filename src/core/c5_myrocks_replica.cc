@@ -1,6 +1,5 @@
 #include "core/c5_myrocks_replica.h"
 
-#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <optional>
@@ -15,16 +14,7 @@ namespace c5::core {
 C5MyRocksReplica::C5MyRocksReplica(storage::Database* db,
                                    const replica::ProtocolOptions& options)
     : ReplicaBase(db, options),
-      prefix_(PrefixCapacity(options.snapshot_interval)),
       last_write_ts_(options.scheduler_map_capacity) {}
-
-std::size_t C5MyRocksReplica::PrefixCapacity(
-    std::chrono::microseconds interval) {
-  const auto per_interval =
-      static_cast<std::size_t>(std::max<std::int64_t>(interval.count(), 0)) *
-      kPrefixTxnsPerMicrosecond;
-  return std::clamp(per_interval, kMinPrefixCapacity, kMaxPrefixCapacity);
-}
 
 void C5MyRocksReplica::Schedule(log::LogSegment& seg) {
   std::size_t txn_start = 0;
@@ -35,6 +25,11 @@ void C5MyRocksReplica::Schedule(log::LogSegment& seg) {
     StampPrevTs(last_write_ts_, rec);
 
     if (rec.last_in_txn) {
+      if (!prefix_.HasRoom(txn_index_ + 1)) {
+        dispatch_.PushAll(batch_);
+        batch_.clear();
+        if (!AwaitPrefixRoom(txn_index_ + 1)) return;
+      }
       // Collect the transaction in commit order (§5.1: the scheduler
       // "puts the transaction's first write in the scheduler queue"; the
       // worker follows the chain of the transaction's writes).
@@ -107,9 +102,7 @@ void C5MyRocksReplica::WorkerLoop(int idx) {
 
   // Retires completed transactions from the window front and marks them
   // (visibility is transaction-granularity: the prefix only passes a
-  // transaction once ALL its writes are in). Marking in window order, not
-  // as each last write lands, means a worker held in Mark's back-pressure
-  // spin holds no older open transaction the prefix is waiting on.
+  // transaction once ALL its writes are in).
   auto retire_front = [&]() {
     while (!open.empty() && open.front().pending.empty()) {
       const TxnUnit& done = open.front().txn;

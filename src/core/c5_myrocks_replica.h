@@ -2,14 +2,12 @@
 #define C5_CORE_C5_MYROCKS_REPLICA_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/flat_map.h"
 #include "common/mpmc_queue.h"
-#include "replica/prefix_tracker.h"
 #include "replica/replica.h"
 
 namespace c5::core {
@@ -43,7 +41,8 @@ namespace c5::core {
 // worth to the workers through one MpmcQueue::PushAll. A worker retires its
 // window front once the transaction's last write lands and marks it in a
 // PrefixTracker over transaction indexes, as KuaFu does; the last
-// transaction of the contiguous marked prefix is the boundary n.
+// transaction of the contiguous marked prefix is the boundary n
+// (ReplicaBase::ApplyFloor).
 class C5MyRocksReplica : public replica::ReplicaBase {
  public:
   // ProtocolOptions::snapshot_interval is the snapshot frequency I (the
@@ -65,31 +64,10 @@ class C5MyRocksReplica : public replica::ReplicaBase {
     std::uint64_t index;
   };
 
-  // Transactions the workers may complete past the tracker's watermark
-  // before Mark() holds them back. The watermark moves only when the
-  // visibility loop calls Advance(), once per snapshot_interval, so this
-  // caps the transactions completed per interval. PrefixCapacity sizes it
-  // for one interval at kPrefixTxnsPerMicrosecond: 8M txn/s, ten times the
-  // measured peak (single-write transactions, 4 workers on 4 vCPUs). It is
-  // clamped to kMinPrefixCapacity (576 KiB; it also rides out a visibility
-  // thread descheduled well past the 200 µs default interval) and
-  // kMaxPrefixCapacity (9 MiB, the tracker's default, sized for per-record
-  // trackers). The benches' intervals, 200 µs to 50 ms, get 64k to 512k.
-  static constexpr std::size_t kPrefixTxnsPerMicrosecond = 8;
-  static constexpr std::size_t kMinPrefixCapacity = std::size_t{1} << 16;
-  static constexpr std::size_t kMaxPrefixCapacity = std::size_t{1} << 20;
-  static std::size_t PrefixCapacity(std::chrono::microseconds interval);
-
   // prev_ts stamping and transaction dispatch (scheduler thread).
   void Schedule(log::LogSegment& seg) override;
   void WorkerLoop(int idx) override;
   void CloseQueues() override { dispatch_.Close(); }
-
-  // The snapshot boundary n: the last transaction of the contiguous
-  // completed prefix. Everything at or below it is applied and no worker
-  // still reads its records; the scheduler releases the segments it covers
-  // (ReplicaBase::NextSegment).
-  Timestamp ApplyFloor() override { return prefix_.Advance(); }
 
   // §5.2: blocks writers above `n` while the (simulated) RocksDB snapshot is
   // taken, so the boundary stays stable while it captures current state.
@@ -97,9 +75,6 @@ class C5MyRocksReplica : public replica::ReplicaBase {
 
   // Whole transactions in commit order; a segment's worth per PushAll.
   MpmcQueue<TxnUnit> dispatch_;
-  // Completed transactions by index: each worker marks its window front as
-  // it retires, so the contiguous prefix is the §5.2 boundary n.
-  replica::PrefixTracker prefix_;
   // Scheduler-thread state: the same embedded-FIFO preprocessing as
   // C5Replica (§5.1 leverages the existing row-based log; the per-row
   // ordering metadata is identical), through the same pre-sized flat map,

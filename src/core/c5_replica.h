@@ -5,10 +5,10 @@
 //  * Per-row order: a write executes only after the previous write to its
 //    row (identified by prev_ts) is installed, so each row's version chain
 //    is always a prefix of the primary's history for that row.
-//  * Transaction-boundary snapshots: each worker's published c' stays below
-//    any transaction it has partially applied, so the snapshot
-//    c = min(watermark, min c') never exposes a torn transaction.
-//  * Monotonicity: watermark, c', and the visible snapshot only advance —
+//  * Transaction-boundary snapshots: the snapshot is the end of the last
+//    segment whose batches, and every earlier one's, are all applied, so it
+//    never exposes a torn transaction (transactions never span segments).
+//  * Monotonicity: the batch prefix and the visible snapshot only advance —
 //    read-only transactions observe monotonic prefix consistency.
 //  * Non-blocking reads: the snapshotter advances c without stopping
 //    workers; versions are guarded by storage epochs, never locks.
@@ -23,9 +23,9 @@
 #include <vector>
 
 #include "common/flat_map.h"
+#include "common/mpmc_queue.h"
 #include "common/spin_lock.h"
 #include "common/thread_annotations.h"
-#include "common/spsc_queue.h"
 #include "replica/replica.h"
 
 namespace c5::core {
@@ -39,24 +39,23 @@ namespace c5::core {
 // then PARTITIONS each segment's records by scheduler key (a hash of the
 // row's name) into one batch per worker. Row affinity is the load-balancing
 // AND ordering story: every write of a row lands on the same worker in log
-// order, so a worker never waits on a predecessor owned by a peer.
+// order, so a worker never waits on a predecessor owned by a peer. Each
+// non-empty batch gets the next index in push order, and the segment's last
+// batch carries the segment's max timestamp.
 //
-// Workers: apply their batch's records in order; a write is safe to execute
-// iff the newest version of its row carries exactly prev_timestamp (with row
-// affinity that always holds; a miss would be waited out in place, under
-// the batch's c'). Visibility is EPOCH-BATCHED: a
-// worker publishes c' = (smallest timestamp it might still execute) - 1
-// once per batch — a local epoch bump — instead of once per record. The
-// published c' can only lag the true per-worker floor, never exceed it, so
-// the snapshot the aggregator derives stays a valid prefix point.
+// Workers: each pops its own queue (MpmcQueue, which parks an idle worker)
+// and applies the batch's records in order; a write is safe to execute iff
+// the newest version of its row carries exactly prev_timestamp (with row
+// affinity that always holds; a miss would be waited out in place). Then it
+// marks the batch: ONE visibility publication per batch, not per record.
 //
 // Snapshotter (the aggregator): periodically advances the current snapshot
-// c to min(watermark, min over workers of c'). Because every write of a
-// transaction carries the transaction's commit timestamp and a worker's c'
-// stays below any batch it has not finished, c always lands on a
-// transaction boundary — monotonic prefix consistency without ever blocking
-// workers (§4.2's current/next/future snapshots realized through version
-// timestamps).
+// c to the end of the batch prefix (ReplicaBase::ApplyFloor) in place of
+// §7.2's "minimum across all c'". That is coarser: c moves only at segment
+// ends, where min c' could stop inside a segment. Segments end on
+// transaction boundaries, so c always lands on one — monotonic prefix
+// consistency without ever blocking workers (§4.2's current/next/future
+// snapshots realized through version timestamps).
 class C5Replica : public replica::ReplicaBase {
  public:
   C5Replica(storage::Database* db, const replica::ProtocolOptions& options);
@@ -71,19 +70,8 @@ class C5Replica : public replica::ReplicaBase {
   // scheduling allocates nothing.
   struct Batch {
     std::vector<const log::LogRecord*> recs;  // capacity survives reuse
-    // min commit_ts across recs, minus 1: the worker's c' while the batch
-    // is in flight. Everything at or above floor+1 is unexecuted by this
-    // worker until the batch completes.
-    Timestamp floor = 0;
-  };
-
-  struct WorkerState {
-    explicit WorkerState(std::size_t queue_capacity)
-        : queue(queue_capacity) {}
-    SpscQueue<Batch*> queue;
-    // c' (§7.2): one writer (the worker), one reader (the snapshotter).
-    // Bumped once per batch (the "local epoch"), not per record.
-    alignas(64) std::atomic<Timestamp> c_prime{0};
+    std::uint64_t index = 0;  // the prefix tracker's index, in push order
+    Timestamp end_ts = kInvalidTimestamp;  // on a segment's last batch: its max
   };
 
   // prev_ts stamping and row-affinity partitioning (scheduler thread).
@@ -91,16 +79,11 @@ class C5Replica : public replica::ReplicaBase {
   void WorkerLoop(int idx) override;
   void CloseQueues() override;
 
-  // n = min(watermark, min over workers of c'): everything at or below it
-  // is applied, and no worker holds or can still be handed a record at or
-  // below it. The snapshotter publishes it; the scheduler releases the
-  // segments it covers (ReplicaBase::NextSegment).
-  Timestamp ApplyFloor() override;
-
   Batch* AcquireBatch();
   void ReleaseBatch(Batch* batch);
 
-  std::vector<std::unique_ptr<WorkerState>> workers_;
+  // One queue per worker: row affinity pins each batch to its worker.
+  std::vector<std::unique_ptr<MpmcQueue<Batch*>>> queues_;
 
   // Scheduler-thread state. Row name -> timestamp of the last write seen
   // for it: the entire §7.2 scheduler state, since the per-row FIFOs are
@@ -110,9 +93,14 @@ class C5Replica : public replica::ReplicaBase {
   FlatMap<Timestamp> last_write_ts_;
   // The segment being scheduled: one batch per worker, or nullptr.
   std::vector<Batch*> out_;
+  std::uint64_t batch_index_ = 0;  // the next batch's index
 
   // Batch pool: the scheduler acquires, workers release. Locked once per
-  // batch on each side; batch_storage_ owns every batch ever created.
+  // batch on each side; batch_storage_ owns every batch ever created. At
+  // most kMaxBatchesPerWorker per worker are out at once, which bounds the
+  // scheduler's run-ahead and the pool (Schedule waits for releases).
+  static constexpr std::size_t kMaxBatchesPerWorker = 4096;
+  std::atomic<std::size_t> batches_out_{0};
   SpinLock pool_lock_{LockRank::kReplicaState};
   std::vector<std::unique_ptr<Batch>> batch_storage_ C5_GUARDED_BY(pool_lock_);
   std::vector<Batch*> batch_free_ C5_GUARDED_BY(pool_lock_);

@@ -45,15 +45,28 @@ std::uint64_t GranularityReplica::KeyFor(const log::LogRecord& rec) const {
 
 void GranularityReplica::Schedule(log::LogSegment& seg) {
   AddWork(seg.size());
-  for (const log::LogRecord& rec : seg.records()) {
-    const std::uint64_t key = KeyFor(rec);
+  const auto& recs = seg.records();
+  for (std::size_t i = 0; i < recs.size();) {
+    if (!prefix_.HasRoom(seq_ + 1)) {
+      if (!handoff_.empty()) PushHandoff();
+      if (!AwaitPrefixRoom(seq_ + 1)) return;
+    }
+    // A run of writes to one key goes in under one lock, so table
+    // granularity's one key queue does not bounce its lock between the
+    // scheduler and the worker on every write.
+    const std::uint64_t key = KeyFor(recs[i]);
+    std::size_t end = i + 1;
+    while (end < recs.size() && KeyFor(recs[end]) == key &&
+           prefix_.HasRoom(seq_ + (end - i) + 1)) {
+      ++end;
+    }
     auto& slot = queues_[key];
     if (slot == nullptr) slot = std::make_unique<KeyQueue>();
     KeyQueue* kq = slot.get();
     bool enqueue_kq = false;
     {
       SpinLockGuard lock(kq->mu);
-      kq->writes.push_back(WriteRef{&rec, seq_});
+      for (; i < end; ++i) kq->writes.push_back(WriteRef{&recs[i], seq_++});
       // If the queue is not (and will not become) visible to workers, its
       // new head is eligible: hand the queue to the scheduler queue.
       if (!kq->in_sched_queue) {
@@ -65,7 +78,6 @@ void GranularityReplica::Schedule(log::LogSegment& seg) {
       handoff_.push_back(kq);
       if (handoff_.size() >= kHandoffBatch) PushHandoff();
     }
-    ++seq_;
   }
   if (!handoff_.empty()) PushHandoff();
 }

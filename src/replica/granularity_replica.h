@@ -11,7 +11,6 @@
 #include "common/mpmc_queue.h"
 #include "common/spin_lock.h"
 #include "common/thread_annotations.h"
-#include "replica/prefix_tracker.h"
 #include "replica/replica.h"
 
 namespace c5::replica {
@@ -44,8 +43,9 @@ const char* ToString(Granularity g);
 // execution constraints are exactly the row-granularity protocol proven
 // minimal in Theorem 2.
 //
-// Visibility: writes complete out of transaction order, so a PrefixTracker
-// over record sequence numbers computes the transaction-aligned snapshot.
+// Visibility: writes complete out of transaction order; each worker marks
+// its writes' sequence numbers in the shared prefix tracker, whose prefix
+// gives the transaction-aligned snapshot (ReplicaBase::ApplyFloor).
 class GranularityReplica : public ReplicaBase {
  public:
   GranularityReplica(storage::Database* db, Granularity granularity,
@@ -79,8 +79,6 @@ class GranularityReplica : public ReplicaBase {
   void Schedule(log::LogSegment& seg) override;
   void WorkerLoop(int idx) override;
   void CloseQueues() override { sched_queue_.Close(); }
-  // The last transaction of the contiguous applied prefix.
-  Timestamp ApplyFloor() override { return prefix_.Advance(); }
 
   // Hands the pending handoff batch to the scheduler queue.
   void PushHandoff();
@@ -101,7 +99,6 @@ class GranularityReplica : public ReplicaBase {
   std::unordered_map<std::uint64_t, std::unique_ptr<KeyQueue>> queues_;
 
   MpmcQueue<std::vector<KeyQueue*>> sched_queue_;
-  PrefixTracker prefix_;
 
   // Scheduler-thread state: the next write's sequence number (the
   // PrefixTracker's index) and the key queues not yet handed off.

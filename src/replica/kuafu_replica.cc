@@ -16,6 +16,8 @@ void KuaFuReplica::Schedule(log::LogSegment& seg) {
   TxnNode* open = nullptr;  // transactions never span segments
   for (const log::LogRecord& rec : seg.records()) {
     if (open == nullptr) {
+      // Every earlier transaction is handed out: ready or behind a parent.
+      if (!AwaitPrefixRoom(txn_index_ + 1)) return;
       nodes_.push_back(std::make_unique<TxnNode>());
       open = nodes_.back().get();
       open->txn_index = txn_index_;

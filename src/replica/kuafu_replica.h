@@ -12,7 +12,6 @@
 #include "common/mpmc_queue.h"
 #include "common/spin_lock.h"
 #include "common/thread_annotations.h"
-#include "replica/prefix_tracker.h"
 #include "replica/replica.h"
 
 namespace c5::replica {
@@ -29,9 +28,9 @@ namespace c5::replica {
 // enter the ready queue; workers apply a transaction's writes atomically and
 // release its dependents.
 //
-// Visibility: transactions complete out of commit order, so a PrefixTracker
-// over transaction indexes computes the contiguous applied prefix; the
-// visibility timestamp is the last transaction in it (MPC, §2.3).
+// Visibility: transactions complete out of commit order; each worker marks
+// its transaction's index in the shared prefix tracker, and the snapshot is
+// the last transaction of the applied prefix (ReplicaBase::ApplyFloor).
 //
 // Unconstrained mode reproduces the paper's diagnostic (§7.3): the
 // scheduler skips dependency calculation entirely and every transaction is
@@ -81,8 +80,6 @@ class KuaFuReplica : public ReplicaBase {
   void Schedule(log::LogSegment& seg) override;
   void WorkerLoop(int idx) override;
   void CloseQueues() override { ready_.Close(); }
-  // The last transaction of the contiguous applied prefix.
-  Timestamp ApplyFloor() override { return prefix_.Advance(); }
 
   void ReleaseDependents(TxnNode* node);
   void MaybeReady(TxnNode* node) {
@@ -94,7 +91,6 @@ class KuaFuReplica : public ReplicaBase {
   const bool unconstrained_;
 
   MpmcQueue<TxnNode*> ready_;
-  PrefixTracker prefix_;
 
   // The nodes of transactions not yet in the applied prefix, in log order;
   // owned by the scheduler, which frees each one once prefix_ covers it (a

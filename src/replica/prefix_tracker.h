@@ -2,33 +2,35 @@
 #define C5_REPLICA_PREFIX_TRACKER_H_
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 
-#include "common/spin_lock.h"
 #include "common/types.h"
 
 namespace c5::replica {
 
-// Tracks out-of-order completion of log records and maintains the contiguous
-// completed prefix, mapping it to a transaction-aligned visibility timestamp.
+// Tracks out-of-order completion of numbered units of work and maps the
+// contiguous completed prefix to a transaction-aligned visibility timestamp.
 //
-// Replica protocols that apply writes out of log order (KuaFu, page/table
-// granularity, the queue-based C5 variant) cannot expose state as writes
-// land — that would violate monotonic prefix consistency (§4: a later write
-// may be applied before an earlier one). Instead, workers Mark() each
-// record's global sequence number as it is applied; a single advancer thread
+// Replica protocols that apply writes out of log order cannot expose state
+// as writes land — that would violate monotonic prefix consistency (§4: a
+// later write may be applied before an earlier one). Instead units are
+// numbered in log order — records (page/table granularity, the queue-based
+// C5 variant), transactions (KuaFu, C5-MyRocks) or batches (C5) — and
+// workers Mark() each one once it is applied; a single advancer thread
 // calls Advance(), which walks the contiguous prefix and publishes the
 // commit timestamp of the last *complete transaction* inside it. That
 // timestamp is a valid MPC read point: every record of every transaction at
 // or below it has been applied.
 //
 // Concurrency contract: any thread may Mark(); exactly one thread calls
-// Advance(). Mark() applies backpressure (spins) if a record is more than
-// `capacity` ahead of the watermark, bounding memory.
+// Advance(). The thread that numbers units hands out an index only once
+// HasRoom() holds for it, so Mark() never waits: a worker that waited to
+// mark while holding older unmarked work could wait forever.
 class PrefixTracker {
  public:
-  explicit PrefixTracker(std::size_t capacity = std::size_t{1} << 20)
+  explicit PrefixTracker(std::size_t capacity)
       : capacity_(NextPow2(capacity)),
         mask_(capacity_ - 1),
         done_(new std::atomic<std::uint8_t>[capacity_]),
@@ -42,15 +44,11 @@ class PrefixTracker {
   PrefixTracker(const PrefixTracker&) = delete;
   PrefixTracker& operator=(const PrefixTracker&) = delete;
 
-  // Marks record `seq` applied. If the record is the last of its
-  // transaction, pass the transaction's commit timestamp; else
-  // kInvalidTimestamp.
+  // Marks unit `seq` applied. If the unit ends a transaction, pass the
+  // transaction's commit timestamp; else kInvalidTimestamp. HasRoom(seq + 1)
+  // held when `seq` was handed out.
   void Mark(std::uint64_t seq, Timestamp txn_end_ts) {
-    // Backpressure: never run more than capacity_ ahead of the watermark.
-    int spins = 0;
-    while (seq >= watermark_.load(std::memory_order_acquire) + capacity_) {
-      SpinBackoff(spins);
-    }
+    assert(seq < watermark() + capacity_ && "numbered without HasRoom()");
     const std::size_t slot = seq & mask_;
     if (txn_end_ts != kInvalidTimestamp) {
       txn_ts_[slot].store(txn_end_ts, std::memory_order_relaxed);
@@ -58,8 +56,8 @@ class PrefixTracker {
     done_[slot].store(1, std::memory_order_release);
   }
 
-  // Advances the watermark over completed records; returns the latest
-  // transaction-aligned visibility timestamp (monotonic).
+  // Advances the watermark over completed units, which frees their slots;
+  // returns the latest transaction-aligned visibility timestamp (monotonic).
   Timestamp Advance() {
     std::uint64_t w = watermark_.load(std::memory_order_relaxed);
     Timestamp vis = visible_ts_.load(std::memory_order_relaxed);
@@ -76,8 +74,7 @@ class PrefixTracker {
       }
       done_[slot].store(0, std::memory_order_relaxed);
       ++w;
-      // The watermark store releases the slot for reuse by Mark()'s
-      // backpressure check.
+      // The watermark store releases the slot for reuse (HasRoom()).
       watermark_.store(w, std::memory_order_release);
     }
     visible_ts_.store(vis, std::memory_order_release);
@@ -86,6 +83,10 @@ class PrefixTracker {
 
   std::uint64_t watermark() const {
     return watermark_.load(std::memory_order_acquire);
+  }
+  // True when every index below `end` can be marked without waiting.
+  bool HasRoom(std::uint64_t end) const {
+    return end <= watermark() + capacity_;
   }
   Timestamp visible_ts() const {
     return visible_ts_.load(std::memory_order_acquire);

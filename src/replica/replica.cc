@@ -29,7 +29,10 @@ void ReplicaBase::Start(log::SegmentSource* source) {
 
 void ReplicaBase::SegmentLoop(log::SegmentSource* source) {
   while (log::LogSegment* seg = NextSegment(source)) {
+    if (stopping()) continue;
     Schedule(*seg);
+    // A Schedule cut short at Stop() does not advance the watermark.
+    if (stopping()) continue;
     AdvanceWatermark(*seg);
     // Without workers the segment is applied (or indexed) by now and no
     // visibility loop runs, so the floor is published here.
@@ -116,17 +119,18 @@ void ReplicaBase::VisibilityLoop() {
     apply_floor_.store(n, std::memory_order_release);
     if (n > VisibleTimestamp()) PublishSnapshot(n);
     if (tracker_ != nullptr) tracker_->OnVisible(VisibleTimestamp());
-    if (drained) break;
-    if (shutdown_.load(std::memory_order_acquire)) {
-      // Stop() before catch-up: workers drain their closed queues, and one
-      // may wait in a PrefixTracker's back-pressure for this loop's next
-      // Advance, so keep advancing until every worker has exited.
-      if (workers_running_.load(std::memory_order_acquire) == 0) break;
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-      continue;
-    }
+    if (drained || stopping()) break;
     std::this_thread::sleep_for(options_.snapshot_interval);
   }
+}
+
+bool ReplicaBase::AwaitPrefixRoom(std::uint64_t end) {
+  while (!prefix_.HasRoom(end)) {
+    if (stopping()) return false;
+    // The visibility loop frees room once per snapshot_interval.
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  return true;
 }
 
 void ReplicaBase::MaintenanceLoop() {
@@ -161,7 +165,7 @@ void ReplicaBase::MaintenanceLoop() {
         stats_.gc_ns_max.store(ns, std::memory_order_relaxed);
       }
     }
-    if (done || shutdown_.load(std::memory_order_acquire)) break;
+    if (done || stopping()) break;
     // Ticks at the visibility loop's interval, so Stop() and the final pass
     // wait at most one interval.
     std::this_thread::sleep_for(options_.snapshot_interval);
@@ -180,6 +184,9 @@ void ReplicaBase::WaitUntilCaughtUp() {
 
 void ReplicaBase::Stop() {
   shutdown_.store(true, std::memory_order_release);
+  // The scheduler first, so no worker exits before the scheduler's last
+  // push: every unit handed out is applied.
+  if (!threads_.empty() && threads_.front().joinable()) threads_.front().join();
   CloseQueues();
   for (auto& t : threads_) {
     if (t.joinable()) t.join();

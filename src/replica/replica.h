@@ -1,13 +1,15 @@
 // The shared backup skeleton and the one replica configuration.
 //
 // ReplicaBase owns every mechanism a backup needs besides its scheduling
-// rule, so a protocol implements only Schedule and ApplyFloor (and, with
-// workers, WorkerLoop and CloseQueues):
+// rule, so a protocol implements only Schedule (and, with workers,
+// WorkerLoop and CloseQueues; without workers, ApplyFloor):
 //  * Thread lifecycle. Start() runs the segment loop on one scheduler
 //    thread, WorkerLoop on ProtocolOptions::num_workers threads and, for a
 //    protocol with workers, the visibility loop and (with
 //    ProtocolOptions::gc_every > 0) the maintenance loop. Stop() sets the
-//    shutdown flag, calls CloseQueues() and joins. Every most-derived
+//    shutdown flag, after which the segment loop hands out nothing more,
+//    joins the scheduler, calls CloseQueues() and joins the rest, so every
+//    unit handed out is applied before its worker exits. Every most-derived
 //    destructor calls Stop(), because the threads touch derived members.
 //  * Segment loop. The scheduler thread takes each segment from
 //    NextSegment, hands it to Schedule, then advances watermark(); a
@@ -20,14 +22,16 @@
 //    transactions, a granularity replica's writes) adds it with AddWork and
 //    retires it with FinishWork; the decrement that reaches 0 calls
 //    CloseQueues(), so the workers exit once the work is done.
+//  * Apply floor. With workers, the scheduler numbers each unit of work once
+//    it fits in the one PrefixTracker (AwaitPrefixRoom); a worker marks it
+//    once applied and reads none of its records after. The default
+//    ApplyFloor() is the last transaction of the marked prefix (§7.2's n).
 //  * Visibility loop. Each pass publishes ApplyFloor() as the apply floor,
 //    advances the snapshot through PublishSnapshot() when the floor passed
 //    it and reports VisibleTimestamp() to the LagTracker; it exits after the
 //    first pass that began drained (scheduler done, every worker exited),
-//    or, after Stop(), once every worker has exited: until then it keeps
-//    advancing at a short tick, because a worker draining its queue may be
-//    waiting on the floor (PrefixTracker back-pressure). It never collects
-//    garbage, so a GC pass never delays a publish.
+//    or after Stop(). It never collects garbage, so a GC pass never delays
+//    a publish.
 //  * Maintenance loop. Every gc_every snapshot intervals it collects
 //    garbage at GcHorizon() and reclaims what no epoch guard pins, timing
 //    each pass into ReplicaStats. A pass whose horizon has not moved skips
@@ -88,6 +92,7 @@
 #include "common/types.h"
 #include "log/segment_source.h"
 #include "replica/lag_tracker.h"
+#include "replica/prefix_tracker.h"
 #include "storage/database.h"
 #include "txn/active_txn_tracker.h"
 
@@ -152,6 +157,9 @@ class ReplicaBase {
                        const ProtocolOptions& options = {})
       : db_(db),
         options_(options),
+        prefix_(options.num_workers > 0
+                    ? PrefixCapacity(options.snapshot_interval)
+                    : 1),
         loads_(static_cast<std::size_t>(std::max(options.num_workers, 1))) {}
   virtual ~ReplicaBase() = default;
   ReplicaBase(const ReplicaBase&) = delete;
@@ -336,8 +344,9 @@ class ReplicaBase {
   // visible snapshot, and NextSegment releases what it covers. It is NOT
   // VisibleTimestamp(): after a restart the recovery window publishes the
   // resume point at once, while workers still read redelivered segments
-  // below it.
-  virtual Timestamp ApplyFloor() = 0;
+  // below it. With workers it is the marked prefix (see the file comment);
+  // a protocol without workers overrides it.
+  virtual Timestamp ApplyFloor() { return prefix_.Advance(); }
 
   // Advances the visible snapshot to `n`, which exceeds VisibleTimestamp().
   // C5-MyRocks wraps this in its §5.2 write barrier.
@@ -365,6 +374,13 @@ class ReplicaBase {
       CloseQueues();
     }
   }
+
+  // True once Stop() has begun: a scheduler wait gives up.
+  bool stopping() const { return shutdown_.load(std::memory_order_acquire); }
+
+  // Scheduler thread: waits until prefix_ has room for every index below
+  // `end`, having handed out every unit numbered so far; false after Stop().
+  bool AwaitPrefixRoom(std::uint64_t end);
 
   // ---- Scheduler preprocessing ----------------------------------------------
 
@@ -561,6 +577,19 @@ class ReplicaBase {
 
   friend class ::c5::Snapshot;
 
+  // prefix_'s capacity: one snapshot_interval's marks (only Advance() frees
+  // room) at 128M marks/s, ten times the fastest marking replay measured
+  // (page granularity, 12.2M writes/s, 4 workers on 4 vCPUs). The floor,
+  // 576 KiB, rides out a descheduled visibility thread; the ceiling 9 MiB.
+  static constexpr std::size_t kPrefixMarksPerMicrosecond = 128;
+  static constexpr std::size_t kMinPrefixCapacity = std::size_t{1} << 16;
+  static constexpr std::size_t kMaxPrefixCapacity = std::size_t{1} << 20;
+  static std::size_t PrefixCapacity(std::chrono::microseconds interval) {
+    return std::clamp(static_cast<std::size_t>(interval.count()) *
+                          kPrefixMarksPerMicrosecond,
+                      kMinPrefixCapacity, kMaxPrefixCapacity);
+  }
+
   storage::Database* db_;
   LagTracker* tracker_ = nullptr;  // SetLagTracker; may stay null
   const ProtocolOptions options_;
@@ -569,9 +598,8 @@ class ReplicaBase {
   std::atomic<Timestamp> visible_ts_{0};
   std::atomic<Timestamp> recovery_floor_{0};
   std::atomic<Timestamp> recovery_resume_{0};
-  // watermark(): written by the segment loop (AdvanceWatermark), read by
-  // workers and the visibility loop.
-  alignas(64) std::atomic<Timestamp> watermark_{0};
+  // Applied units of work (see the file comment); one slot without workers.
+  PrefixTracker prefix_;
 
  private:
   // Scheduler done and every worker exited: no write is left to apply.
@@ -606,6 +634,9 @@ class ReplicaBase {
   // stays below that segment's key.
   log::LogSegment* NextSegment(log::SegmentSource* source);
 
+  // watermark(): written by the segment loop (AdvanceWatermark), read by
+  // the visibility loop and WaitUntilCaughtUp.
+  alignas(64) std::atomic<Timestamp> watermark_{0};
   std::vector<std::thread> threads_;
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> scheduler_done_{false};

@@ -154,16 +154,26 @@ void BuildPrimary(const DstPlan& plan, DstPrimary* p,
 // Runs Snapshot reads against a replica while it replays: checks
 // snapshot-timestamp monotonicity (monotonic prefix consistency for a
 // session), that no snapshot lands inside an armed recovery visibility
-// window, that ordered scans return strictly ascending keys, and exercises
-// the read path itself — Query Fresh's lazy instantiation and the
-// GC-vs-reader epoch protocol (the ASan/TSan lanes turn latent races on
-// this path into failures).
+// window, that each point get returns the primary's value of the row it
+// read at the snapshot's timestamp, that ordered scans return strictly
+// ascending keys, and exercises the read path itself — Query Fresh's lazy
+// instantiation and the GC-vs-reader epoch protocol (the ASan/TSan lanes
+// turn latent races on this path into failures). `primary` has finished
+// its workload, so its history is only read.
 class Sampler {
  public:
-  Sampler(replica::ReplicaBase* base, TableId table, std::uint64_t keyspace,
-          std::uint64_t seed)
-      : thread_([this, base, table, keyspace, seed] {
-          Run(base, table, keyspace, seed);
+  // What the reader saw go wrong (RunIncarnation names each).
+  enum Breach : unsigned {
+    kRegressed = 1,
+    kInsideWindow = 2,
+    kValueOff = 4,
+    kScanUnordered = 8,
+  };
+
+  Sampler(replica::ReplicaBase* base, DstPrimary& primary,
+          std::uint64_t keyspace, std::uint64_t seed)
+      : thread_([this, base, &primary, keyspace, seed] {
+          Run(base, primary, keyspace, seed);
         }) {}
 
   ~Sampler() { StopAndJoin(); }
@@ -173,19 +183,14 @@ class Sampler {
     if (thread_.joinable()) thread_.join();
   }
 
-  bool monotonic() const {
-    return monotonic_.load(std::memory_order_acquire);
-  }
-  bool outside_window() const {
-    return outside_window_.load(std::memory_order_acquire);
-  }
-  bool scans_ordered() const {
-    return scans_ordered_.load(std::memory_order_acquire);
+  unsigned violations() const {
+    return violations_.load(std::memory_order_acquire);
   }
 
  private:
-  void Run(replica::ReplicaBase* base, TableId table, std::uint64_t keyspace,
-           std::uint64_t seed) {
+  void Run(replica::ReplicaBase* base, DstPrimary& primary,
+           std::uint64_t keyspace, std::uint64_t seed) {
+    const TableId table = primary.table;
     Rng rng(seed);
     Timestamp last = 0;
     std::uint64_t iter = 0;
@@ -193,15 +198,18 @@ class Sampler {
       {
         const c5::Snapshot snap = base->OpenSnapshot();
         const Timestamp ts = snap.timestamp();
-        if (ts < last) monotonic_.store(false, std::memory_order_relaxed);
+        if (ts < last) Flag(kRegressed);
         last = ts;
         // A published snapshot strictly inside the recovery window would
         // expose the dead incarnation's non-prefix run-ahead states.
         if (ts > base->RecoveryResume() && ts < base->RecoveryFloor()) {
-          outside_window_.store(false, std::memory_order_relaxed);
+          Flag(kInsideWindow);
         }
-        Value v;
-        (void)snap.Get(table, rng.Uniform(keyspace), &v);
+        for (Key key = 0; key < keyspace; ++key) {
+          if (!PointGetMatches(snap, base->db(), primary.db, table, key)) {
+            Flag(kValueOff);
+          }
+        }
         if ((iter++ & 3) == 0) {
           // Ordered range read over a random band; full value checking is
           // the post-catch-up scan oracle's job — here the invariant is
@@ -212,22 +220,40 @@ class Sampler {
           bool first = true;
           for (auto it = snap.Scan(table, lo, lo + keyspace / 4); it.Valid();
                it.Next()) {
-            if (!first && it.key() <= prev_key) {
-              scans_ordered_.store(false, std::memory_order_relaxed);
-            }
+            if (!first && it.key() <= prev_key) Flag(kScanUnordered);
             prev_key = it.key();
             first = false;
           }
         }
       }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      // Short enough for several samples in a replay of a few milliseconds.
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
   }
 
+  void Flag(Breach b) { violations_.fetch_or(b, std::memory_order_relaxed); }
+
+  // Gets `key` through `snap` and compares the result with the primary's
+  // version of the same row at the snapshot's timestamp (StateDigest's
+  // per-row read). A key's binding only moves to a newer row, so equal
+  // lookups before and after the get name the row it read.
+  static bool PointGetMatches(const c5::Snapshot& snap,
+                              storage::Database& backup,
+                              storage::Database& primary, TableId table,
+                              Key key) {
+    const auto row = backup.index(table).Lookup(key);
+    Value got;
+    const bool live = snap.Get(table, key, &got).ok();
+    if (!row || backup.index(table).Lookup(key) != row) return true;
+    const auto guard = primary.epochs().Enter();
+    const storage::Version* want =
+        primary.table(table).ReadAt(*row, snap.timestamp());
+    return live == (want != nullptr && !want->deleted) &&
+           (!live || got == want->value());
+  }
+
   std::atomic<bool> stop_{false};
-  std::atomic<bool> monotonic_{true};
-  std::atomic<bool> outside_window_{true};
-  std::atomic<bool> scans_ordered_{true};
+  std::atomic<unsigned> violations_{0};
   std::thread thread_;
 };
 
@@ -352,10 +378,11 @@ void CheckReplicaState(const std::string& who, DstPrimary& primary,
 // Runs one replica incarnation over `source` with a live reader sampler
 // attached: (re)start, drain, record the final visibility watermark, stop.
 // Appends violations for sampler-observed breaches (snapshot regression,
-// recovery-window exposure, scan ordering).
+// recovery-window exposure, a value off the primary's history, scan
+// ordering).
 Timestamp RunIncarnation(c5::BackupNode& node, const DstPlan& plan,
                          DstChannel::Source* source, bool restart,
-                         TableId table, std::uint64_t sampler_seed,
+                         DstPrimary& primary, std::uint64_t sampler_seed,
                          const std::string& who, const char* phase,
                          DstReport* report) {
   if (restart) {
@@ -366,25 +393,25 @@ Timestamp RunIncarnation(c5::BackupNode& node, const DstPlan& plan,
     source->HoldLastUntilVisible([&node] { return node.VisibleTimestamp(); });
     node.Start(source);
   }
-  Sampler sampler(&node.reader(), table, plan.keyspace, sampler_seed);
+  Sampler sampler(&node.reader(), primary, plan.keyspace, sampler_seed);
   node.WaitUntilCaughtUp();
   const Timestamp visible = node.VisibleTimestamp();
   node.Stop();
   sampler.StopAndJoin();
   report->releases[node.options().protocol] +=
       node.reader().stats().released_segments.load(std::memory_order_relaxed);
-  if (!sampler.monotonic()) {
-    report->violations.push_back(who + ": reader snapshot regressed " +
-                                 phase);
-  }
-  if (!sampler.outside_window()) {
-    report->violations.push_back(
-        who + ": reader observed a snapshot inside the recovery window " +
-        phase);
-  }
-  if (!sampler.scans_ordered()) {
-    report->violations.push_back(who + ": scan returned out-of-order keys " +
-                                 phase);
+  static constexpr std::pair<Sampler::Breach, const char*> kBreaches[] = {
+      {Sampler::kRegressed, "reader snapshot regressed"},
+      {Sampler::kInsideWindow,
+       "reader observed a snapshot inside the recovery window"},
+      {Sampler::kValueOff,
+       "reader saw a value off the primary's history at its snapshot"},
+      {Sampler::kScanUnordered, "scan returned out-of-order keys"},
+  };
+  for (const auto& [breach, what] : kBreaches) {
+    if ((sampler.violations() & breach) != 0) {
+      report->violations.push_back(who + ": " + what + " " + phase);
+    }
   }
   return visible;
 }
@@ -462,7 +489,7 @@ void RunConvergenceReplica(const DstPlan& plan, ProtocolKind kind,
     DstChannel::Source source = channel.MakeSource(
         0, std::min(cut, channel.delivered().size() - 1));
     const Timestamp checkpoint =
-        RunIncarnation(*node, plan, &source, /*restart=*/false, primary.table,
+        RunIncarnation(*node, plan, &source, /*restart=*/false, primary,
                        plan.seed ^ salt, who, "before the crash", report);
 
     if (plan.crash_via_checkpoint_file) {
@@ -542,7 +569,7 @@ void RunConvergenceReplica(const DstPlan& plan, ProtocolKind kind,
       DstChannel::Source resume_source = resume_channel->MakeSource();
       const bool in_place = !plan.crash_via_checkpoint_file;
       final_visible = RunIncarnation(*node, plan, &resume_source, in_place,
-                                     primary.table,
+                                     primary,
                                      plan.seed ^ salt ^ 0xC2A54ull, who,
                                      "after the restart", report);
       ++report->crash_restarts;
@@ -558,7 +585,7 @@ void RunConvergenceReplica(const DstPlan& plan, ProtocolKind kind,
   } else {
     DstChannel::Source source = channel.MakeSource();
     final_visible =
-        RunIncarnation(*node, plan, &source, /*restart=*/false, primary.table,
+        RunIncarnation(*node, plan, &source, /*restart=*/false, primary,
                        plan.seed ^ salt, who, "during replay", report);
   }
 
@@ -633,7 +660,7 @@ void RunPromotionScenario(const DstPlan& plan, DstPrimary& primary,
   victim.CreateTable("dst");
   DstChannel::Source source = channel.MakeSource();
   const Timestamp applied = RunIncarnation(
-      victim, plan, &source, /*restart=*/false, primary.table,
+      victim, plan, &source, /*restart=*/false, primary,
       plan.seed ^ 0x9E57ull, "promotion", "before promotion", report);
   if (applied == 0) {
     fail("victim applied nothing before promotion");

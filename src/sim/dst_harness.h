@@ -25,10 +25,11 @@
 //     keys whose row id changed (timestamp-aware index binding).
 //  5. Monotonic prefix consistency for live readers: a sampler thread runs
 //     Snapshot reads (point gets and ordered scans) throughout; its
-//     snapshot timestamps never regress, scans return strictly ascending
-//     keys, and its reads — which drive Query Fresh's lazy instantiation
-//     and race against epoch GC — never touch reclaimed memory (the ASan
-//     lane enforces that part).
+//     snapshot timestamps never regress, each point get returns the
+//     primary's value of the row it read at the snapshot's timestamp,
+//     scans return strictly ascending keys, and its reads — which drive
+//     Query Fresh's lazy instantiation and race against epoch GC — never
+//     touch reclaimed memory (the ASan lane enforces that part).
 //  6. Post-promotion state equals a single-thread oracle's replay of the
 //     same prefix plus the promoted node's log.
 //  7. Recovery visibility window: a replica restarted on surviving state

@@ -89,9 +89,10 @@ TEST(C5SnapshotTest, VisibleTimestampIsAlwaysAPrefixCompleteReadPoint) {
   // alignment is automatic in C5-Cicada because every write of a
   // transaction carries the transaction's commit timestamp: ANY read point
   // c exposes only whole transactions (those with commit_ts <= c). The
-  // sampled value itself need not equal a commit timestamp — worker c'
-  // values are (next timestamp - 1), and MVTSO leaves timestamp holes for
-  // aborted transactions. The checkable invariants are: c is monotonic,
+  // sampled value is the end of the batch prefix, the max timestamp of the
+  // last segment whose batches and all earlier ones are applied (MVTSO
+  // leaves timestamp holes for aborted transactions, so c + 1 need not be
+  // a commit timestamp). The checkable invariants are: c is monotonic,
   // never exceeds the log, and every write of every transaction at or below
   // a sampled c has been applied (prefix completeness).
   auto run = test::RunSyntheticPrimary(true, 4, 400);

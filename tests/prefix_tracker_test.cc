@@ -66,19 +66,16 @@ TEST(PrefixTrackerTest, WrapsAroundRing) {
   EXPECT_EQ(pt.watermark(), 100u);
 }
 
-TEST(PrefixTrackerTest, BackpressureReleasesAfterAdvance) {
+TEST(PrefixTrackerTest, HasRoomReleasesAfterAdvance) {
   PrefixTracker pt(8);  // tiny ring
-  std::atomic<bool> marked_far{false};
-  std::thread marker([&] {
-    pt.Mark(0, 1);
-    pt.Mark(8, 9);  // exactly capacity ahead: must wait for watermark > 0
-    marked_far.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(marked_far.load());
-  pt.Advance();  // watermark -> 1, unblocks
-  marker.join();
-  EXPECT_TRUE(marked_far.load());
+  EXPECT_TRUE(pt.HasRoom(8));
+  EXPECT_FALSE(pt.HasRoom(9));  // index 8 is exactly capacity ahead
+  pt.Mark(0, 1);
+  EXPECT_FALSE(pt.HasRoom(9));  // marked, but its slot is not yet free
+  pt.Advance();                 // watermark -> 1 frees slot 0
+  EXPECT_TRUE(pt.HasRoom(9));
+  pt.Mark(8, 9);
+  EXPECT_EQ(pt.Advance(), 1u);  // 1..7 still unmarked
 }
 
 TEST(PrefixTrackerTest, ConcurrentMarkersSingleAdvancer) {
@@ -94,6 +91,9 @@ TEST(PrefixTrackerTest, ConcurrentMarkersSingleAdvancer) {
       while (true) {
         const std::uint64_t seq = next.fetch_add(1);
         if (seq >= kN) break;
+        // Hand out an index only once it fits (the numbering contract);
+        // the advancer frees room.
+        while (!pt.HasRoom(seq + 1)) std::this_thread::yield();
         pt.Mark(seq, seq + 1);
       }
     });

@@ -4,15 +4,19 @@
 // behaviour, on low- and high-contention logs from both primary engines.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "api/snapshot.h"
 #include "core/protocol_factory.h"
@@ -265,6 +269,14 @@ INSTANTIATE_TEST_SUITE_P(
       return name + "_w" + std::to_string(std::get<1>(info.param));
     });
 
+// A protocol's name as a test parameter name ('-' is not allowed).
+std::string ProtocolParamName(
+    const ::testing::TestParamInfo<ProtocolKind>& info) {
+  std::string name = core::ToString(info.param);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
 // Every protocol that runs replay workers, and so the maintenance thread.
 const ProtocolKind kProtocolsWithWorkers[] = {
     ProtocolKind::kC5,
@@ -378,13 +390,7 @@ TEST_P(ReclaimWhileReplayingTest, FreesRetiredVersionsWhileWorkersRun) {
 INSTANTIATE_TEST_SUITE_P(
     ProtocolsWithWorkers, ReclaimWhileReplayingTest,
     ::testing::ValuesIn(kProtocolsWithWorkers),
-    [](const ::testing::TestParamInfo<ProtocolKind>& info) {
-      std::string name = core::ToString(info.param);
-      for (auto& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+    ProtocolParamName);
 
 // Every applying thread keeps its counts local and flushes them once per
 // unit of work, always before it waits. With the source stalled before its
@@ -460,13 +466,7 @@ const ProtocolKind kTallyProtocols[] = {
 
 INSTANTIATE_TEST_SUITE_P(
     ProtocolsWithWorkers, ApplyTallyTest, ::testing::ValuesIn(kTallyProtocols),
-    [](const ::testing::TestParamInfo<ProtocolKind>& info) {
-      std::string name = core::ToString(info.param);
-      for (auto& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+    ProtocolParamName);
 
 // Single-threaded replay runs no maintenance thread, but a caller that
 // collects on its database must still free what it retires while the
@@ -497,64 +497,223 @@ TEST_F(ReclaimWhileReplayingTest, SingleThreadFreesRetiredVersionsWhileStalled) 
   EXPECT_EQ(replica->stats().applied_writes.load(), log.NumRecords());
 }
 
-// Stop() before catch-up returns even with far more transactions queued
-// than the C5-MyRocks prefix tracker holds (64k at the default snapshot
-// interval). A worker draining its closed queue waits in the tracker's
-// back-pressure until Advance() frees room, so the visibility loop must keep
-// advancing after Stop() until the workers exit.
-TEST(C5MyRocksStopTest, StopBeforeCatchUpReturnsWithMoreTxnsThanTheTracker) {
-  constexpr std::uint64_t kRows = 1024;
-  constexpr std::uint64_t kTxns = 300000;
-  constexpr std::size_t kSegmentRecords = 1024;
-  log::Log log;
-  auto seg = std::make_unique<log::LogSegment>(/*base_seq=*/0);
-  for (std::uint64_t i = 0; i < kTxns; ++i) {
-    log::LogRecord rec;
-    rec.row = rec.key = i % kRows;
-    rec.op = i < kRows ? OpType::kInsert : OpType::kUpdate;
-    rec.commit_ts = i + 1;
-    rec.last_in_txn = true;
-    rec.value = "v";
-    seg->Append(rec);
-    if (seg->size() == kSegmentRecords) {
-      log.AppendSegment(std::move(seg));
-      seg = std::make_unique<log::LogSegment>(/*base_seq=*/i + 1);
-    }
-  }
-  if (!seg->empty()) log.AppendSegment(std::move(seg));
+// More work in the log than a prefix tracker holds (64k marks at the
+// default snapshot interval). C5 marks batches, at most one per worker per
+// segment, so its log has one record per segment; the others mark records
+// or transactions and get 1024-record segments. Every 8th transaction
+// writes one hot row, so that chain lags while the rest of the log runs
+// ahead of it. The scheduler, which outruns the workers, waits for tracker
+// room once it is that far ahead of the marked prefix; a worker that waited
+// to mark instead, holding older unmarked work, would wait forever.
+class MoreWorkThanTheTrackerTest
+    : public ::testing::TestWithParam<ProtocolKind> {
+ protected:
+  static constexpr std::uint64_t kTxns = 300000;
+  static constexpr std::uint64_t kTrackerMarks = std::uint64_t{1} << 16;
+  static constexpr std::uint64_t kRows = 1024;  // plus the hot row
 
-  storage::Database backup;
-  workload::SyntheticWorkload::CreateTable(&backup);
-  log::OfflineSegmentSource source(&log);
-  auto replica = MakeReplica(ProtocolKind::kC5MyRocks, &backup,
-                             ProtocolOptions{.num_workers = 4});
-  replica->Start(&source);
-  // Every transaction queued. The scheduler outruns the workers, so far
-  // more than the tracker holds is still ahead of them.
-  while (replica->watermark() < kTxns) {
+  // Transaction i is one write to RowOf(i) at commit timestamp i + 1.
+  static RowId RowOf(std::uint64_t i) {
+    return i % 8 == 0 ? kRows : i % kRows;
+  }
+
+  MoreWorkThanTheTrackerTest() {
+    const std::size_t segment_records =
+        GetParam() == ProtocolKind::kC5 ? 1 : 1024;
+    auto seg = std::make_unique<log::LogSegment>(/*base_seq=*/0);
+    for (std::uint64_t i = 0; i < kTxns; ++i) {
+      log::LogRecord rec;
+      rec.row = rec.key = RowOf(i);
+      rec.op = i < kRows ? OpType::kInsert : OpType::kUpdate;
+      rec.commit_ts = i + 1;
+      rec.last_in_txn = true;
+      // Empty: a segment with no value bytes allocates no value chunk.
+      rec.value = "";
+      seg->Append(rec);
+      if (seg->size() == segment_records) {
+        log_.AppendSegment(std::move(seg));
+        seg = std::make_unique<log::LogSegment>(/*base_seq=*/i + 1);
+      }
+    }
+    if (!seg->empty()) log_.AppendSegment(std::move(seg));
+    workload::SyntheticWorkload::CreateTable(&backup_);
+    replica_ =
+        MakeReplica(GetParam(), &backup_, ProtocolOptions{.num_workers = 4});
+  }
+
+  // After Stop(): every write handed out was applied and none other. The
+  // scheduler hands out in log order, so the applied transactions must be
+  // exactly the first applied_writes of the log, and the published snapshot
+  // must lie within them. A dropped hand-off leaves a hole below
+  // applied_writes and an applied write above it.
+  void ExpectAppliedPrefix() {
+    const std::uint64_t applied = replica_->stats().applied_writes.load();
+    EXPECT_GE(applied, replica_->VisibleTimestamp());
+    // One walk down each row's version chain (no GC runs) finds every
+    // installed write.
+    std::vector<bool> installed(kTxns, false);
+    storage::Table& table = backup_.table(0);
+    for (RowId row = 0; row <= kRows; ++row) {
+      table.EnsureRow(row);
+      for (const storage::Version* v = table.ReadLatestCommitted(row);
+           v != nullptr; v = v->next.load(std::memory_order_acquire)) {
+        if (v->write_ts >= 1 && v->write_ts <= kTxns) {
+          installed[v->write_ts - 1] = true;
+        }
+      }
+    }
+    std::uint64_t holes = 0;
+    std::uint64_t beyond = 0;
+    for (std::uint64_t i = 0; i < kTxns; ++i) {
+      if (i < applied && !installed[i]) ++holes;
+      if (i >= applied && installed[i]) ++beyond;
+    }
+    EXPECT_EQ(holes, 0u) << "of the first " << applied << " writes";
+    EXPECT_EQ(beyond, 0u) << "past the first " << applied << " writes";
+  }
+
+  // Runs `fn` on a thread and ends the binary with a readable failure if
+  // it has not returned within 60 s: a replica whose threads cannot be
+  // joined would otherwise wait out the suite's timeout.
+  void ReturnsWithin60s(const char* what, const std::function<void()>& fn) {
+    std::atomic<bool> done{false};
+    std::thread runner([&] {
+      fn();
+      done.store(true, std::memory_order_release);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!done.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (!done.load(std::memory_order_acquire)) {
+      std::fprintf(stderr, "%s: %s did not return within 60 s\n",
+                   core::ToString(GetParam()), what);
+      std::_Exit(1);
+    }
+    runner.join();
+  }
+
+  log::Log log_;
+  storage::Database backup_;
+  std::unique_ptr<replica::ReplicaBase> replica_;
+};
+
+TEST_P(MoreWorkThanTheTrackerTest, CatchesUp) {
+  log::OfflineSegmentSource source(&log_);
+  replica_->Start(&source);
+  ReturnsWithin60s("WaitUntilCaughtUp()",
+                   [&] { replica_->WaitUntilCaughtUp(); });
+  replica_->Stop();
+  EXPECT_EQ(replica_->stats().applied_writes.load(), kTxns);
+  EXPECT_EQ(replica_->VisibleTimestamp(), kTxns);
+  ExpectAppliedPrefix();
+}
+
+// Stop() before catch-up must end the scheduler's wait for room as well as
+// the workers' loops.
+TEST_P(MoreWorkThanTheTrackerTest, StopBeforeCatchUpReturns) {
+  log::OfflineSegmentSource source(&log_);
+  replica_->Start(&source);
+  // Twice the tracker scheduled: the scheduler has waited for room.
+  while (replica_->watermark() < 2 * kTrackerMarks) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
-  std::atomic<bool> stopped{false};
-  std::thread stopper([&] {
-    replica->Stop();
-    stopped.store(true, std::memory_order_release);
-  });
+  ReturnsWithin60s("Stop()", [&] { replica_->Stop(); });
+  ExpectAppliedPrefix();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ProtocolsWithWorkers, MoreWorkThanTheTrackerTest,
+    ::testing::ValuesIn(kProtocolsWithWorkers),
+    ProtocolParamName);
+
+// Delivers a log, then blocks in Next() on a condition variable until
+// Close(): a shipping channel that stays open with nothing to ship.
+class OpenSegmentSource : public log::SegmentSource {
+ public:
+  explicit OpenSegmentSource(log::Log* log) : log_(log) {}
+
+  log::LogSegment* Next() override {
+    if (pos_ < log_->NumSegments()) return log_->segment(pos_++);
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return closed_; });
+    return nullptr;
+  }
+
+  void Close() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  log::Log* log_;
+  std::size_t pos_ = 0;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool closed_ = false;
+};
+
+// This process's user + system CPU time, every thread included.
+std::chrono::microseconds ProcessCpuTime() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto us = [](const timeval& tv) {
+    return std::chrono::seconds(tv.tv_sec) +
+           std::chrono::microseconds(tv.tv_usec);
+  };
+  return us(usage.ru_utime) + us(usage.ru_stime);
+}
+
+// A caught-up replica whose source stays open parks its workers: over an
+// idle window the whole process uses well under a core (only the visibility
+// loop's tick and the blocked scheduler remain), where a worker that spins
+// or yields while idle burns one core each.
+class IdleParkTest : public ::testing::TestWithParam<ProtocolKind> {};
+
+TEST_P(IdleParkTest, CaughtUpWorkersParkWhileTheSourceStaysOpen) {
+  auto run = test::RunSyntheticPrimary(/*adversarial=*/true, 2, 100);
+  storage::Database backup;
+  workload::SyntheticWorkload::CreateTable(&backup);
+  run.log.ResetReplayState();
+  OpenSegmentSource source(&run.log);
+  auto replica =
+      MakeReplica(GetParam(), &backup, ProtocolOptions{.num_workers = 4});
+  replica->Start(&source);
   const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (!stopped.load(std::memory_order_acquire) &&
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (replica->VisibleTimestamp() < run.log.MaxTimestamp() &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  if (!stopped.load(std::memory_order_acquire)) {
-    // The replica's threads cannot be joined; end the binary with a
-    // readable failure instead of waiting for the suite's timeout.
-    std::fprintf(stderr, "Stop() did not return within 60 s\n");
-    std::_Exit(1);
-  }
-  stopper.join();
-  // Stop() lets the workers drain what was queued.
-  EXPECT_EQ(replica->stats().applied_writes.load(), kTxns);
+  ASSERT_EQ(replica->VisibleTimestamp(), run.log.MaxTimestamp());
+  // Past every queue's spin budget.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  const auto cpu0 = ProcessCpuTime();
+  const auto wall0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const auto cpu = ProcessCpuTime() - cpu0;
+  const auto wall = std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::steady_clock::now() - wall0);
+  EXPECT_LT(cpu.count(), wall.count() / 4)
+      << "idle replica used " << cpu.count() << " us of CPU in "
+      << wall.count() << " us";
+
+  source.Close();
+  replica->WaitUntilCaughtUp();
+  replica->Stop();
+  EXPECT_EQ(replica->stats().applied_writes.load(), run.log.NumRecords());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    ProtocolsWithWorkers, IdleParkTest,
+    ::testing::ValuesIn(kProtocolsWithWorkers),
+    ProtocolParamName);
 
 // The unconstrained-KuaFu diagnostic still applies every write and
 // terminates; it just may not converge to the primary's state.
