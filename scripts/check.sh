@@ -94,11 +94,12 @@ cmake --build "${build_dir}-c5bench" -j "$jobs" --target c5bench
 # as a red lane instead of a "flaky" test. It includes the epoch limbo
 # buckets (epoch_test), reclamation while replay workers run (replica_test),
 # the GC-every-pass DST sweep (dst_test), every protocol's segment
-# releases against a live collector (log_test) and the shared hand-off
-# queue's batch wakeups (queue_test).
+# releases against a live collector (log_test), the shared hand-off
+# queue's batch wakeups (queue_test) and the version arenas' free lists
+# under concurrent readers (arena_test).
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
   --repeat until-fail:20 \
-  -R 'replica|dst|epoch|property|failover|session|net|cluster|ordered_index|hash_index|tpcc|checkpoint|c5_core|integration|query_fresh|engine|two_phase_locking|log_test|queue'
+  -R 'replica|dst|epoch|property|failover|session|net|cluster|ordered_index|hash_index|tpcc|checkpoint|c5_core|integration|query_fresh|engine|two_phase_locking|log_test|queue|arena'
 "$repo_root/scripts/bench.sh" --quick "$build_dir"
 
 run_static_lane
@@ -138,12 +139,17 @@ run_static_lane
 # release as a use-after-free, TSan a release racing a worker's read.
 # queue_test runs under TSan: MpmcQueue's lock-free size hint and parked
 # waiter count carry every replica hand-off. So does c5_core_test: C5's
-# scheduler, per-worker batch queues and batch pool.
+# scheduler, per-worker batch queues and batch pool. arena_test and
+# engine_test run in both lanes: a reclaimed version's block is reused
+# one grace period after retirement, so ASan checks that a listed block
+# stays poisoned and is never reached again, and TSan the shard-lock
+# hand-off of a block from the reclaiming thread to the allocating one;
+# engine_test covers both engines' existence reads.
 tsan_dir="${build_dir}-tsan"
 cmake -B "$tsan_dir" -S "$repo_root" -DC5_SANITIZE=thread >/dev/null
 cmake --build "$tsan_dir" -j "$jobs" --target dst_test cluster_test net_test \
   ordered_index_test hash_index_test htap_scan_test epoch_test replica_test \
-  log_test queue_test c5_core_test
+  log_test queue_test c5_core_test arena_test engine_test
 C5_DST_SEED_COUNT=16 "$tsan_dir/dst_test"
 "$tsan_dir/log_test" --gtest_filter='*Retention*'
 "$tsan_dir/epoch_test"
@@ -155,12 +161,14 @@ C5_DST_SEED_COUNT=16 "$tsan_dir/dst_test"
 "$tsan_dir/htap_scan_test"
 "$tsan_dir/queue_test"
 "$tsan_dir/c5_core_test"
+"$tsan_dir/arena_test"
+"$tsan_dir/engine_test"
 
 asan_dir="${build_dir}-asan"
 cmake -B "$asan_dir" -S "$repo_root" -DC5_SANITIZE=address >/dev/null
 cmake --build "$asan_dir" -j "$jobs" --target dst_test wire_test cluster_test \
   net_test ordered_index_test hash_index_test htap_scan_test epoch_test \
-  replica_test log_test
+  replica_test log_test arena_test engine_test
 C5_DST_SEED_COUNT=16 "$asan_dir/dst_test"
 "$asan_dir/log_test" --gtest_filter='*Retention*'
 "$asan_dir/epoch_test"
@@ -171,6 +179,8 @@ C5_DST_SEED_COUNT=16 "$asan_dir/dst_test"
 "$asan_dir/ordered_index_test"
 "$asan_dir/hash_index_test"
 "$asan_dir/htap_scan_test"
+"$asan_dir/arena_test"
+"$asan_dir/engine_test"
 
 ubsan_dir="${build_dir}-ubsan"
 cmake -B "$ubsan_dir" -S "$repo_root" -DC5_SANITIZE=undefined >/dev/null

@@ -261,6 +261,50 @@ void Cluster::Start() {
       }
     });
   }
+  StartPrimaryGc();
+}
+
+void Cluster::StartPrimaryGc() {
+  if (options_.protocol.gc_every <= 0) return;
+  stop_primary_gc_.store(false, std::memory_order_release);
+  storage::Database* db = &current_primary_db();
+  const txn::Engine* engine = &this->engine();
+  const replica::ReplicaBase* promoted_reader =
+      promoted_ != nullptr ? &nodes_[promoted_index_]->reader() : nullptr;
+  primary_gc_ = std::thread([this, db, engine, promoted_reader] {
+    db->MaintenanceLoop(
+        options_.protocol.gc_every, options_.protocol.snapshot_interval,
+        [this, engine, promoted_reader] {
+          return PrimaryGcHorizon(*engine, promoted_reader);
+        },
+        [] { return false; },
+        [this] { return stop_primary_gc_.load(std::memory_order_acquire); },
+        &primary_gc_stats_);
+  });
+}
+
+void Cluster::StopPrimaryGc() {
+  stop_primary_gc_.store(true, std::memory_order_release);
+  if (primary_gc_.joinable()) primary_gc_.join();
+}
+
+Timestamp Cluster::PrimaryGcHorizon(
+    const txn::Engine& engine,
+    const replica::ReplicaBase* promoted_reader) const {
+  // The engine's horizon reads its clock first and the pins are scanned
+  // after it (all seq_cst): a pin this scan misses was registered later, so
+  // the timestamp its reader draws next is above that clock value.
+  Timestamp horizon = engine.GcHorizon();
+  const Timestamp pinned = read_pins_.MinActive();
+  if (pinned != kMaxTimestamp) {
+    horizon = std::min(horizon, pinned == 0 ? 0 : pinned - 1);
+  }
+  // A promoted node keeps serving snapshots from its stopped protocol's
+  // reader, over the database its engine now writes.
+  if (promoted_reader != nullptr) {
+    horizon = std::min(horizon, promoted_reader->GcHorizon());
+  }
+  return horizon;
 }
 
 Status Cluster::RunOnPrimary(const txn::TxnFn& fn, Timestamp* commit_ts,
@@ -357,10 +401,13 @@ Status Cluster::Promote(std::size_t backup_index) {
   // everyone else) drains what it received before the switch.
   WaitForBackups();
   for (auto& node : nodes_) node->Stop();
+  StopPrimaryGc();
   // The tap set rides along: a migration tailing this shard's commit
   // stream keeps seeing it from the new primary.
   promoted_ = nodes_[backup_index]->Promote(options_.engine, &taps_);
   promoted_index_ = backup_index;
+  // Primary GC follows the promoted engine into the node's database.
+  StartPrimaryGc();
   return Status::Ok();
 }
 
@@ -409,6 +456,7 @@ Status Cluster::CatchUpSurvivors() {
 
 void Cluster::Shutdown() {
   if (!started_) return;
+  StopPrimaryGc();
   StopPrimary();
   if (promoted_ == nullptr) WaitForBackups();
   for (auto& node : nodes_) node->Stop();

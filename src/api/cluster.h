@@ -59,6 +59,7 @@
 #include "replica/lag_tracker.h"
 #include "replica/session.h"
 #include "storage/database.h"
+#include "txn/active_txn_tracker.h"
 #include "txn/txn.h"
 
 namespace c5::net {
@@ -183,8 +184,9 @@ struct ClusterOptions {
   std::size_t num_backups = 1;
   core::ProtocolKind backup_protocol = core::ProtocolKind::kC5;
 
-  // Replication knobs applied to every backup (GC on: without it a backup's
-  // memory grows with every overwrite).
+  // Replication knobs applied to every backup. gc_every x snapshot_interval
+  // is also the cadence of the primary's garbage collection (GC on: without
+  // it each side's memory grows with every overwrite; 0 turns both off).
   core::ProtocolOptions protocol{.num_workers = 2, .gc_every = 16};
 
   // Log shipping: records per shipped segment, and how often the background
@@ -410,11 +412,26 @@ class Cluster {
   // failover), so the export never serves from a stale backup. The caller
   // must first ensure ts is settled — every transaction at or below ts has
   // finished — by waiting for PrimaryLogHorizon() > ts; reads at a settled
-  // timestamp see only resolved committed versions. Keys inserted
-  // concurrently with the export may or may not be enumerated — that is
-  // what the log tail (AttachTap) is for.
+  // timestamp see only resolved committed versions. Below the clock's
+  // latest value, ts must also be pinned (primary_read_pins()) from before it
+  // was drawn until the export ends, or primary GC may have truncated the
+  // versions it reads. Keys inserted concurrently with the export may or
+  // may not be enumerated — that is what the log tail (AttachTap) is for.
   Status ExportRows(TableId table, const std::function<bool(Key)>& keep,
                     Timestamp ts, std::vector<ExportedRow>* out);
+
+  // Pins on the primary's history for reads at an old timestamp (the
+  // migration export). Register an ActiveTxnTracker::Scope on it, THEN draw
+  // the read timestamp and Set() it: until the scope ends, primary GC keeps
+  // every version a read at that timestamp sees (the registration protocol
+  // primary transactions follow too).
+  txn::ActiveTxnTracker& primary_read_pins() { return read_pins_; }
+
+  // The primary's maintenance loop (GC passes and their wall time), across
+  // failovers; zero with gc_every = 0.
+  const storage::GcStats& primary_gc_stats() const {
+    return primary_gc_stats_;
+  }
 
   // Lower bound on every future commit timestamp of the current primary's
   // engine: once this exceeds ts, no transaction can ever commit at or
@@ -464,6 +481,15 @@ class Cluster {
   std::vector<ClusterOptions::BackupSpec> ResolvedSpecs() const;
   Status RunOnPrimary(const txn::TxnFn& fn, Timestamp* commit_ts, bool retry);
 
+  // Primary GC: the maintenance loop over the current primary's database,
+  // restarted on the promoted node by Promote. No-op with gc_every = 0.
+  void StartPrimaryGc();
+  void StopPrimaryGc();
+  // The loop's horizon: the engine's, under every export pin and, after a
+  // failover, under the promoted node's own snapshot readers.
+  Timestamp PrimaryGcHorizon(const txn::Engine& engine,
+                             const replica::ReplicaBase* promoted_reader) const;
+
   ClusterOptions options_;
   std::vector<std::string> schema_;
 
@@ -488,6 +514,11 @@ class Cluster {
   // Fleet.
   std::vector<std::unique_ptr<BackupNode>> nodes_;
   replica::BackupSet set_;
+
+  txn::ActiveTxnTracker read_pins_;
+  storage::GcStats primary_gc_stats_;
+  std::thread primary_gc_;
+  std::atomic<bool> stop_primary_gc_{false};
 
   std::thread flusher_;
   std::atomic<bool> stop_flusher_{false};

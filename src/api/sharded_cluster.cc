@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <optional>
 #include <thread>
 
 namespace c5 {
@@ -590,9 +591,15 @@ Status ShardedCluster::Rebalance(const MigrationPlan& plan,
 
   // 2. Settle a copy timestamp: once the source engine's log horizon passes
   // it, every transaction at or below copy_ts has finished, so the export
-  // reads a complete committed prefix straight off the source primary.
+  // reads a complete committed prefix straight off the source primary. The
+  // pin is registered before copy_ts is drawn and held until the export
+  // ends, so the source's primary GC keeps the state at copy_ts.
+  std::optional<txn::ActiveTxnTracker::Scope> pin;
+  pin.emplace(&source.primary_read_pins());
   const Timestamp copy_ts = source.clock().Latest();
+  pin->Set(copy_ts);
   while (source.PrimaryLogHorizon() <= copy_ts) std::this_thread::yield();
+  if (hooks.before_export) hooks.before_export(copy_ts);
 
   std::vector<TableId> tables;
   for (const ShardMove& move : plan) {
@@ -631,6 +638,7 @@ Status ShardedCluster::Rebalance(const MigrationPlan& plan,
     }
     local.rows_copied += rows.size();
   }
+  pin.reset();
 
   if (hooks.after_copy) hooks.after_copy();
 

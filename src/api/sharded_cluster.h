@@ -75,11 +75,15 @@ struct MigrationReport {
   std::size_t rows_deleted = 0;    // source residue tombstoned at cutover
 };
 
-// Test seams for Rebalance. `after_copy` runs after the bulk copy and before
-// the cutover fence — the window where a mid-migration source failover must
-// not lose tail records (the promoted primary re-attaches the migration tap:
-// ha::PromoteToPrimary's extra_sink).
+// Test seams for Rebalance. `before_export` runs once the copy timestamp is
+// settled and before the bulk copy reads the source at it — the window in
+// which the source's primary GC must not truncate what the export reads
+// (Cluster::primary_read_pins). `after_copy` runs after the bulk copy and
+// before the cutover fence — the window where a mid-migration source
+// failover must not lose tail records (the promoted primary re-attaches the
+// migration tap: ha::PromoteToPrimary's extra_sink).
 struct RebalanceHooks {
+  std::function<void(Timestamp copy_ts)> before_export;
   std::function<void()> after_copy;
 };
 

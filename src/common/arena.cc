@@ -32,7 +32,8 @@ thread_local unsigned tls_shard_seed = ~0u;
 
 }  // namespace
 
-SlabArena::SlabArena(int shards) {
+SlabArena::SlabArena(int shards, bool reuse_blocks)
+    : reuse_blocks_(reuse_blocks) {
   const std::size_t n =
       NextPow2(static_cast<std::size_t>(shards < 1 ? 1 : shards));
   shard_mask_ = static_cast<int>(n - 1);
@@ -75,6 +76,7 @@ SlabArena::SlabHeader* SlabArena::PopFreeOrNew() {
   slab->owner = this;
   slab->live.store(1, std::memory_order_relaxed);
   slab->bump = kHeaderBytes;
+  slab->listed = 0;
   slab->next_free = nullptr;
   C5_ARENA_POISON(static_cast<char*>(mem) + kHeaderBytes, kMaxAlloc);
   {
@@ -85,18 +87,45 @@ SlabArena::SlabHeader* SlabArena::PopFreeOrNew() {
   return slab;
 }
 
+std::vector<void*>* SlabArena::Shard::FindList(std::uint32_t bytes) {
+  for (FreeList& list : free_lists) {
+    if (list.bytes == bytes) return &list.blocks;
+  }
+  return nullptr;
+}
+
 void* SlabArena::Allocate(std::size_t bytes) {
   bytes = RoundUp8(bytes);
   if (bytes == 0 || bytes > kMaxAlloc) return nullptr;
-  Shard& shard = shards_[ShardIndex()];
+  const std::size_t index = ShardIndex();
+  Shard& shard = shards_[index];
   SpinLockGuard lock(shard.lock);
+  if (std::vector<void*>* list =
+          shard.FindList(static_cast<std::uint32_t>(bytes));
+      list != nullptr && !list->empty()) {
+    // The listed block still holds its slab reference: nothing to count.
+    void* p = list->back();
+    list->pop_back();
+    --SlabOf(p)->listed;
+    ++shard.blocks_reused;
+    C5_ARENA_UNPOISON(p, bytes);
+    return p;
+  }
   SlabHeader* slab = shard.current;
   if (slab == nullptr || slab->bump + bytes > kSlabBytes) {
     SlabHeader* fresh = PopFreeOrNew();
     if (fresh == nullptr) return nullptr;
     // Drop the current-slab reference of the slab being sealed; if all its
     // objects were already released this recycles it immediately.
-    if (slab != nullptr) DropRef(slab);
+    if (slab != nullptr) {
+      if (reuse_blocks_) {
+        slab->live.fetch_sub(1, std::memory_order_relaxed);
+        RecycleIfAllListed(shard, slab);
+      } else {
+        DropRef(slab);
+      }
+    }
+    fresh->shard = static_cast<std::uint32_t>(index);
     shard.current = fresh;
     slab = fresh;
   }
@@ -112,10 +141,36 @@ void* SlabArena::Allocate(std::size_t bytes) {
 
 void SlabArena::Release(void* ptr, std::size_t bytes) {
   bytes = RoundUp8(bytes);
-  auto* slab = reinterpret_cast<SlabHeader*>(
-      reinterpret_cast<std::uintptr_t>(ptr) & ~(kSlabBytes - 1));
+  SlabHeader* slab = SlabOf(ptr);
   C5_ARENA_POISON(ptr, bytes);
-  DropRef(slab);
+  SlabArena* arena = slab->owner;
+  if (!arena->reuse_blocks_) {
+    DropRef(slab);
+    return;
+  }
+  Shard& shard = arena->shards_[slab->shard];
+  const auto size = static_cast<std::uint32_t>(bytes);
+  SpinLockGuard lock(shard.lock);
+  std::vector<void*>* list = shard.FindList(size);
+  if (list == nullptr) {
+    shard.free_lists.push_back(FreeList{size, {}});
+    list = &shard.free_lists.back().blocks;
+  }
+  list->push_back(ptr);
+  ++slab->listed;
+  arena->RecycleIfAllListed(shard, slab);
+}
+
+void SlabArena::RecycleIfAllListed(Shard& shard, SlabHeader* slab) {
+  // `live` counts the listed blocks, the outstanding ones and the current
+  // reference: equal to `listed`, the slab is sealed and wholly free.
+  if (slab->live.load(std::memory_order_relaxed) != slab->listed) return;
+  for (FreeList& list : shard.free_lists) {
+    std::erase_if(list.blocks, [slab](void* p) { return SlabOf(p) == slab; });
+  }
+  slab->listed = 0;
+  slab->live.store(0, std::memory_order_relaxed);
+  Recycle(slab);
 }
 
 void SlabArena::DropRef(SlabHeader* slab) {
@@ -132,6 +187,15 @@ void SlabArena::Recycle(SlabHeader* slab) {
   SpinLockGuard lock(free_mu_);
   slab->next_free = free_head_;
   free_head_ = slab;
+}
+
+std::uint64_t SlabArena::BlocksReused() const {
+  std::uint64_t n = 0;
+  for (const Shard& shard : shards_) {
+    SpinLockGuard lock(shard.lock);
+    n += shard.blocks_reused;
+  }
+  return n;
 }
 
 std::size_t SlabArena::SlabsFree() const {

@@ -50,11 +50,18 @@ class TxnClock {
 
   // Returns a unique, strictly increasing timestamp. Never returns
   // kInvalidTimestamp (0).
-  Timestamp Next() { return next_.fetch_add(1, std::memory_order_relaxed); }
+  //
+  // Both operations are seq_cst (free on x86: the RMW is a locked add, the
+  // load a plain move) so garbage-collection horizons can order a clock
+  // read against a scan of registered readers (txn::ActiveTxnTracker):
+  // a reader that registers before it draws or reads a timestamp, and is
+  // missed by a scan that followed a clock read, gets a timestamp above
+  // that read.
+  Timestamp Next() { return next_.fetch_add(1, std::memory_order_seq_cst); }
 
   // Largest timestamp handed out so far (approximate under concurrency).
   Timestamp Latest() const {
-    return next_.load(std::memory_order_relaxed) - 1;
+    return next_.load(std::memory_order_seq_cst) - 1;
   }
 
   // Test hook: restart the clock.

@@ -22,7 +22,15 @@ void ReplicaBase::Start(log::SegmentSource* source) {
       visibility_done_.store(true, std::memory_order_release);
     });
     if (options_.gc_every > 0) {
-      threads_.emplace_back([this] { MaintenanceLoop(); });
+      threads_.emplace_back([this] {
+        db_->MaintenanceLoop(
+            options_.gc_every, options_.snapshot_interval,
+            [this] { return GcHorizon(); },
+            [this] {
+              return visibility_done_.load(std::memory_order_acquire);
+            },
+            [this] { return stopping(); }, &stats_);
+      });
     }
   }
 }
@@ -131,45 +139,6 @@ bool ReplicaBase::AwaitPrefixRoom(std::uint64_t end) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   return true;
-}
-
-void ReplicaBase::MaintenanceLoop() {
-  // A walk that truncates nothing (an insert-only phase such as a preload)
-  // doubles the gap to the next walk, up to this factor; one that truncates
-  // something restores the gc_every cadence.
-  constexpr int kMaxBackoff = 8;
-  Timestamp last_horizon = kMaxTimestamp;  // GcHorizon() never returns it
-  int backoff = 1;
-  int wait = options_.gc_every;
-  while (true) {
-    // A pass that began after the final publish collects at the final
-    // horizon, so it is the last one.
-    const bool done = visibility_done_.load(std::memory_order_acquire);
-    if (done || --wait == 0) {
-      const std::int64_t t0 = MonotonicNowNanos();
-      const Timestamp horizon = GcHorizon();
-      if (horizon != last_horizon) {
-        const std::size_t truncated = db_->CollectGarbage(horizon);
-        backoff = truncated > 0 ? 1 : std::min(2 * backoff, kMaxBackoff);
-        last_horizon = horizon;
-      } else {
-        // Every write still to land is above the previous horizon, so an
-        // unmoved horizon has nothing new to truncate; reclaim only.
-        db_->epochs().ReclaimSome();
-      }
-      wait = options_.gc_every * backoff;
-      const auto ns = static_cast<std::uint64_t>(MonotonicNowNanos() - t0);
-      stats_.gc_passes.fetch_add(1, std::memory_order_relaxed);
-      stats_.gc_ns_total.fetch_add(ns, std::memory_order_relaxed);
-      if (ns > stats_.gc_ns_max.load(std::memory_order_relaxed)) {
-        stats_.gc_ns_max.store(ns, std::memory_order_relaxed);
-      }
-    }
-    if (done || stopping()) break;
-    // Ticks at the visibility loop's interval, so Stop() and the final pass
-    // wait at most one interval.
-    std::this_thread::sleep_for(options_.snapshot_interval);
-  }
 }
 
 void ReplicaBase::WaitUntilCaughtUp() {

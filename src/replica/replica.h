@@ -32,12 +32,11 @@
 //    first pass that began drained (scheduler done, every worker exited),
 //    or after Stop(). It never collects garbage, so a GC pass never delays
 //    a publish.
-//  * Maintenance loop. Every gc_every snapshot intervals it collects
-//    garbage at GcHorizon() and reclaims what no epoch guard pins, timing
-//    each pass into ReplicaStats. A pass whose horizon has not moved skips
-//    the table walk; a walk that truncated nothing doubles the gap to the
-//    next one (up to 8x). It exits after the first pass that began once the
-//    visibility loop had exited.
+//  * Maintenance loop. storage::Database::MaintenanceLoop, the loop a
+//    Cluster's primary runs too, every gc_every snapshot intervals at
+//    GcHorizon(), timed into ReplicaStats. It exits after the first pass
+//    that began once the visibility loop had exited, and without a pass
+//    once Stop() was called.
 //  * Caught-up wait. WaitUntilCaughtUp() returns once the replica is drained
 //    and VisibleTimestamp() covers watermark(), the scheduler's monotone
 //    high-water mark (AdvanceWatermark).
@@ -102,18 +101,15 @@ class Snapshot;  // api/snapshot.h
 
 namespace c5::replica {
 
-// Counters every cloned concurrency control protocol maintains.
-struct ReplicaStats {
+// Counters every cloned concurrency control protocol maintains, with the
+// maintenance loop's GC passes (storage::GcStats).
+struct ReplicaStats : storage::GcStats {
   std::atomic<std::uint64_t> applied_writes{0};
   std::atomic<std::uint64_t> applied_txns{0};
   std::atomic<std::uint64_t> deferred_writes{0};  // C5: prev-ts misses
   std::atomic<std::uint64_t> snapshots_taken{0};
   // Delivered segments handed back to the source (ReplicaBase::NextSegment).
   std::atomic<std::uint64_t> released_segments{0};
-  // Maintenance-loop GC passes and their wall time (collect + reclaim).
-  std::atomic<std::uint64_t> gc_passes{0};
-  std::atomic<std::uint64_t> gc_ns_total{0};
-  std::atomic<std::uint64_t> gc_ns_max{0};
 };
 
 // The one replica configuration. Every protocol constructor takes it and
@@ -132,7 +128,8 @@ struct ProtocolOptions {
   std::chrono::microseconds snapshot_cost{0};
   // With workers: collect garbage at GcHorizon() on the maintenance thread
   // every gc_every x snapshot_interval (backing off while walks truncate
-  // nothing); 0 = never.
+  // nothing); 0 = never. A Cluster collects its primary at the same
+  // cadence (and not at all with 0).
   int gc_every = 0;
   // C5 and C5-MyRocks: initial capacity of the scheduler's flat row ->
   // last-write-ts map. Pre-size it to the replayed log's row universe to
@@ -612,7 +609,6 @@ class ReplicaBase {
   // scheduler's hold on the outstanding work.
   void SegmentLoop(log::SegmentSource* source);
   void VisibilityLoop();
-  void MaintenanceLoop();
 
   // Raises watermark() to `seg`'s last commit timestamp once the segment's
   // work is handed to the workers (transactions never span segments).

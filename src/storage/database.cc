@@ -1,5 +1,10 @@
 #include "storage/database.h"
 
+#include <algorithm>
+#include <thread>
+
+#include "common/clock.h"
+
 namespace c5::storage {
 
 TableId Database::CreateTable(std::string name) {
@@ -15,6 +20,42 @@ std::size_t Database::CollectGarbage(Timestamp horizon) {
   for (auto& t : tables_) total += t->CollectGarbage(horizon, epochs_);
   epochs_.ReclaimSome();
   return total;
+}
+
+void Database::MaintenanceLoop(int every, std::chrono::microseconds tick,
+                               const std::function<Timestamp()>& horizon,
+                               const std::function<bool()>& done,
+                               const std::function<bool()>& stop,
+                               GcStats* stats) {
+  constexpr int kMaxBackoff = 8;
+  Timestamp last_horizon = kMaxTimestamp;  // no horizon function returns it
+  int backoff = 1;
+  int wait = every;
+  while (!stop()) {
+    const bool last = done();
+    if (last || --wait == 0) {
+      const std::int64_t t0 = MonotonicNowNanos();
+      const Timestamp h = horizon();
+      if (h != last_horizon) {
+        const std::size_t truncated = CollectGarbage(h);
+        backoff = truncated > 0 ? 1 : std::min(2 * backoff, kMaxBackoff);
+        last_horizon = h;
+      } else {
+        // Every write still to land is above the previous horizon, so an
+        // unmoved horizon has nothing new to truncate; reclaim only.
+        epochs_.ReclaimSome();
+      }
+      wait = every * backoff;
+      const auto ns = static_cast<std::uint64_t>(MonotonicNowNanos() - t0);
+      stats->gc_passes.fetch_add(1, std::memory_order_relaxed);
+      stats->gc_ns_total.fetch_add(ns, std::memory_order_relaxed);
+      if (ns > stats->gc_ns_max.load(std::memory_order_relaxed)) {
+        stats->gc_ns_max.store(ns, std::memory_order_relaxed);
+      }
+    }
+    if (last) return;
+    std::this_thread::sleep_for(tick);
+  }
 }
 
 const Version* Database::ReadKeyAt(TableId tid, Key key, Timestamp ts) const {

@@ -1,6 +1,10 @@
 #ifndef C5_STORAGE_DATABASE_H_
 #define C5_STORAGE_DATABASE_H_
 
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +18,13 @@
 #include "storage/table.h"
 
 namespace c5::storage {
+
+// A maintenance loop's GC passes and their wall time (collect + reclaim).
+struct GcStats {
+  std::atomic<std::uint64_t> gc_passes{0};
+  std::atomic<std::uint64_t> gc_ns_total{0};
+  std::atomic<std::uint64_t> gc_ns_max{0};
+};
 
 // A database: a set of multi-version tables, each paired with two key ->
 // row-id secondary indexes — a hash index for point lookups and an ordered
@@ -90,6 +101,22 @@ class Database {
   // pass with a lower horizon could otherwise walk into a tail this pass
   // retired and reclaimed.
   std::size_t CollectGarbage(Timestamp horizon);
+
+  // The one maintenance loop, run on a thread of its own by every side that
+  // collects: a backup (replica::ReplicaBase, horizon = its readers and
+  // visible snapshot) and a Cluster's primary (horizon = the engine's and
+  // the export pins'). Every `every` ticks of `tick` it collects garbage at
+  // horizon() and reclaims what no epoch guard pins, timing each pass into
+  // *stats. A pass whose horizon has not moved skips the table walk and
+  // only reclaims; a walk that truncated nothing (an insert-only phase such
+  // as a preload) doubles the gap to the next one, up to 8x, and one that
+  // truncated something restores the cadence. Returns after the pass that
+  // began once done() held, so a final pass sees the final horizon, and
+  // without a pass once stop() holds.
+  void MaintenanceLoop(int every, std::chrono::microseconds tick,
+                       const std::function<Timestamp()>& horizon,
+                       const std::function<bool()>& done,
+                       const std::function<bool()>& stop, GcStats* stats);
 
   // Convenience read: resolve key through the index, then read at ts.
   // Returns nullptr for absent keys, tombstoned rows included (caller checks

@@ -55,6 +55,14 @@ Table::RowEntry* Table::EntryOrNull(RowId row) const {
   return &chunk->rows[row & (kChunkSize - 1)];
 }
 
+void Table::MarkMultiVersion(RowId row) {
+  Chunk* chunk = chunks_[row >> kChunkBits].load(std::memory_order_acquire);
+  const std::size_t i = row & (kChunkSize - 1);
+  // Release: a walk whose exchange reads this bit sees the linked version.
+  chunk->multi_version[i / 64].fetch_or(std::uint64_t{1} << (i % 64),
+                                        std::memory_order_release);
+}
+
 RowId Table::AllocateRow() {
   const RowId row = next_row_id_.fetch_add(1, std::memory_order_acq_rel);
   EnsureChunk(row >> kChunkBits);
@@ -119,6 +127,7 @@ const Version* Table::InstallCommitted(RowId row, Timestamp ts,
     v->next.store(head, std::memory_order_relaxed);
   } while (!entry.head.compare_exchange_weak(head, v,
                                              std::memory_order_acq_rel));
+  if (head != nullptr) MarkMultiVersion(row);
   return v;
 }
 
@@ -139,6 +148,7 @@ PrevInstall Table::TryInstallIfPrev(RowId row, Timestamp prev_ts,
   v->next.store(head, std::memory_order_relaxed);
   if (entry.head.compare_exchange_strong(head, v,
                                          std::memory_order_acq_rel)) {
+    if (head != nullptr) MarkMultiVersion(row);
     return PrevInstall::kInstalled;
   }
   // Raced with another install; the prev check will re-run. (With a correct
@@ -172,6 +182,7 @@ InstallResult Table::TryInstallPending(RowId row, Version* pending) {
     pending->next.store(head, std::memory_order_relaxed);
     if (entry.head.compare_exchange_weak(head, pending,
                                          std::memory_order_acq_rel)) {
+      if (head != nullptr) MarkMultiVersion(row);
       return InstallResult::kOk;
     }
   }
@@ -192,10 +203,14 @@ void Table::AbortPending(RowId row, Version* v, EpochManager& epochs) {
 std::size_t Table::CollectRowGarbage(RowId row, Timestamp horizon,
                                      EpochManager& epochs) {
   RowEntry* entry = EntryOrNull(row);
-  if (entry == nullptr) return 0;
+  return entry == nullptr ? 0 : TruncateBelow(*entry, horizon, epochs);
+}
+
+std::size_t Table::TruncateBelow(RowEntry& entry, Timestamp horizon,
+                                 EpochManager& epochs) {
   // Find the truncation point: the newest committed version at or below the
   // horizon. Everything strictly older can never be read again.
-  Version* v = entry->head.load(std::memory_order_acquire);
+  Version* v = entry.head.load(std::memory_order_acquire);
   while (v != nullptr && !(v->Status() == VersionStatus::kCommitted &&
                            v->write_ts <= horizon)) {
     v = v->Next();
@@ -217,7 +232,30 @@ std::size_t Table::CollectRowGarbage(RowId row, Timestamp horizon,
 std::size_t Table::CollectGarbage(Timestamp horizon, EpochManager& epochs) {
   std::size_t total = 0;
   const RowId n = NumRows();
-  for (RowId r = 0; r < n; ++r) total += CollectRowGarbage(r, horizon, epochs);
+  for (std::size_t c = 0; c < (n + kChunkSize - 1) / kChunkSize; ++c) {
+    Chunk* chunk = chunks_[c].load(std::memory_order_acquire);
+    if (chunk == nullptr) continue;
+    for (std::size_t w = 0; w < kChunkSize / 64; ++w) {
+      std::atomic<std::uint64_t>& word = chunk->multi_version[w];
+      if (word.load(std::memory_order_relaxed) == 0) continue;
+      // Take the marks before reading the chains (acquire: each taken mark's
+      // version is visible); an install that marks after this exchange is
+      // left for the next pass.
+      std::uint64_t marks = word.exchange(0, std::memory_order_acq_rel);
+      std::uint64_t still = 0;
+      while (marks != 0) {
+        const int b = __builtin_ctzll(marks);
+        marks &= marks - 1;
+        RowEntry& entry = chunk->rows[w * 64 + static_cast<std::size_t>(b)];
+        total += TruncateBelow(entry, horizon, epochs);
+        const Version* head = entry.head.load(std::memory_order_acquire);
+        if (head != nullptr && head->Next() != nullptr) {
+          still |= std::uint64_t{1} << b;
+        }
+      }
+      if (still != 0) word.fetch_or(still, std::memory_order_release);
+    }
+  }
   return total;
 }
 

@@ -154,8 +154,11 @@ class Table {
   std::size_t CollectRowGarbage(RowId row, Timestamp horizon,
                                 EpochManager& epochs);
 
-  // Runs CollectRowGarbage over all rows; returns the number of rows whose
-  // chains were truncated.
+  // Runs CollectRowGarbage over every row that may hold more than one
+  // version; returns the number of rows whose chains were truncated. An
+  // install above an existing version marks its row, and the walk unmarks
+  // a row once it holds a single version, so a pass costs the rows written
+  // since the last one (plus those a low horizon keeps), not the table.
   std::size_t CollectGarbage(Timestamp horizon, EpochManager& epochs);
 
   // Total versions currently reachable (diagnostic; O(rows + versions)).
@@ -176,6 +179,11 @@ class Table {
   };
   struct Chunk {
     RowEntry rows[kChunkSize];
+    // One bit per row whose chain may hold more than one version: set by
+    // an install linked above an existing version (after the link), taken
+    // by the GC walk with an exchange before it reads the chain, and set
+    // again if the row still holds several versions.
+    std::atomic<std::uint64_t> multi_version[kChunkSize / 64] = {};
   };
 
   Chunk* EnsureChunk(std::size_t chunk_idx);
@@ -185,6 +193,11 @@ class Table {
   // diagnostics) can observe a row id whose slot does not exist; such a row
   // has no versions and must be skipped, not dereferenced.
   RowEntry* EntryOrNull(RowId row) const;
+  // Marks `row` for the GC walk; call after linking a version above an
+  // existing one.
+  void MarkMultiVersion(RowId row);
+  std::size_t TruncateBelow(RowEntry& entry, Timestamp horizon,
+                            EpochManager& epochs);
 
   const std::string name_;
   // chunks_ entries are written only under grow_mu_ but read lock-free

@@ -104,8 +104,9 @@ struct Version {
 static_assert(alignof(Version) <= 8,
               "slab allocations are 8-aligned; Version must fit that");
 
-// Returns a version's storage to its origin (slab refcount decrement or
-// operator delete). The caller must guarantee no concurrent reader can still
+// Returns a version's storage to its origin: operator delete, or the
+// table arena's free list for its size (whence the next version of that size
+// is carved). The caller must guarantee no concurrent reader can still
 // observe `v` (epoch grace period for published versions; immediate for
 // never-published ones).
 inline void FreeVersion(Version* v) {

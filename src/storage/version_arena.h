@@ -1,13 +1,20 @@
 // Per-table version allocator: Version objects with their payload inlined
 // into 64 KiB slabs (common/arena.h), so the replay install path performs no
-// heap allocation in steady state and GC retirement is a reference-count
-// decrement per version instead of a free().
+// heap allocation in steady state and GC retirement is a free-list push per
+// version instead of a free().
+//
+// The arena reuses single blocks: a reclaimed version's block goes onto the
+// free list for its exact rounded size, kept by the arena shard that carved
+// it, and Create() takes from that list before it bump-allocates. A table's
+// version memory therefore follows its live versions whatever their
+// lifetimes; whole-slab recycling alone (the shipping arena's rule) would
+// pin every slab that still holds one live version.
 //
 // Interplay with epoch reclamation: a published version must only reach
 // FreeVersion() through EpochManager::Retire/RetireBatch, which delays the
-// slab refcount decrement past the grace period. A slab is recycled only
-// when every version carved from it has been freed, so recycled memory can
-// never be reached through a chain a reader is still traversing.
+// free-list push past the grace period. A block is reused only after that
+// push, so reused memory can never be reached through a chain a reader is
+// still traversing.
 
 #ifndef C5_STORAGE_VERSION_ARENA_H_
 #define C5_STORAGE_VERSION_ARENA_H_
@@ -43,7 +50,7 @@ class VersionArena {
   const SlabArena& slabs() const { return slabs_; }
 
  private:
-  SlabArena slabs_;
+  SlabArena slabs_{/*shards=*/4, /*reuse_blocks=*/true};
   std::atomic<std::uint64_t> heap_fallbacks_{0};
 };
 

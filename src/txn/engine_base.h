@@ -5,10 +5,11 @@
 //  * The write set. WriteSet buffers a transaction's writes in a per-thread
 //    scratch (ScratchLease) that keeps its capacity across transactions, so
 //    the commit path allocates nothing in steady state.
-//  * The in-transaction existence rule and read-your-writes (BufferedTxn):
-//    the transaction's own (coalesced) write to a key decides whether the
-//    key exists; only a key the transaction has not written falls back to
-//    committed state.
+//  * The existence rule and read-your-writes (BufferedTxn): the
+//    transaction's own (coalesced) write to a key decides whether the key
+//    exists; only a key the transaction has not written falls back to the
+//    committed version the engine's read sees (a tombstone or no version:
+//    the key does not exist, so Update and Delete return NotFound).
 //  * Resolve-or-bind for writes that may create a key (Insert, Put).
 //  * Per-row coalescing (WriteSet::Overwrite: the write set holds one write
 //    per key) and log staging (WriteSet::LogCommit: the transaction's last
@@ -22,8 +23,10 @@
 //    transaction did not just create (2PL: exclusive row lock; MVTSO:
 //    nothing).
 //  * ReadPoint(): the timestamp Insert's committed-existence check reads at.
-//  * ReadCommitted(table, row, out, for_update): Read / ReadForUpdate of a
-//    bound key the transaction has not written.
+//  * ReadVisible(table, row): the committed version (or nullptr) a read of a
+//    row the transaction has not written sees, at ReadPoint(): Read,
+//    ReadForUpdate (after Claim) and the existence check of Update and
+//    Delete (after Claim). MVTSO records it in its read set.
 //  * Commit() and Rollback(). Rollback runs after a failed body or a failed
 //    commit; it must undo whatever the engine claimed or installed.
 
@@ -233,11 +236,18 @@ class BufferedTxn : public Txn {
       *out = w->value;
       return Status::Ok();
     }
-    return self().ReadCommitted(table, *row, out, for_update);
+    if (for_update) {
+      const Status s = self().Claim(table, *row);
+      if (!s.ok()) return s;
+    }
+    const storage::Version* v = self().ReadVisible(table, *row);
+    if (v == nullptr || v->deleted) return Status::NotFound();
+    out->assign(v->value());
+    return Status::Ok();
   }
 
   // Update and Delete: the key must exist, in this transaction's own write
-  // or, if it has none, in the index.
+  // or, if it has none, as a live committed version at the read point.
   Status WriteExisting(TableId table, Key key, OpType op,
                        const Value& value) {
     const auto row = db_.index(table).Lookup(key);
@@ -249,6 +259,8 @@ class BufferedTxn : public Txn {
     }
     const Status s = self().Claim(table, *row);
     if (!s.ok()) return s;
+    const storage::Version* v = self().ReadVisible(table, *row);
+    if (v == nullptr || v->deleted) return Status::NotFound();
     writes_.Add(table, *row, key, op, value);
     return Status::Ok();
   }

@@ -71,15 +71,12 @@ class MvtsoEngine::MvtsoTxn : public BufferedTxn<MvtsoTxn> {
   Status Claim(TableId, RowId) { return Status::Ok(); }
   Timestamp ReadPoint() const { return ts_; }
 
-  Status ReadCommitted(TableId table, RowId row, Value* out,
-                       bool /*for_update*/) {
+  const Version* ReadVisible(TableId table, RowId row) {
     const Version* v = db_.table(table).ReadAt(row, ts_);
     // Record the observation (including observed absence) for validation.
     s_.reads.push_back(ReadEntry{table, row, v});
-    if (v == nullptr || v->deleted) return Status::NotFound();
-    const_cast<Version*>(v)->ObserveRead(ts_);
-    out->assign(v->value());
-    return Status::Ok();
+    if (v != nullptr && !v->deleted) const_cast<Version*>(v)->ObserveRead(ts_);
+    return v;
   }
 
   // Installs pending versions, validates reads, logs, and commits. A failed

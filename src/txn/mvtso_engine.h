@@ -16,6 +16,7 @@
 #ifndef C5_TXN_MVTSO_ENGINE_H_
 #define C5_TXN_MVTSO_ENGINE_H_
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -62,12 +63,15 @@ class MvtsoEngine : public EngineBase {
   // after logging.
   Timestamp LogHorizon() const override { return active_.MinActive(); }
 
-  // Safe GC horizon: one below the oldest timestamp any in-flight
-  // transaction could read at.
-  Timestamp GcHorizon() const {
-    const Timestamp min_active = active_.MinActive();
+  // One below the oldest timestamp any in-flight transaction could read at.
+  // The clock is read BEFORE the tracker scan (both seq_cst): a transaction
+  // the scan misses registered after it, so it draws a timestamp above the
+  // clock value read here. Read the other way round, a transaction that
+  // registers between the two reads could hold a timestamp below the
+  // horizon.
+  Timestamp GcHorizon() const override {
     const Timestamp latest = clock_->Latest();
-    const Timestamp bound = min_active == kMaxTimestamp ? latest : min_active;
+    const Timestamp bound = std::min(latest, active_.MinActive());
     return bound == 0 ? 0 : bound - 1;
   }
 

@@ -59,17 +59,10 @@ class TwoPhaseLockingEngine::TplTxn : public BufferedTxn<TplTxn> {
 
   Timestamp ReadPoint() const { return kMaxTimestamp; }
 
-  // ReadForUpdate takes the row's lock before reading: the value is then
-  // stable until commit, making read-modify-write safe under read committed.
-  Status ReadCommitted(TableId table, RowId row, Value* out, bool for_update) {
-    if (for_update) {
-      const Status s = Claim(table, row);
-      if (!s.ok()) return s;
-    }
-    const Version* v = db_.table(table).ReadLatestCommitted(row);
-    if (v == nullptr || v->deleted) return Status::NotFound();
-    out->assign(v->value());
-    return Status::Ok();
+  // ReadForUpdate, Update and Delete take the row's lock (Claim) before
+  // this read, so what it sees is stable until commit.
+  const Version* ReadVisible(TableId table, RowId row) {
+    return db_.table(table).ReadLatestCommitted(row);
   }
 
   // Draws the LSN while holding all locks, so conflicting transactions are

@@ -50,11 +50,11 @@ class TwoPhaseLockingEngine : public EngineBase {
   // this.
   Timestamp LogHorizon() const override { return commit_tracker_.MinActive(); }
 
-  // Safe GC horizon. 2PL transactions read at "latest committed" and hold an
-  // epoch guard while touching version memory, so the horizon may trail the
-  // commit clock directly (truncation always preserves the newest committed
+  // 2PL transactions read at "latest committed" and hold an epoch guard
+  // while touching version memory, so the horizon may trail the commit
+  // clock directly (truncation always preserves the newest committed
   // version at or below the horizon).
-  Timestamp GcHorizon() const {
+  Timestamp GcHorizon() const override {
     const Timestamp latest = clock_->Latest();
     return latest == 0 ? 0 : latest - 1;
   }

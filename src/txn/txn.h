@@ -132,6 +132,13 @@ class Engine {
   // log::OnlineLogCollector::SetReleaseHorizon.
   virtual Timestamp LogHorizon() const = 0;
 
+  // Garbage-collection horizon: no in-flight transaction of this engine can
+  // read a version that truncating every chain below the newest committed
+  // version at or below it removes. Reads at an older timestamp from
+  // outside the engine (a migration's export) must pin themselves on top
+  // (Cluster::primary_read_pins).
+  virtual Timestamp GcHorizon() const = 0;
+
   virtual storage::Database& db() = 0;
   virtual EngineStats& stats() = 0;
   virtual std::string name() const = 0;

@@ -1,8 +1,9 @@
 // SlabArena / VersionArena coverage: slab recycling, reuse-after-retire
-// through the epoch manager, cross-epoch safety under concurrent readers,
-// and the heap-fallback path. Run under -DC5_SANITIZE=address these tests
-// also exercise the arena's poisoning (a use-after-retire inside a slab
-// faults like a heap use-after-free).
+// through the epoch manager, free-list block reuse under random lifetimes,
+// cross-epoch safety under concurrent readers, and the heap-fallback path.
+// Run under -DC5_SANITIZE=address these tests also exercise the arena's
+// poisoning (a use-after-retire inside a slab, or of a block waiting on a
+// free list, faults like a heap use-after-free).
 
 #include "common/arena.h"
 
@@ -14,10 +15,22 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "storage/epoch.h"
 #include "storage/table.h"
 #include "storage/version.h"
 #include "storage/version_arena.h"
+#include "tests/test_util.h"
+
+#ifndef __has_feature
+#define __has_feature(x) 0
+#endif
+#if defined(__SANITIZE_ADDRESS__) || __has_feature(address_sanitizer)
+#include <sanitizer/asan_interface.h>
+#define C5_TEST_ASAN 1
+#else
+#define C5_TEST_ASAN 0
+#endif
 
 namespace c5 {
 namespace {
@@ -156,6 +169,109 @@ TEST(VersionArenaTest, ReuseAfterRetireThroughEpochManager) {
   // (~4 slabs). Without slab reuse this would be ~150 slabs.
   EXPECT_LT(table.arena().slabs().SlabsAllocated(), 24u);
   EXPECT_GT(table.arena().slabs().SlabsRecycled(), 0u);
+}
+
+TEST(VersionArenaTest, RandomUpdatesKeepTheArenaNearTheLiveSet) {
+  // Many rows, uniform random updates, GC and reclaim every 512 writes (a
+  // backup's cadence at 160k writes/s): lifetimes are random, so nearly
+  // every slab keeps a live version. Whole-slab recycling alone holds ~6.8x
+  // the live set here; the free lists hand each reclaimed block to the next
+  // version of its size.
+  constexpr RowId kRows = 20000;
+  constexpr std::uint64_t kWritesPerRow = 10;
+  constexpr std::uint64_t kGcEvery = 512;
+  storage::Table table("t");
+  storage::EpochManager epochs;
+  const std::string payload(100, 'u');
+  Timestamp ts = 0;
+  for (RowId r = 0; r < kRows; ++r) {
+    table.InstallCommitted(table.AllocateRow(), ++ts, payload);
+  }
+  Rng rng(test::TestSeed(25));
+  for (std::uint64_t i = 1; i <= kRows * kWritesPerRow; ++i) {
+    table.InstallCommitted(rng.Uniform(kRows), ++ts, payload);
+    if (i % kGcEvery == 0) {
+      table.CollectGarbage(ts, epochs);
+      epochs.ReclaimSome();
+    }
+  }
+  const std::size_t block = (sizeof(storage::Version) + payload.size() + 7) &
+                            ~std::size_t{7};
+  const std::size_t live_bytes = table.CountVersionsApprox() * block;
+  EXPECT_LE(table.arena().slabs().BytesReserved(), 2 * live_bytes)
+      << "arena " << table.arena().slabs().BytesReserved() << " B for "
+      << live_bytes << " live B";
+  EXPECT_GT(table.arena().slabs().BlocksReused(), 0u);
+}
+
+TEST(VersionArenaTest, BacklogReclaimedInOnePassIsReused) {
+  // A held-back horizon (a long snapshot reader, a Rebalance export pin)
+  // lets thousands of versions pile up, and the pass after it reclaims them
+  // all at once, far more than one list would hold if the lists were
+  // capped. Every reclaimed block must stay reusable: the arena stays near
+  // the peak live set (rows + one round's backlog) however many rounds run.
+  constexpr RowId kRows = 4000;
+  constexpr std::uint64_t kBacklog = 8000;
+  constexpr int kRounds = 20;
+  storage::Table table("t");
+  storage::EpochManager epochs;
+  const std::string payload(100, 'b');
+  Timestamp ts = 0;
+  for (RowId r = 0; r < kRows; ++r) {
+    table.InstallCommitted(table.AllocateRow(), ++ts, payload);
+  }
+  Rng rng(test::TestSeed(26));
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::uint64_t i = 0; i < kBacklog; ++i) {
+      table.InstallCommitted(rng.Uniform(kRows), ++ts, payload);
+    }
+    table.CollectGarbage(ts, epochs);
+    ASSERT_EQ(epochs.ReclaimSome(), kBacklog) << "round " << round;
+  }
+  const std::size_t block = (sizeof(storage::Version) + payload.size() + 7) &
+                            ~std::size_t{7};
+  const std::size_t peak_live_bytes = (kRows + kBacklog) * block;
+  EXPECT_LE(table.arena().slabs().BytesReserved(), 2 * peak_live_bytes)
+      << "arena " << table.arena().slabs().BytesReserved() << " B for "
+      << peak_live_bytes << " peak live B";
+  EXPECT_GE(table.arena().slabs().BlocksReused(),
+            (kRounds - 1) * kBacklog);
+}
+
+TEST(VersionArenaTest, ListedBlocksArePoisonedUntilReused) {
+  // A reclaimed version's block waits on its size's free list fully
+  // poisoned (the list is a vector of pointers: nothing is written into the
+  // block), and the next version of that size takes it back unpoisoned.
+  storage::Table table("t");
+  storage::EpochManager epochs;
+  const RowId row = table.AllocateRow();
+  const std::string payload(40, 'p');
+  const storage::Version* old = table.InstallCommitted(row, 1, payload);
+  table.InstallCommitted(row, 2, payload);
+  const std::size_t bytes = old->AllocBytes();
+  ASSERT_EQ(table.CollectRowGarbage(row, 2, epochs), 1u);
+#if C5_TEST_ASAN
+  // Retired but inside its grace period: still readable.
+  EXPECT_EQ(__asan_region_is_poisoned(const_cast<storage::Version*>(old),
+                                      bytes),
+            nullptr);
+#endif
+  ASSERT_EQ(epochs.ReclaimSome(), 1u);
+#if C5_TEST_ASAN
+  auto* first = reinterpret_cast<const char*>(old);
+  EXPECT_TRUE(__asan_address_is_poisoned(first));
+  EXPECT_TRUE(__asan_address_is_poisoned(first + bytes - 1));
+#endif
+  const storage::Version* reused = table.InstallCommitted(row, 3, payload);
+  EXPECT_EQ(reused, old) << "the listed block was not reused";
+  EXPECT_EQ(table.arena().slabs().BlocksReused(), 1u);
+  EXPECT_EQ(reused->value(), payload);
+#if C5_TEST_ASAN
+  EXPECT_EQ(__asan_region_is_poisoned(const_cast<storage::Version*>(reused),
+                                      bytes),
+            nullptr);
+#endif
+  (void)bytes;
 }
 
 TEST(VersionArenaTest, CrossEpochSafetyUnderConcurrentReaders) {

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -90,6 +91,103 @@ TEST(ClusterTest, DefaultOptionsBackupsCollectGarbage) {
   }
   EXPECT_GT(stats.gc_passes.load(), 0u);
   cluster.Shutdown();
+}
+
+// Versions per row slot of `table`, counted under an epoch guard.
+double VersionsPerRow(storage::Database& db, TableId table) {
+  const auto guard = db.epochs().Enter();
+  return static_cast<double>(db.table(table).CountVersionsApprox()) /
+         static_cast<double>(db.table(table).NumRows());
+}
+
+// Bytes the database's version arenas hold.
+std::size_t ArenaBytes(storage::Database& db) {
+  std::size_t bytes = 0;
+  for (TableId t = 0; t < db.NumTables(); ++t) {
+    bytes += db.table(t).arena().slabs().BytesReserved();
+  }
+  return bytes;
+}
+
+// Waits until a maintenance loop has run `n` more GC passes; false after
+// 20 s.
+bool WaitForGcPasses(const storage::GcStats& stats, std::uint64_t n) {
+  const std::uint64_t target = stats.gc_passes.load() + n;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (stats.gc_passes.load() < target) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// Waits until backup 0 covers `ts`; false after 20 s.
+bool WaitCovered(Cluster& cluster, Timestamp ts) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (cluster.backup(0).VisibleTimestamp() < ts) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// Default options collect the primary too, at the backups' cadence: under
+// an update-heavy load over a fixed key set the primary keeps about one
+// version per row, and once the load is warm neither database's version
+// arenas grow (reclaimed blocks are reused, not left in pinned slabs). With
+// gc_every = 0 the primary keeps its whole history.
+TEST(ClusterTest, PrimaryCollectsGarbage) {
+  constexpr Key kKeys = 500;
+  constexpr int kRoundsPerPhase = 4;
+  Cluster cluster{ClusterOptions{}};
+  const TableId t = cluster.CreateTable("kv");
+  cluster.Start();
+  std::uint64_t n = 0;
+  // A round writes every key once, then waits until the backup covers it
+  // and both sides have run two GC passes past it (collect, then reclaim).
+  const auto phase = [&] {
+    for (int r = 0; r < kRoundsPerPhase; ++r) {
+      Timestamp last = 0;
+      for (Key k = 0; k < kKeys; ++k) {
+        if (!PutInt(cluster, t, k, ++n, &last).ok()) return false;
+      }
+      if (!WaitCovered(cluster, last) ||
+          !WaitForGcPasses(cluster.primary_gc_stats(), 2) ||
+          !WaitForGcPasses(cluster.backup(0).replica().stats(), 2)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  ASSERT_TRUE(phase());
+  EXPECT_LE(VersionsPerRow(cluster.primary_db(), t), 1.1);
+  EXPECT_LE(VersionsPerRow(cluster.backup(0).db(), t), 1.1);
+  ASSERT_TRUE(phase());
+  const std::size_t primary_bytes = ArenaBytes(cluster.primary_db());
+  const std::size_t backup_bytes = ArenaBytes(cluster.backup(0).db());
+  ASSERT_TRUE(phase());
+  EXPECT_EQ(ArenaBytes(cluster.primary_db()), primary_bytes);
+  EXPECT_EQ(ArenaBytes(cluster.backup(0).db()), backup_bytes);
+  EXPECT_LE(VersionsPerRow(cluster.primary_db(), t), 1.1);
+  cluster.Shutdown();
+
+  Cluster keeps{ClusterOptions{}.WithGcEvery(0)};
+  const TableId kt = keeps.CreateTable("kv");
+  keeps.Start();
+  constexpr std::uint64_t kWritesPerKey = 3;
+  for (std::uint64_t w = 0; w < kWritesPerKey; ++w) {
+    for (Key k = 0; k < kKeys; ++k) ASSERT_TRUE(PutInt(keeps, kt, k, w).ok());
+  }
+  keeps.WaitForBackups();
+  {
+    const auto guard = keeps.primary_db().epochs().Enter();
+    EXPECT_EQ(keeps.primary_db().table(kt).CountVersionsApprox(),
+              kKeys * kWritesPerKey);
+  }
+  EXPECT_EQ(keeps.primary_gc_stats().gc_passes.load(), 0u);
+  keeps.Shutdown();
 }
 
 TEST(ClusterTest, ScanIsOrderedHalfOpenAndSkipsDeleted) {
@@ -921,6 +1019,124 @@ TEST(ShardedClusterTest, RebalanceUnderLiveTrafficMatchesOracle) {
     EXPECT_EQ(rows[i].first, want->first);
     EXPECT_EQ(rows[i].second, want->second);
   }
+  fleet.Shutdown();
+}
+
+// The bulk copy reads the source primary at copy_ts while a writer keeps
+// overwriting keys and the source's primary GC keeps collecting. Between
+// settling copy_ts and the export, the hook overwrites every moving key and
+// waits out two source GC passes, so a horizon that ignored the export
+// would truncate exactly the versions the export reads. The export pin
+// holds them: right after the copy, the destination holds exactly the
+// source's state at copy_ts, rebuilt from the writers' commit timestamps.
+TEST(ShardedClusterTest, RebalanceExportIsPinnedAgainstPrimaryGc) {
+  constexpr Key kKeyspace = 64;
+  ShardedClusterOptions options;
+  options.WithShards(2).WithRouterSeed(test::TestSeed(310));
+  options.shard.WithBackups(1, core::ProtocolKind::kC5).WithWorkers(2);
+  ShardedCluster fleet(options);
+  const TableId t = fleet.CreateTable("kv");
+  fleet.Start();
+
+  MigrationPlan plan;
+  std::vector<Key> moving;
+  for (Key k = 0; k < kKeyspace; ++k) {
+    if (fleet.ShardOf(t, k) != 0) continue;
+    ShardMove move;
+    move.table = t;
+    move.token = k;
+    move.from = 0;
+    move.to = 1;
+    plan.push_back(move);
+    moving.push_back(k);
+  }
+  ASSERT_GE(moving.size(), 8u) << "placement left too few keys to migrate";
+
+  // Every committed write, by commit timestamp (nullopt: a delete).
+  struct Write {
+    Timestamp ts;
+    Key key;
+    std::optional<Value> value;
+  };
+  std::mutex writes_mu;
+  std::vector<Write> writes;
+  const auto write = [&](Key key, std::optional<Value> value) {
+    Timestamp commit = 0;
+    const Status s = fleet.ExecuteWithRetry(
+        t, key,
+        [&](txn::Txn& txn) {
+          if (value.has_value()) return txn.Put(t, key, *value);
+          const Status d = txn.Delete(t, key);
+          return d.code() == StatusCode::kNotFound ? Status::Ok() : d;
+        },
+        &commit);
+    if (s.ok() && commit != 0) {
+      std::lock_guard<std::mutex> lock(writes_mu);
+      writes.push_back(Write{commit, key, std::move(value)});
+    }
+    return s;
+  };
+  for (Key k = 0; k < kKeyspace; ++k) {
+    ASSERT_TRUE(write(k, workload::EncodeIntValue(k)).ok());
+  }
+
+  std::atomic<bool> stop{false};
+  Status writer_status;
+  std::thread writer([&] {
+    Rng rng(test::TestSeed(311));
+    while (!stop.load(std::memory_order_acquire) && writer_status.ok()) {
+      const Key key = rng.Uniform(kKeyspace);
+      writer_status =
+          rng.Uniform(5) == 0
+              ? write(key, std::nullopt)
+              : write(key, workload::EncodeIntValue(rng.Next()));
+    }
+  });
+
+  Timestamp copy_ts = 0;
+  bool gc_ran = false;
+  std::map<Key, Value> dest_after_copy;
+  RebalanceHooks hooks;
+  hooks.before_export = [&](Timestamp ts) {
+    copy_ts = ts;
+    for (const Key k : moving) {
+      ASSERT_TRUE(write(k, workload::EncodeIntValue(~k)).ok());
+    }
+    gc_ran = WaitForGcPasses(fleet.shard(0).primary_gc_stats(), 2);
+  };
+  hooks.after_copy = [&] {
+    storage::Database& db = fleet.shard(1).current_primary_db();
+    const auto guard = db.epochs().Enter();
+    for (const Key k : moving) {
+      const storage::Version* v = db.ReadKeyAt(t, k, kMaxTimestamp);
+      if (v != nullptr && !v->deleted) dest_after_copy[k] = Value(v->value());
+    }
+  };
+  MigrationReport report;
+  const Status rebalanced = fleet.Rebalance(plan, &report, hooks);
+  stop.store(true, std::memory_order_release);
+  writer.join();
+  ASSERT_TRUE(writer_status.ok()) << writer_status.message();
+  ASSERT_TRUE(rebalanced.ok()) << rebalanced.message();
+  ASSERT_TRUE(gc_ran) << "the source's primary GC did not run";
+
+  // The source's state at copy_ts: each moving key's newest write at or
+  // below it.
+  std::map<Key, std::pair<Timestamp, std::optional<Value>>> newest;
+  for (const Write& w : writes) {
+    if (w.ts > copy_ts ||
+        std::find(moving.begin(), moving.end(), w.key) == moving.end()) {
+      continue;
+    }
+    auto& slot = newest[w.key];
+    if (w.ts >= slot.first) slot = {w.ts, w.value};
+  }
+  std::map<Key, Value> expected;
+  for (const auto& [key, slot] : newest) {
+    if (slot.second.has_value()) expected[key] = *slot.second;
+  }
+  EXPECT_EQ(dest_after_copy, expected);
+  EXPECT_EQ(report.rows_copied, expected.size());
   fleet.Shutdown();
 }
 

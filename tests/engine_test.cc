@@ -169,6 +169,23 @@ TEST_P(EngineTest, UpdateOrDeleteAfterOwnDeleteIsNotFound) {
   EXPECT_EQ(Committed(1), "committed");
 }
 
+// A committed delete leaves the key bound in the index: existence is the
+// committed version at the read point, so the tombstone makes Update and
+// Delete NotFound and nothing is logged for them (a kUpdate of a deleted
+// row would resurrect it on every backup).
+TEST_P(EngineTest, UpdateOrDeleteOfCommittedDeleteIsNotFound) {
+  Seed(1, "committed");
+  ASSERT_TRUE(Run([&](Txn& txn) { return txn.Delete(table_, 1); }).ok());
+  EXPECT_EQ(Run([&](Txn& txn) { return txn.Update(table_, 1, "x"); }).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(Run([&](Txn& txn) { return txn.Delete(table_, 1); }).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(Committed(1), Status::NotFound().ToString());
+  const log::Log log = collector_.Coalesce();
+  ASSERT_EQ(log.NumRecords(), 2u);  // the seed and the delete
+  EXPECT_EQ(log.segment(0)->record(1).op, OpType::kDelete);
+}
+
 TEST_P(EngineTest, PutAfterOwnDeleteShipsAnInsert) {
   ASSERT_TRUE(Run([&](Txn& txn) {
                 EXPECT_TRUE(txn.Put(table_, 1, "a").ok());

@@ -237,6 +237,28 @@ TEST_F(TableTest, GcWholeTable) {
   EXPECT_EQ(table_.CountVersionsApprox(), 10u);
 }
 
+// The whole-table walk visits only rows an install left with several
+// versions, and keeps visiting a row until it is down to one: a horizon
+// too low to truncate it leaves it marked for the next pass.
+TEST_F(TableTest, GcWholeTableRevisitsRowsALowHorizonKept) {
+  const RowId single = table_.AllocateRow();
+  table_.InstallCommitted(single, 10, "a");
+  const RowId multi = table_.AllocateRow();
+  table_.InstallCommitted(multi, 10, "a");
+  table_.InstallCommitted(multi, 20, "b");
+  table_.InstallCommitted(multi, 30, "c");
+  EXPECT_EQ(table_.CollectGarbage(5, epochs_), 0u);   // below every version
+  EXPECT_EQ(table_.CollectGarbage(25, epochs_), 1u);  // drops ts 10
+  EXPECT_EQ(table_.CountVersionsApprox(), 3u);
+  EXPECT_EQ(table_.CollectGarbage(30, epochs_), 1u);  // drops ts 20
+  EXPECT_EQ(table_.CollectGarbage(30, epochs_), 0u);
+  EXPECT_EQ(table_.CountVersionsApprox(), 2u);
+  table_.InstallCommitted(multi, 40, "d");
+  EXPECT_EQ(table_.CollectGarbage(40, epochs_), 1u);
+  EXPECT_EQ(table_.CountVersionsApprox(), 2u);
+  (void)single;
+}
+
 TEST_F(TableTest, ConcurrentPendingInstallsOnOneRowSerialize) {
   // MVTSO conflict rule: among concurrent installers to one row, timestamps
   // must end up strictly increasing head-first and losers must get conflicts.
