@@ -190,12 +190,12 @@ void Cluster::Start() {
   }
 
   // Subscriber channels may only go to ACTUAL consumers — an unconsumed
-  // channel fills and blocks the sequencer — so they are claimed on demand:
+  // channel keeps every segment it is sent — so they are claimed on demand:
   // the first consumer takes the collector's built-in channel, later ones
   // add subscribers. All claims happen here, before the first LogCommit
   // (no writes run until Start returns), as AddSubscriber requires.
   bool channel0_claimed = false;
-  const auto claim_channel = [&]() -> SpscQueue<log::LogSegment*>* {
+  const auto claim_channel = [&]() -> MpmcQueue<log::LogSegment*>* {
     if (!channel0_claimed) {
       channel0_claimed = true;
       return &shipping_->collector.channel();
@@ -255,9 +255,19 @@ void Cluster::Start() {
 
   if (options_.flush_interval.count() > 0 && shipping_ != nullptr) {
     flusher_ = std::thread([this] {
-      while (!stop_flusher_.load(std::memory_order_acquire)) {
-        shipping_->collector.Flush();
-        std::this_thread::sleep_for(options_.flush_interval);
+      log::OnlineLogCollector& collector = shipping_->collector;
+      const auto stopped = [this] {
+        return stop_flusher_.load(std::memory_order_acquire);
+      };
+      while (!stopped()) {
+        if (collector.Flush()) {
+          // Under load: ship what gathered once per flush_interval.
+          flusher_wake_.ParkUntil(
+              stopped, EventCount::Clock::now() + options_.flush_interval);
+        } else {
+          // Idle: the first commit wakes the flusher and ships at once.
+          collector.AwaitCommit(stopped);
+        }
       }
     });
   }
@@ -285,6 +295,8 @@ void Cluster::StartPrimaryGc() {
 
 void Cluster::StopPrimaryGc() {
   stop_primary_gc_.store(true, std::memory_order_release);
+  // The loop runs on the database it started on, which is still current.
+  current_primary_db().WakeMaintenance();
   if (primary_gc_.joinable()) primary_gc_.join();
 }
 
@@ -380,6 +392,8 @@ void Cluster::StopPrimary() {
   if (!started_ || primary_stopped_) return;
   primary_stopped_ = true;
   stop_flusher_.store(true, std::memory_order_release);
+  flusher_wake_.NotifyAll();
+  if (shipping_ != nullptr) shipping_->collector.WakeCommitWaiters();
   if (flusher_.joinable()) flusher_.join();
   if (shipping_ != nullptr) shipping_->collector.Finish();
 }

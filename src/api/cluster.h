@@ -49,6 +49,7 @@
 
 #include "api/snapshot.h"
 #include "common/clock.h"
+#include "common/event_count.h"
 #include "common/spin_lock.h"
 #include "common/thread_annotations.h"
 #include "common/status.h"
@@ -190,8 +191,10 @@ struct ClusterOptions {
   core::ProtocolOptions protocol{.num_workers = 2, .gc_every = 16};
 
   // Log shipping: records per shipped segment, and how often the background
-  // flusher closes a partial segment so lag excludes batching delay
-  // (zero: no flusher thread; segments ship only when full or on Flush()).
+  // flusher closes a partial segment under load, so lag excludes batching
+  // delay. An idle flusher parks, and the first commit after that ships at
+  // once (zero: no flusher thread; segments ship only when full or on
+  // Flush()).
   std::size_t segment_records = 1024;
   std::chrono::microseconds flush_interval{500};
 
@@ -522,6 +525,7 @@ class Cluster {
 
   std::thread flusher_;
   std::atomic<bool> stop_flusher_{false};
+  EventCount flusher_wake_;  // the flusher's flush_interval wait
   bool started_ = false;
   bool primary_stopped_ = false;
   bool backups_drained_ = false;

@@ -6,29 +6,21 @@
 #include <optional>
 #include <span>
 
+#include "common/event_count.h"
 #include "common/mutex.h"
-#include "common/spin_lock.h"
 #include "common/thread_annotations.h"
 
 namespace c5 {
 
 // Unbounded multi-producer multi-consumer FIFO queue. Lock-based with a
-// spin-then-block consumer: at replica rates (hundreds of thousands of
+// spin-then-park consumer: at replica rates (hundreds of thousands of
 // hand-offs per second) the dominant cost of a naive mutex+condvar queue is
 // wakeup latency whenever the queue oscillates around empty, so Pop() polls
-// briefly before sleeping and Push() only notifies when a consumer is
-// actually blocked.
+// for EventCount::kSpinBudget before it parks on the event count, and a push
+// pays for a wakeup only when a consumer is actually parked.
 template <typename T>
 class MpmcQueue {
  public:
-  // Pop()'s polls before it parks. Modest on purpose: on a host with fewer
-  // cores than threads, a long spin burns the quantum the producer needs to
-  // refill the queue (c5bench tpcc on 4 vCPUs: C5-MyRocks lag p50 0.67 ms
-  // at 2048 against 0.73 ms at 16384). The other users lose nothing to the
-  // shorter spin: offline KuaFu, page and table replays of a 2M-write log
-  // ran as fast at 2048 as at 16384 (docs/PERFORMANCE.md).
-  static constexpr int kSpinBudget = 2048;
-
   explicit MpmcQueue(LockRank rank = LockRank::kQueue) : mu_(rank) {}
   MpmcQueue(const MpmcQueue&) = delete;
   MpmcQueue& operator=(const MpmcQueue&) = delete;
@@ -39,7 +31,7 @@ class MpmcQueue {
       items_.push_back(std::move(value));
     }
     size_hint_.fetch_add(1, std::memory_order_release);
-    if (waiters_.load(std::memory_order_acquire) > 0) cv_.NotifyOne();
+    nonempty_.Notify();
   }
 
   // Appends `items` in order under ONE lock acquisition and at most one
@@ -55,39 +47,22 @@ class MpmcQueue {
       items_.insert(items_.end(), items.begin(), items.end());
     }
     size_hint_.fetch_add(items.size(), std::memory_order_release);
-    if (waiters_.load(std::memory_order_acquire) > 0) {
-      if (items.size() > 1) {
-        cv_.NotifyAll();
-      } else {
-        cv_.NotifyOne();
-      }
+    if (items.size() > 1) {
+      nonempty_.NotifyAll();
+    } else {
+      nonempty_.Notify();
     }
   }
 
   // Blocks until an item is available or the queue is closed and drained.
   std::optional<T> Pop() {
-    // Spin phase: poll without sleeping (bounded, then fall back to the
-    // condition variable so idle consumers don't burn a core forever). The
-    // size hint keeps spinners off the mutex while the queue is empty —
+    // The size hint keeps spinners off the mutex while the queue is empty —
     // otherwise a pack of spinning consumers convoys the producer.
-    for (int spin = 0; spin < kSpinBudget; ++spin) {
-      if (auto v = TryPop()) return v;
-      if (closed_flag_.load(std::memory_order_acquire)) {
-        MutexLock lock(mu_);
-        if (items_.empty()) return std::nullopt;
-      }
-      CpuRelax();
-    }
-    MutexLock lock(mu_);
-    waiters_.fetch_add(1, std::memory_order_acq_rel);
-    // Explicit loop (not a predicate lambda): the thread-safety analysis
-    // must see the guarded reads performed while mu_ is held.
-    while (items_.empty() && !closed_) cv_.Wait(lock);
-    waiters_.fetch_sub(1, std::memory_order_acq_rel);
-    if (items_.empty()) return std::nullopt;
-    T value = std::move(items_.front());
-    items_.pop_front();
-    size_hint_.fetch_sub(1, std::memory_order_release);
+    std::optional<T> value;
+    nonempty_.Await([&] {
+      value = TryPop();
+      return value.has_value() || Drained();
+    });
     return value;
   }
 
@@ -109,11 +84,11 @@ class MpmcQueue {
       closed_ = true;
     }
     closed_flag_.store(true, std::memory_order_release);
-    cv_.NotifyAll();
+    nonempty_.NotifyAll();
   }
 
-  // Consumers past the spin budget, parked on the condition variable.
-  int Parked() const { return waiters_.load(std::memory_order_acquire); }
+  // Consumers past the spin budget, parked (or about to park).
+  int Parked() const { return nonempty_.Waiters(); }
 
   std::size_t Size() const {
     MutexLock lock(mu_);
@@ -121,12 +96,18 @@ class MpmcQueue {
   }
 
  private:
+  // Closed with nothing left: Pop() returns nullopt.
+  bool Drained() {
+    if (!closed_flag_.load(std::memory_order_acquire)) return false;
+    MutexLock lock(mu_);
+    return closed_ && items_.empty();
+  }
+
   mutable Mutex mu_;
-  CondVar cv_;
   std::deque<T> items_ C5_GUARDED_BY(mu_);
   bool closed_ C5_GUARDED_BY(mu_) = false;
   std::atomic<bool> closed_flag_{false};
-  std::atomic<int> waiters_{0};
+  EventCount nonempty_;
   alignas(64) std::atomic<std::size_t> size_hint_{0};
 };
 

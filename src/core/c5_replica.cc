@@ -26,20 +26,25 @@ C5Replica::Batch* C5Replica::AcquireBatch() {
 
 void C5Replica::ReleaseBatch(Batch* batch) {
   batch->recs.clear();  // keeps capacity — the point of pooling
-  const SpinLockGuard lock(pool_lock_);
-  batch_free_.push_back(batch);
+  {
+    const SpinLockGuard lock(pool_lock_);
+    batch_free_.push_back(batch);
+  }
   batches_out_.fetch_sub(1, std::memory_order_release);
+  batch_back_.Notify();
 }
 
 void C5Replica::Schedule(log::LogSegment& seg) {
   const std::size_t nw = queues_.size();
   // The run-ahead bound: a worker hands a batch back once it is applied.
-  int spins = 0;
-  while (batches_out_.load(std::memory_order_acquire) + nw >
-         kMaxBatchesPerWorker * nw) {
-    if (stopping()) return;
-    SpinBackoff(spins);
-  }
+  // A wait here holds more than nw batches out, so a release (the workers
+  // drain what is out, Stop() or not) ends it.
+  batch_back_.Await([&] {
+    return batches_out_.load(std::memory_order_acquire) + nw <=
+               kMaxBatchesPerWorker * nw ||
+           stopping();
+  });
+  if (stopping()) return;
   for (log::LogRecord& rec : seg.records()) {
     const std::uint64_t name = StampPrevTs(last_write_ts_, rec);
 

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/event_count.h"
 #include "common/flat_map.h"
 #include "common/mpmc_queue.h"
 #include "common/spin_lock.h"
@@ -98,9 +99,12 @@ class C5Replica : public replica::ReplicaBase {
   // Batch pool: the scheduler acquires, workers release. Locked once per
   // batch on each side; batch_storage_ owns every batch ever created. At
   // most kMaxBatchesPerWorker per worker are out at once, which bounds the
-  // scheduler's run-ahead and the pool (Schedule waits for releases).
+  // scheduler's run-ahead and the pool below the prefix tracker's capacity
+  // (64k to 1M batches): Schedule waits on batch_back_, which every release
+  // notifies.
   static constexpr std::size_t kMaxBatchesPerWorker = 4096;
   std::atomic<std::size_t> batches_out_{0};
+  EventCount batch_back_;
   SpinLock pool_lock_{LockRank::kReplicaState};
   std::vector<std::unique_ptr<Batch>> batch_storage_ C5_GUARDED_BY(pool_lock_);
   std::vector<Batch*> batch_free_ C5_GUARDED_BY(pool_lock_);

@@ -129,23 +129,21 @@ Log PerThreadLogCollector::Coalesce() {
 // ---------------------------------------------------------------------------
 // OnlineLogCollector
 
-OnlineLogCollector::OnlineLogCollector(std::size_t segment_records,
-                                       std::size_t channel_capacity)
-    : segment_records_(segment_records),
-      channel_capacity_(channel_capacity) {
-  subscribers_.push_back(std::make_unique<Subscriber>(channel_capacity_));
+OnlineLogCollector::OnlineLogCollector(std::size_t segment_records)
+    : segment_records_(segment_records) {
+  subscribers_.push_back(std::make_unique<Subscriber>());
 }
 
 OnlineLogCollector::~OnlineLogCollector() = default;
 
-SpscQueue<LogSegment*>* OnlineLogCollector::AddSubscriber() {
+MpmcQueue<LogSegment*>* OnlineLogCollector::AddSubscriber() {
   MutexLock lock(mu_);
-  subscribers_.push_back(std::make_unique<Subscriber>(channel_capacity_));
+  subscribers_.push_back(std::make_unique<Subscriber>());
   return subscribers_.back()->channel.get();
 }
 
 std::unique_ptr<ChannelSegmentSource> OnlineLogCollector::MakeSource(
-    SpscQueue<LogSegment*>* channel) {
+    MpmcQueue<LogSegment*>* channel) {
   Subscriber* lane = nullptr;
   {
     MutexLock lock(mu_);
@@ -258,14 +256,27 @@ void OnlineLogCollector::LogCommit(RecordSpan records) {
   }
   pending_.push(txn);
   DrainLocked(horizon);
+  // A fence and a load unless the flusher is parked (AwaitCommit): then
+  // this commit wakes it, and it ships at once.
+  logged_.Notify();
 }
 
-void OnlineLogCollector::Flush() {
+bool OnlineLogCollector::Flush() {
   const Timestamp horizon =
       horizon_fn_ ? horizon_fn_() : kMaxTimestamp;
   MutexLock lock(mu_);
+  const bool found = HasUnshippedLocked();
   DrainLocked(horizon);
   ShipLocked();
+  return found;
+}
+
+void OnlineLogCollector::AwaitCommit(const std::function<bool()>& stop) {
+  logged_.Park([&] {
+    if (stop()) return true;
+    MutexLock lock(mu_);
+    return HasUnshippedLocked();
+  });
 }
 
 void OnlineLogCollector::Finish() {
@@ -273,7 +284,7 @@ void OnlineLogCollector::Finish() {
   // Close() wakes blocked consumers which may immediately re-enter this
   // collector (e.g. to report lag), and channel objects are stable once
   // created (subscribers_ only grows).
-  std::vector<SpscQueue<LogSegment*>*> channels;
+  std::vector<MpmcQueue<LogSegment*>*> channels;
   {
     MutexLock lock(mu_);
     DrainLocked(kMaxTimestamp);
@@ -281,10 +292,10 @@ void OnlineLogCollector::Finish() {
     channels.reserve(subscribers_.size());
     for (auto& sub : subscribers_) channels.push_back(sub->channel.get());
   }
-  for (SpscQueue<LogSegment*>* ch : channels) ch->Close();
+  for (MpmcQueue<LogSegment*>* ch : channels) ch->Close();
 }
 
-SpscQueue<LogSegment*>& OnlineLogCollector::channel() {
+MpmcQueue<LogSegment*>& OnlineLogCollector::channel() {
   MutexLock lock(mu_);
   return *subscribers_[0]->channel;
 }

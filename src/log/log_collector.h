@@ -10,10 +10,11 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/event_count.h"
+#include "common/mpmc_queue.h"
 #include "common/mutex.h"
 #include "common/spin_lock.h"
 #include "common/thread_annotations.h"
-#include "common/spsc_queue.h"
 #include "log/log_segment.h"
 #include "log/segment_source.h"
 
@@ -156,7 +157,9 @@ class PerThreadLogCollector : public LogCollector {
 
 // Online collection: commits are sequenced into commit-timestamp order, then
 // appended to an open segment; full segments (closed at transaction
-// boundaries) are shipped through SPSC channels to the backups' schedulers.
+// boundaries) are shipped through unbounded channels (MpmcQueue, one per
+// subscriber) to the backups' schedulers, so shipping never waits for a
+// consumer while it holds the sequencer.
 // Models prompt log delivery (§2.4) with the total ordering a real
 // group-commit log provides.
 //
@@ -189,8 +192,7 @@ class OnlineLogCollector : public LogCollector {
   // Returns a timestamp H such that no future LogCommit can carry ts < H.
   using ReleaseHorizonFn = std::function<Timestamp()>;
 
-  explicit OnlineLogCollector(std::size_t segment_records = 1024,
-                              std::size_t channel_capacity = 1 << 16);
+  explicit OnlineLogCollector(std::size_t segment_records = 1024);
   ~OnlineLogCollector() override;
 
   void SetReleaseHorizon(ReleaseHorizonFn fn) { horizon_fn_ = std::move(fn); }
@@ -199,8 +201,15 @@ class OnlineLogCollector : public LogCollector {
 
   // Closes the open segment (if non-empty) and ships it. Call periodically
   // from a flusher thread (or rely on segment-full shipping) so lag does not
-  // include batching delay.
-  void Flush();
+  // include batching delay. Returns false when it found nothing open and
+  // nothing pending: the flusher may then park in AwaitCommit().
+  bool Flush();
+
+  // Parks the calling thread until a transaction is open or pending (the
+  // next LogCommit wakes it) or stop() holds. Whoever makes stop() true
+  // then calls WakeCommitWaiters().
+  void AwaitCommit(const std::function<bool()>& stop);
+  void WakeCommitWaiters() { logged_.NotifyAll(); }
 
   // Flushes and closes every subscriber channel; the backups drain and
   // terminate.
@@ -208,16 +217,16 @@ class OnlineLogCollector : public LogCollector {
 
   // The backup side: pops segments in order; nullopt after Finish() + drain.
   // This is subscriber 0's channel (always present).
-  SpscQueue<LogSegment*>& channel();
+  MpmcQueue<LogSegment*>& channel();
 
   // Adds a shipping lane. Call before the first LogCommit (fan-out topology
   // is fixed once shipping starts). Returns the new lane's channel.
-  SpscQueue<LogSegment*>* AddSubscriber();
+  MpmcQueue<LogSegment*>* AddSubscriber();
 
   // A source over lane `channel` (channel() or an AddSubscriber() result)
   // whose Release frees the lane's stored segments. One consumer per lane.
   std::unique_ptr<ChannelSegmentSource> MakeSource(
-      SpscQueue<LogSegment*>* channel);
+      MpmcQueue<LogSegment*>* channel);
 
   std::uint64_t ShippedSegments() const {
     return shipped_.load(std::memory_order_relaxed);
@@ -242,9 +251,6 @@ class OnlineLogCollector : public LogCollector {
   // One shipping lane: its channel and the store that owns what it shipped
   // until the consumer releases it.
   struct Subscriber {
-    explicit Subscriber(std::size_t capacity)
-        : channel(std::make_unique<SpscQueue<LogSegment*>>(capacity)) {}
-
     // Under the sequencer mutex (ShipLocked).
     void Store(std::unique_ptr<LogSegment> seg);
     // Consumer thread only: frees stored segments in ship order up to the
@@ -252,7 +258,8 @@ class OnlineLogCollector : public LogCollector {
     void Release(std::uint64_t end_seq);
     std::size_t Retained() const;
 
-    std::unique_ptr<SpscQueue<LogSegment*>> channel;
+    std::unique_ptr<MpmcQueue<LogSegment*>> channel =
+        std::make_unique<MpmcQueue<LogSegment*>>();
     mutable SpinLock store_lock{LockRank::kQueue};
     // Live segments are store[head, size): a vector with a moving head, so
     // steady-state store + release recycles capacity instead of allocating.
@@ -264,11 +271,14 @@ class OnlineLogCollector : public LogCollector {
   };
 
   void ShipLocked() C5_REQUIRES(mu_);
+  // Something is open or pending.
+  bool HasUnshippedLocked() const C5_REQUIRES(mu_) {
+    return (open_ != nullptr && !open_->empty()) || !pending_.empty();
+  }
   void DrainLocked(Timestamp horizon) C5_REQUIRES(mu_);
   PendingTxn* AcquirePending() C5_REQUIRES(mu_);
 
   const std::size_t segment_records_;
-  const std::size_t channel_capacity_;
   // Called OUTSIDE mu_ (it may consult engine state); see LogCommit/Flush.
   ReleaseHorizonFn horizon_fn_;
   mutable Mutex mu_{LockRank::kCollector};
@@ -281,6 +291,8 @@ class OnlineLogCollector : public LogCollector {
   std::unique_ptr<LogSegment> open_ C5_GUARDED_BY(mu_);
   std::vector<std::unique_ptr<Subscriber>> subscribers_ C5_GUARDED_BY(mu_);
   std::atomic<std::uint64_t> shipped_{0};
+  // Notified by every LogCommit; AwaitCommit parks on it.
+  EventCount logged_;
 };
 
 }  // namespace c5::log

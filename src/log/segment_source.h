@@ -9,7 +9,8 @@
 #include <functional>
 #include <thread>
 
-#include "common/spsc_queue.h"
+#include "common/event_count.h"
+#include "common/mpmc_queue.h"
 #include "log/log_segment.h"
 
 namespace c5::log {
@@ -106,14 +107,15 @@ class GatedSegmentSource : public SegmentSource {
   GatedSegmentSource(Log* log, std::size_t gate_at)
       : log_(log), gate_at_(gate_at) {}
 
-  void Open() { open_.store(true, std::memory_order_release); }
+  void Open() {
+    open_.store(true, std::memory_order_release);
+    opened_.NotifyAll();
+  }
 
   LogSegment* Next() override {
     if (pos_ >= log_->NumSegments()) return nullptr;
     if (pos_ >= gate_at_) {
-      while (!open_.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
+      opened_.Park([this] { return open_.load(std::memory_order_acquire); });
     }
     return log_->segment(pos_++);
   }
@@ -122,18 +124,20 @@ class GatedSegmentSource : public SegmentSource {
   Log* log_;
   const std::size_t gate_at_;
   std::atomic<bool> open_{false};
+  EventCount opened_;
   std::size_t pos_ = 0;
 };
 
-// Streams segments from an online primary through an SPSC channel. The
-// segments belong to whoever feeds the channel; `release` (optional) passes
-// Release upstream to it — OnlineLogCollector::MakeSource wires its lane's
-// store here. Without it the feeder keeps every segment.
+// Streams segments from an online primary through a channel; Next() parks
+// on an empty one (MpmcQueue::Pop). The segments belong to whoever feeds
+// the channel; `release` (optional) passes Release upstream to it —
+// OnlineLogCollector::MakeSource wires its lane's store here. Without it
+// the feeder keeps every segment.
 class ChannelSegmentSource : public SegmentSource {
  public:
   using ReleaseFn = std::function<void(std::uint64_t)>;
 
-  explicit ChannelSegmentSource(SpscQueue<LogSegment*>* channel,
+  explicit ChannelSegmentSource(MpmcQueue<LogSegment*>* channel,
                                 ReleaseFn release = nullptr)
       : channel_(channel), release_(std::move(release)) {}
 
@@ -147,7 +151,7 @@ class ChannelSegmentSource : public SegmentSource {
   }
 
  private:
-  SpscQueue<LogSegment*>* channel_;
+  MpmcQueue<LogSegment*>* channel_;
   ReleaseFn release_;
 };
 

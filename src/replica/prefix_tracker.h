@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "common/event_count.h"
 #include "common/types.h"
 
 namespace c5::replica {
@@ -25,9 +26,9 @@ namespace c5::replica {
 // or below it has been applied.
 //
 // Concurrency contract: any thread may Mark(); exactly one thread calls
-// Advance(). The thread that numbers units hands out an index only once
-// HasRoom() holds for it, so Mark() never waits: a worker that waited to
-// mark while holding older unmarked work could wait forever.
+// Advance() and AwaitMark(). The thread that numbers units hands out an
+// index only once HasRoom() holds for it, so Mark() never waits: a worker
+// that waited to mark while holding older unmarked work could wait forever.
 class PrefixTracker {
  public:
   explicit PrefixTracker(std::size_t capacity)
@@ -54,7 +55,24 @@ class PrefixTracker {
       txn_ts_[slot].store(txn_end_ts, std::memory_order_relaxed);
     }
     done_[slot].store(1, std::memory_order_release);
+    // Only the unit at the watermark can let a parked advancer move, and the
+    // watermark stands still while it is parked.
+    marked_.NotifyIf(
+        [&] { return seq == watermark_.load(std::memory_order_relaxed); });
   }
+
+  // The advancer: parks until the unit at the watermark is marked, so
+  // Advance() can move, or until wake() holds (AwaitMarkUntil: or until
+  // `deadline`); whoever makes wake() true calls WakeAdvancer().
+  template <typename Wake>
+  void AwaitMark(Wake wake) {
+    marked_.Park([&] { return HeadMarked() || wake(); });
+  }
+  template <typename Wake>
+  void AwaitMarkUntil(Wake wake, EventCount::Clock::time_point deadline) {
+    marked_.ParkUntil([&] { return HeadMarked() || wake(); }, deadline);
+  }
+  void WakeAdvancer() { marked_.NotifyAll(); }
 
   // Advances the watermark over completed units, which frees their slots;
   // returns the latest transaction-aligned visibility timestamp (monotonic).
@@ -93,6 +111,10 @@ class PrefixTracker {
   }
 
  private:
+  bool HeadMarked() const {
+    return done_[watermark() & mask_].load(std::memory_order_acquire) != 0;
+  }
+
   static std::size_t NextPow2(std::size_t n) {
     std::size_t p = 1;
     while (p < n) p <<= 1;
@@ -105,6 +127,7 @@ class PrefixTracker {
   std::unique_ptr<std::atomic<Timestamp>[]> txn_ts_;
   alignas(64) std::atomic<std::uint64_t> watermark_{0};
   alignas(64) std::atomic<Timestamp> visible_ts_{kInvalidTimestamp};
+  EventCount marked_;
 };
 
 }  // namespace c5::replica

@@ -9,17 +9,21 @@ void ReplicaBase::Start(log::SegmentSource* source) {
   threads_.emplace_back([this, source] {
     SegmentLoop(source);
     scheduler_done_.store(true, std::memory_order_release);
+    WakeAll();
   });
   for (int i = 0; i < options_.num_workers; ++i) {
     threads_.emplace_back([this, i] {
       WorkerLoop(i);
-      workers_running_.fetch_sub(1, std::memory_order_acq_rel);
+      if (workers_running_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        WakeAll();
+      }
     });
   }
   if (options_.num_workers > 0) {
     threads_.emplace_back([this] {
       VisibilityLoop();
       visibility_done_.store(true, std::memory_order_release);
+      db_->WakeMaintenance();
     });
     if (options_.gc_every > 0) {
       threads_.emplace_back([this] {
@@ -38,10 +42,12 @@ void ReplicaBase::Start(log::SegmentSource* source) {
 void ReplicaBase::SegmentLoop(log::SegmentSource* source) {
   while (log::LogSegment* seg = NextSegment(source)) {
     if (stopping()) continue;
+    scheduling_.store(true, std::memory_order_release);
     Schedule(*seg);
     // A Schedule cut short at Stop() does not advance the watermark.
     if (stopping()) continue;
     AdvanceWatermark(*seg);
+    scheduling_.store(false, std::memory_order_release);
     // Without workers the segment is applied (or indexed) by now and no
     // visibility loop runs, so the floor is published here.
     if (options_.num_workers == 0) {
@@ -117,7 +123,17 @@ std::vector<ReplicaBase::WorkerLoad> ReplicaBase::WorkerLoads() const {
 }
 
 void ReplicaBase::VisibilityLoop() {
+  using Clock = EventCount::Clock;
+  const auto stopped_or_drained = [this] { return stopping() || Drained(); };
+  // Advances the prefix; true when every unit handed out is applied. The
+  // flag is read first: a segment scheduled after that read is either still
+  // numbering units or under the watermark read last.
+  const auto applied_all = [this] {
+    const bool between_segments = !scheduling_.load(std::memory_order_acquire);
+    return ApplyFloor() >= watermark() && between_segments;
+  };
   while (true) {
+    const Clock::time_point start = Clock::now();
     // Read before the floor: a pass that began drained computes a floor
     // covering the whole log, so it is also the final advance.
     const bool drained = Drained();
@@ -127,18 +143,34 @@ void ReplicaBase::VisibilityLoop() {
     apply_floor_.store(n, std::memory_order_release);
     if (n > VisibleTimestamp()) PublishSnapshot(n);
     if (tracker_ != nullptr) tracker_->OnVisible(VisibleTimestamp());
+    // The prefix moved: room for the scheduler, maybe a caught-up replica.
+    published_.NotifyAll();
     if (drained || stopping()) break;
-    std::this_thread::sleep_for(options_.snapshot_interval);
+    // snapshot_interval caps the publish rate: no pass starts within one
+    // interval of the one before.
+    published_.ParkUntil(stopped_or_drained,
+                         start + options_.snapshot_interval);
+    if (!scheduling_.load(std::memory_order_acquire) &&
+        VisibleTimestamp() >= watermark()) {
+      // Everything handed out is published, so nothing can move the floor
+      // before the next mark at the prefix's head: park until it lands
+      // instead of ticking. Then follow the head until the new work is all
+      // applied, for at most one interval, so it publishes in one pass.
+      prefix_.AwaitMark(stopped_or_drained);
+      const Clock::time_point until =
+          Clock::now() + options_.snapshot_interval;
+      while (Clock::now() < until && !stopped_or_drained() &&
+             !applied_all()) {
+        prefix_.AwaitMarkUntil(stopped_or_drained, until);
+      }
+    }
   }
 }
 
 bool ReplicaBase::AwaitPrefixRoom(std::uint64_t end) {
-  while (!prefix_.HasRoom(end)) {
-    if (stopping()) return false;
-    // The visibility loop frees room once per snapshot_interval.
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  return true;
+  // Each visibility pass frees room and notifies published_.
+  published_.Park([&] { return prefix_.HasRoom(end) || stopping(); });
+  return prefix_.HasRoom(end);
 }
 
 void ReplicaBase::WaitUntilCaughtUp() {
@@ -146,13 +178,13 @@ void ReplicaBase::WaitUntilCaughtUp() {
   // log at return, not merely that every write was applied: the visibility
   // loop publishes asynchronously after the workers finish. (Found by the
   // DST harness under TSan timing.)
-  while (!(Drained() && VisibleTimestamp() >= watermark())) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
+  published_.Park(
+      [this] { return Drained() && VisibleTimestamp() >= watermark(); });
 }
 
 void ReplicaBase::Stop() {
   shutdown_.store(true, std::memory_order_release);
+  WakeAll();
   // The scheduler first, so no worker exits before the scheduler's last
   // push: every unit handed out is applied.
   if (!threads_.empty() && threads_.front().joinable()) threads_.front().join();

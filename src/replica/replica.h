@@ -28,18 +28,26 @@
 //    ApplyFloor() is the last transaction of the marked prefix (§7.2's n).
 //  * Visibility loop. Each pass publishes ApplyFloor() as the apply floor,
 //    advances the snapshot through PublishSnapshot() when the floor passed
-//    it and reports VisibleTimestamp() to the LagTracker; it exits after the
-//    first pass that began drained (scheduler done, every worker exited),
-//    or after Stop(). It never collects garbage, so a GC pass never delays
-//    a publish.
+//    it, reports VisibleTimestamp() to the LagTracker and wakes the
+//    scheduler's and WaitUntilCaughtUp()'s waits; it exits after the first
+//    pass that began drained (scheduler done, every worker exited), or
+//    after Stop(). No pass starts within one snapshot_interval of the one
+//    before, so the interval caps the publish rate. When everything handed
+//    out is published (the scheduler is between segments and the snapshot
+//    covers watermark()), the loop parks with no deadline until the next
+//    mark at the prefix's head (PrefixTracker::AwaitMark), so an idle
+//    replica costs no wake-ups; it then follows the head until the new work
+//    is all applied, for at most one interval, and publishes it in one
+//    pass. It never collects garbage, so a GC pass never delays a publish.
 //  * Maintenance loop. storage::Database::MaintenanceLoop, the loop a
-//    Cluster's primary runs too, every gc_every snapshot intervals at
-//    GcHorizon(), timed into ReplicaStats. It exits after the first pass
-//    that began once the visibility loop had exited, and without a pass
-//    once Stop() was called.
+//    Cluster's primary runs too, at GcHorizon() after a timed wait of
+//    gc_every snapshot intervals (times its backoff), timed into
+//    ReplicaStats. It exits after the first pass that began once the
+//    visibility loop had exited, and without a pass once Stop() was called.
 //  * Caught-up wait. WaitUntilCaughtUp() returns once the replica is drained
 //    and VisibleTimestamp() covers watermark(), the scheduler's monotone
-//    high-water mark (AdvanceWatermark).
+//    high-water mark (AdvanceWatermark). Every wait here goes through an
+//    EventCount: a publish, the end of the work and Stop() notify.
 //  * Scheduler preprocessing (RowName, StampPrevTs).
 //  * The apply step. ApplyRecord installs a record if it is newer than its
 //    row (the rule of granularity, KuaFu and serial replay);
@@ -83,6 +91,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/event_count.h"
 #include "common/flat_map.h"
 #include "common/histogram.h"
 #include "common/mutex.h"
@@ -120,16 +129,17 @@ struct ProtocolOptions {
   // so it also gets the visibility loop. Single-threaded replay and Query
   // Fresh run none and publish visibility from their scheduler thread.
   int num_workers = 4;
-  // Sleep between visibility-loop passes; for C5-MyRocks, the snapshot
-  // frequency I (§5.2).
+  // The shortest gap between visibility-loop passes, a cap on the publish
+  // rate (an idle loop parks until new work is applied); for C5-MyRocks, the
+  // snapshot frequency I (§5.2).
   std::chrono::microseconds snapshot_interval{200};
   // C5-MyRocks: simulated cost of taking a RocksDB snapshot while writers
   // are blocked (§5.2).
   std::chrono::microseconds snapshot_cost{0};
   // With workers: collect garbage at GcHorizon() on the maintenance thread
-  // every gc_every x snapshot_interval (backing off while walks truncate
-  // nothing); 0 = never. A Cluster collects its primary at the same
-  // cadence (and not at all with 0).
+  // every gc_every x snapshot_interval (backing off while passes find
+  // nothing new to truncate); 0 = never. A Cluster collects its primary at
+  // the same cadence (and not at all with 0).
   int gc_every = 0;
   // C5 and C5-MyRocks: initial capacity of the scheduler's flat row ->
   // last-write-ts map. Pre-size it to the replayed log's row universe to
@@ -377,6 +387,7 @@ class ReplicaBase {
 
   // Scheduler thread: waits until prefix_ has room for every index below
   // `end`, having handed out every unit numbered so far; false after Stop().
+  // Parks until a visibility pass advances the prefix.
   bool AwaitPrefixRoom(std::uint64_t end);
 
   // ---- Scheduler preprocessing ----------------------------------------------
@@ -610,6 +621,14 @@ class ReplicaBase {
   void SegmentLoop(log::SegmentSource* source);
   void VisibilityLoop();
 
+  // Wakes every wait of this replica to re-check its condition: after
+  // Stop() and once the work drains.
+  void WakeAll() {
+    prefix_.WakeAdvancer();
+    published_.NotifyAll();
+    db_->WakeMaintenance();
+  }
+
   // Raises watermark() to `seg`'s last commit timestamp once the segment's
   // work is handed to the workers (transactions never span segments).
   // Monotone for the same reason as StampPrevTs: a redelivered old segment
@@ -633,6 +652,12 @@ class ReplicaBase {
   // watermark(): written by the segment loop (AdvanceWatermark), read by
   // the visibility loop and WaitUntilCaughtUp.
   alignas(64) std::atomic<Timestamp> watermark_{0};
+  // Set while the segment loop schedules a segment: units may be numbered
+  // that the visibility loop's floor does not cover yet.
+  std::atomic<bool> scheduling_{false};
+  // Notified by every visibility pass, the end of the work and Stop():
+  // AwaitPrefixRoom, WaitUntilCaughtUp and the visibility loop's pacing.
+  EventCount published_;
   std::vector<std::thread> threads_;
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> scheduler_done_{false};

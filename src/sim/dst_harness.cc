@@ -1,5 +1,7 @@
 #include "sim/dst_harness.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -495,13 +497,16 @@ void RunConvergenceReplica(const DstPlan& plan, ProtocolKind kind,
     if (plan.crash_via_checkpoint_file) {
       // Restart path B: surviving state is rebuilt from a checkpoint file
       // (storage/checkpoint.h) in a fresh node, as a cold restart would.
+      // The process id keeps concurrent sweeps (a TSan and an ASan lane at
+      // once) off each other's files.
       const std::string path =
           (std::filesystem::temp_directory_path() /
-           ("c5_dst_" + std::to_string(plan.seed) + "_" +
-            std::to_string(salt) + ".ckpt"))
+           ("c5_dst_" + std::to_string(getpid()) + "_" +
+            std::to_string(plan.seed) + "_" + std::to_string(salt) + ".ckpt"))
               .string();
       const Status w = node->WriteCheckpoint(path);
       if (!w.ok()) {
+        std::filesystem::remove(path);
         fail("checkpoint write failed: " + std::string(w.message()));
         return;
       }

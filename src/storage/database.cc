@@ -1,7 +1,6 @@
 #include "storage/database.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/clock.h"
 
@@ -27,34 +26,38 @@ void Database::MaintenanceLoop(int every, std::chrono::microseconds tick,
                                const std::function<bool()>& done,
                                const std::function<bool()>& stop,
                                GcStats* stats) {
-  constexpr int kMaxBackoff = 8;
+  // A pass that truncates nothing (a preload's walk, or an unmoved horizon:
+  // an idle side, a long reader's pin) doubles the gap to the next one, up
+  // to 64x: an idle loop then makes about five passes a second at the
+  // defaults, and a horizon that starts moving again waits at most that
+  // long (204.8 ms) for its first walk.
+  constexpr int kMaxBackoff = 64;
   Timestamp last_horizon = kMaxTimestamp;  // no horizon function returns it
   int backoff = 1;
-  int wait = every;
-  while (!stop()) {
+  while (true) {
+    maintenance_.ParkUntil([&] { return stop() || done(); },
+                           EventCount::Clock::now() + every * backoff * tick);
+    if (stop()) return;
     const bool last = done();
-    if (last || --wait == 0) {
-      const std::int64_t t0 = MonotonicNowNanos();
-      const Timestamp h = horizon();
-      if (h != last_horizon) {
-        const std::size_t truncated = CollectGarbage(h);
-        backoff = truncated > 0 ? 1 : std::min(2 * backoff, kMaxBackoff);
-        last_horizon = h;
-      } else {
-        // Every write still to land is above the previous horizon, so an
-        // unmoved horizon has nothing new to truncate; reclaim only.
-        epochs_.ReclaimSome();
-      }
-      wait = every * backoff;
-      const auto ns = static_cast<std::uint64_t>(MonotonicNowNanos() - t0);
-      stats->gc_passes.fetch_add(1, std::memory_order_relaxed);
-      stats->gc_ns_total.fetch_add(ns, std::memory_order_relaxed);
-      if (ns > stats->gc_ns_max.load(std::memory_order_relaxed)) {
-        stats->gc_ns_max.store(ns, std::memory_order_relaxed);
-      }
+    const std::int64_t t0 = MonotonicNowNanos();
+    const Timestamp h = horizon();
+    std::size_t truncated = 0;
+    if (h != last_horizon) {
+      truncated = CollectGarbage(h);
+      last_horizon = h;
+    } else {
+      // Every write still to land is above the previous horizon, so an
+      // unmoved horizon has nothing new to truncate; reclaim only.
+      epochs_.ReclaimSome();
+    }
+    backoff = truncated > 0 ? 1 : std::min(2 * backoff, kMaxBackoff);
+    const auto ns = static_cast<std::uint64_t>(MonotonicNowNanos() - t0);
+    stats->gc_passes.fetch_add(1, std::memory_order_relaxed);
+    stats->gc_ns_total.fetch_add(ns, std::memory_order_relaxed);
+    if (ns > stats->gc_ns_max.load(std::memory_order_relaxed)) {
+      stats->gc_ns_max.store(ns, std::memory_order_relaxed);
     }
     if (last) return;
-    std::this_thread::sleep_for(tick);
   }
 }
 

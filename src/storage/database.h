@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/event_count.h"
 #include "common/mutex.h"
 #include "common/spin_lock.h"
 #include "common/types.h"
@@ -105,18 +106,21 @@ class Database {
   // The one maintenance loop, run on a thread of its own by every side that
   // collects: a backup (replica::ReplicaBase, horizon = its readers and
   // visible snapshot) and a Cluster's primary (horizon = the engine's and
-  // the export pins'). Every `every` ticks of `tick` it collects garbage at
-  // horizon() and reclaims what no epoch guard pins, timing each pass into
-  // *stats. A pass whose horizon has not moved skips the table walk and
-  // only reclaims; a walk that truncated nothing (an insert-only phase such
-  // as a preload) doubles the gap to the next one, up to 8x, and one that
-  // truncated something restores the cadence. Returns after the pass that
+  // the export pins'). It collects garbage at horizon() and reclaims what no
+  // epoch guard pins, timing each pass into *stats, then makes one timed
+  // wait of `every` x backoff x `tick` before the next pass. A pass whose
+  // horizon has not moved skips the table walk and only reclaims. A pass
+  // that truncated nothing (that one, or a walk in an insert-only phase
+  // such as a preload) doubles the backoff, up to 64x, and a walk that
+  // truncated something restores it to 1. Returns after the pass that
   // began once done() held, so a final pass sees the final horizon, and
-  // without a pass once stop() holds.
+  // without a pass once stop() holds. Whoever makes done() or stop() true calls
+  // WakeMaintenance(), which ends the wait at once.
   void MaintenanceLoop(int every, std::chrono::microseconds tick,
                        const std::function<Timestamp()>& horizon,
                        const std::function<bool()>& done,
                        const std::function<bool()>& stop, GcStats* stats);
+  void WakeMaintenance() { maintenance_.NotifyAll(); }
 
   // Convenience read: resolve key through the index, then read at ts.
   // Returns nullptr for absent keys, tombstoned rows included (caller checks
@@ -136,6 +140,7 @@ class Database {
   std::vector<std::unique_ptr<index::OrderedIndex>> ordered_indexes_;
   EpochManager epochs_;
   Mutex gc_mu_{LockRank::kGc};
+  EventCount maintenance_;  // MaintenanceLoop's wait
 };
 
 }  // namespace c5::storage

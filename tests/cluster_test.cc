@@ -1265,6 +1265,48 @@ TEST(ShardedClusterTest, RebalanceSurvivesSourcePrimaryPromotionMidMigration) {
   fleet.Shutdown();
 }
 
+// A caught-up cluster parks every thread it runs: the lanes' schedulers
+// and the ship server's drainer on their empty channels, the workers on
+// their queues, the visibility loops until the next Mark, the flusher until
+// the next commit, and the maintenance loops (GC on, both sides) between
+// backed-off passes. A thread that yields on an empty channel burns a core.
+TEST(ClusterTest, IdleClusterParks) {
+  Cluster cluster(ClusterOptions{}
+                      .WithEngine(ha::EngineKind::kMvtso)
+                      .WithGcEvery(16)
+                      .AddBackup({.protocol = core::ProtocolKind::kC5})
+                      .AddBackup({.protocol = core::ProtocolKind::kC5,
+                                  .via_socket = true}));
+  const TableId t = cluster.CreateTable("kv");
+  cluster.Start();
+  Timestamp last = 0;
+  for (std::uint64_t n = 0; n < 1000; ++n) {
+    ASSERT_TRUE(PutInt(cluster, t, n % 64, n, &last).ok());
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while ((cluster.backup(0).VisibleTimestamp() < last ||
+          cluster.backup(1).VisibleTimestamp() < last) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(cluster.backup(0).VisibleTimestamp(), last);
+  ASSERT_GE(cluster.backup(1).VisibleTimestamp(), last);
+  // Past every spin budget and the maintenance loops' back-off.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const auto cpu0 = test::ProcessCpuTime();
+  const auto wall0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const auto cpu = test::ProcessCpuTime() - cpu0;
+  const auto wall = std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::steady_clock::now() - wall0);
+  EXPECT_LT(cpu.count(), wall.count() / 50)
+      << "idle cluster used " << cpu.count() << " us of CPU in "
+      << wall.count() << " us";
+  cluster.Shutdown();
+}
+
 // Explicit unit check of the PublishVisible suppression contract.
 TEST(ClusterTest, RecoveryWindowSuppressesInteriorSnapshots) {
   storage::Database db;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -122,7 +123,7 @@ TEST(OfflineSourceTest, IteratesSegmentsInOrder) {
 }
 
 TEST(OnlineCollectorTest, ShipsFullSegmentsInOrder) {
-  OnlineLogCollector collector(/*segment_records=*/4, /*channel_capacity=*/64);
+  OnlineLogCollector collector(/*segment_records=*/4);
   for (Timestamp ts = 1; ts <= 10; ++ts) collector.LogCommit(MakeTxn(ts, {ts}));
   collector.Finish();
 
@@ -142,16 +143,57 @@ TEST(OnlineCollectorTest, ShipsFullSegmentsInOrder) {
 
 TEST(OnlineCollectorTest, FlushShipsPartialSegment) {
   OnlineLogCollector collector(/*segment_records=*/1000);
+  EXPECT_FALSE(collector.Flush());  // found nothing: the flusher may park
   collector.LogCommit(MakeTxn(1, {1}));
   EXPECT_EQ(collector.ShippedSegments(), 0u);
-  collector.Flush();
+  EXPECT_TRUE(collector.Flush());
   EXPECT_EQ(collector.ShippedSegments(), 1u);
+  EXPECT_FALSE(collector.Flush());
   collector.Finish();
   ChannelSegmentSource source(&collector.channel());
   LogSegment* seg = source.Next();
   ASSERT_NE(seg, nullptr);
   EXPECT_EQ(seg->size(), 1u);
   EXPECT_EQ(source.Next(), nullptr);
+}
+
+// A flusher parked in AwaitCommit wakes on the next commit, and on
+// WakeCommitWaiters once its stop condition holds.
+TEST(OnlineCollectorTest, AwaitCommitWakesOnCommitAndOnStop) {
+  OnlineLogCollector collector(/*segment_records=*/1000);
+  std::atomic<bool> stop{false};
+  std::atomic<int> returns{0};
+  std::thread flusher([&] {
+    collector.AwaitCommit([&] { return stop.load(); });
+    returns.fetch_add(1);
+    collector.Flush();
+    collector.AwaitCommit([&] { return stop.load(); });
+    returns.fetch_add(1);
+  });
+  const auto wait_for = [&](int n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (returns.load() < n && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return returns.load() >= n;
+  };
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(returns.load(), 0);  // parked: nothing committed yet
+  collector.LogCommit(MakeTxn(1, {1}));
+  const bool woke_on_commit = wait_for(1);
+  stop.store(true);
+  collector.WakeCommitWaiters();
+  const bool woke_on_stop = wait_for(2);
+  if (!woke_on_stop) {
+    // Unblock the flusher before failing, so the test cannot hang.
+    collector.LogCommit(MakeTxn(2, {2}));
+  }
+  flusher.join();
+  EXPECT_TRUE(woke_on_commit);
+  EXPECT_TRUE(woke_on_stop);
+  EXPECT_EQ(collector.ShippedSegments(), 1u);
+  collector.Finish();
 }
 
 TEST(OnlineCollectorTest, ConcurrentProducersSerializeCleanly) {
@@ -178,8 +220,8 @@ TEST(OnlineCollectorTest, ConcurrentProducersSerializeCleanly) {
 }
 
 TEST(OnlineCollectorTest, LaneReleaseFreesStoredSegments) {
-  OnlineLogCollector collector(/*segment_records=*/4, /*channel_capacity=*/64);
-  SpscQueue<LogSegment*>* second = collector.AddSubscriber();
+  OnlineLogCollector collector(/*segment_records=*/4);
+  MpmcQueue<LogSegment*>* second = collector.AddSubscriber();
   auto lane0 = collector.MakeSource(&collector.channel());
   auto lane1 = collector.MakeSource(second);
   for (Timestamp ts = 1; ts <= 12; ++ts) collector.LogCommit(MakeTxn(ts, {ts}));

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/event_count.h"
 #include "common/mpmc_queue.h"
 #include "common/spsc_queue.h"
 
@@ -210,6 +211,151 @@ TEST(MpmcQueueTest, PushAllWakesParkedConsumersAndDeliversEachItemOnce) {
   std::sort(all.begin(), all.end());
   EXPECT_EQ(all, items);
   EXPECT_FALSE(q.TryPop().has_value());
+}
+
+// Polls `done`, yielding between polls, for up to 30 s; false on timeout.
+template <typename Done>
+bool WaitFor(Done done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// The waiter announces itself, the notifier's state change and Notify()
+// land before the waiter parks, and the park must return at once: the
+// notification advanced the key it parks on.
+TEST(EventCountTest, NotifyBetweenPrepareAndWaitIsNeverLost) {
+  EventCount ev;
+  constexpr int kRounds = 2000;
+  std::atomic<int> prepared{-1};
+  std::atomic<int> notified{-1};
+  std::atomic<int> woken{-1};
+  std::atomic<bool> abort{false};
+  std::thread waiter([&] {
+    for (int r = 0; r < kRounds && !abort.load(); ++r) {
+      const EventCount::Key key = ev.PrepareWait();
+      prepared.store(r);
+      while (notified.load() < r && !abort.load()) std::this_thread::yield();
+      ev.Wait(key);
+      woken.store(r);
+    }
+  });
+  bool ok = true;
+  for (int r = 0; r < kRounds && ok; ++r) {
+    ok = WaitFor([&] { return prepared.load() >= r; });
+    ev.Notify();
+    notified.store(r);
+    ok = ok && WaitFor([&] { return woken.load() >= r; });
+  }
+  if (!ok) {
+    // Unblock and join the waiter before reporting.
+    abort.store(true);
+    while (woken.load() < prepared.load()) ev.NotifyAll();
+  }
+  waiter.join();
+  EXPECT_TRUE(ok) << "a notify before the park was lost after round "
+                  << woken.load();
+  EXPECT_EQ(ev.Waiters(), 0);
+}
+
+// Park() re-checks its predicate after announcing itself: a notifier that
+// changes the state after the waiter's first check, but before the waiter
+// announced itself, finds nobody waiting, and the re-check is what sees it.
+TEST(EventCountTest, ParkRechecksAfterAnnouncing) {
+  EventCount ev;
+  std::atomic<bool> flag{false};
+  std::atomic<bool> returned{false};
+  bool raced = false;
+  std::thread waiter([&] {
+    ev.Park([&] {
+      const bool ready = flag.load();
+      if (!ready && !raced) {
+        raced = true;
+        flag.store(true);
+        ev.Notify();  // no waiter announced yet: wakes nobody
+      }
+      return ready;
+    });
+    returned.store(true);
+  });
+  const bool woke = WaitFor([&] { return returned.load(); });
+  if (!woke) ev.NotifyAll();  // unblock the lost park before joining
+  waiter.join();
+  EXPECT_TRUE(woke) << "Park missed a notify that landed before it parked";
+}
+
+TEST(EventCountTest, TimedWaitReturnsByItsDeadline) {
+  EventCount ev;
+  const auto start = EventCount::Clock::now();
+  const auto deadline = start + std::chrono::milliseconds(20);
+  const EventCount::Key key = ev.PrepareWait();
+  EXPECT_FALSE(ev.WaitUntil(key, deadline));
+  const auto end = EventCount::Clock::now();
+  EXPECT_GE(end, deadline);
+  EXPECT_LT(end - start, std::chrono::seconds(5));
+  EXPECT_EQ(ev.Waiters(), 0);
+
+  // ParkUntil: false at the deadline, true at once when the predicate holds.
+  EXPECT_FALSE(ev.ParkUntil([] { return false; },
+                            EventCount::Clock::now() +
+                                std::chrono::milliseconds(5)));
+  EXPECT_TRUE(ev.ParkUntil([] { return true; }, EventCount::Clock::now()));
+
+  // A notification before the deadline ends the timed wait early.
+  std::atomic<bool> flag{false};
+  std::atomic<bool> returned{false};
+  std::thread waiter([&] {
+    EXPECT_TRUE(ev.ParkUntil([&] { return flag.load(); },
+                             EventCount::Clock::now() +
+                                 std::chrono::seconds(30)));
+    returned.store(true);
+  });
+  const bool parked = WaitFor([&] { return ev.Waiters() == 1; });
+  flag.store(true);
+  ev.Notify();
+  const bool woke = WaitFor([&] { return returned.load(); });
+  waiter.join();  // the 30 s deadline bounds the join
+  EXPECT_TRUE(parked);
+  EXPECT_TRUE(woke);
+}
+
+TEST(EventCountTest, NotifyAllWakesEveryParkedWaiter) {
+  EventCount ev;
+  constexpr int kWaiters = 4;
+  std::atomic<bool> go{false};
+  std::atomic<int> woken{0};
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < kWaiters; ++i) {
+    waiters.emplace_back([&] {
+      ev.Park([&] { return go.load(); });
+      woken.fetch_add(1);
+    });
+  }
+  // On failure, release and join every waiter before reporting.
+  auto finish = [&] {
+    go.store(true);
+    while (woken.load() < kWaiters) {
+      ev.NotifyAll();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    for (std::thread& t : waiters) t.join();
+  };
+  if (!WaitFor([&] { return ev.Waiters() == kWaiters; })) {
+    const int parked = ev.Waiters();
+    finish();
+    FAIL() << "only " << parked << " of " << kWaiters << " parked";
+  }
+  go.store(true);
+  ev.NotifyAll();  // one call must wake them all
+  const bool all = WaitFor([&] { return woken.load() == kWaiters; });
+  const int n = woken.load();
+  finish();
+  EXPECT_TRUE(all) << "NotifyAll woke " << n << " of " << kWaiters;
+  EXPECT_EQ(ev.Waiters(), 0);
 }
 
 TEST(MpmcQueueTest, SizeReflectsContents) {

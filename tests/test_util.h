@@ -2,8 +2,10 @@
 #define C5_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -79,6 +81,17 @@ class SeedListener : public ::testing::EmptyTestEventListener {
 };
 
 }  // namespace internal
+
+// This process's user + system CPU time, every thread included.
+inline std::chrono::microseconds ProcessCpuTime() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto us = [](const timeval& tv) {
+    return std::chrono::seconds(tv.tv_sec) +
+           std::chrono::microseconds(tv.tv_usec);
+  };
+  return us(usage.ru_utime) + us(usage.ru_stime);
+}
 
 // The seed for a randomized test: `default_seed` normally; C5_TEST_SEED=<n>
 // (n != 0) PERTURBS every seed deterministically instead of replacing it, so
